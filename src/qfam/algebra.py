@@ -13,8 +13,14 @@ Conventions fixed here and relied on by every other module:
 * tensor products order the product blocks with the left factor major, and
   inside a block pair use the Kronecker (row-major) convention;
 * all scalars are complex128; checks report a defect value and the caller
-  compares it against a tolerance, by default 1e-9 scaled by operand norms;
-* norms of elements are operator norms (largest singular value over blocks).
+  compares it with a bound through :func:`within`: the defect and the bound
+  must both be finite and the defect at most the bound. The bound is the
+  tolerance (default 1e-9) as given, except for *-homomorphism checks, which
+  scale it by max(1, max|matrix entry|)^2;
+* norms of elements are operator norms (largest singular value over blocks);
+* batches of elements are coordinate arrays whose last axis is the canonical
+  basis: :func:`multiply` forms their products and
+  :func:`column_element_norms` their norms.
 """
 
 from __future__ import annotations
@@ -31,9 +37,15 @@ from .errors import (
     IncompatibleAlgebraError,
     InvalidDimensionError,
 )
+from .linalg import numeric_rank
 
 DEFAULT_TOL = 1e-9
 FAITHFULNESS_FLOOR = 1e-12
+
+
+def within(defect: float, bound: float) -> bool:
+    """The verdict rule: defect and bound are finite and defect <= bound."""
+    return bool(np.isfinite(defect) and np.isfinite(bound) and defect <= bound)
 
 
 @dataclass(frozen=True)
@@ -74,6 +86,15 @@ class FdCStarAlgebra:
     def block_slices(self) -> tuple[tuple[int, int], ...]:
         """(offset, size) of the coordinate range of each block."""
         return tuple(zip(self._offsets, self.block_dims))
+
+    @cached_property
+    def size_groups(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """(n, idx) per distinct block size n, where idx[b, r, s] is the
+        coordinate of entry (r, s) of the b-th block of size n."""
+        groups: dict[int, list[np.ndarray]] = {}
+        for off, n in self.block_slices():
+            groups.setdefault(n, []).append(off + np.arange(n * n).reshape(n, n))
+        return tuple((n, np.stack(idx)) for n, idx in groups.items())
 
     def basis_index(self, block: int, row: int, col: int) -> int:
         return self._offsets[block] + row * self.block_dims[block] + col
@@ -194,13 +215,7 @@ class AlgebraElement:
 
     def norm(self) -> float:
         """Operator norm: the largest singular value over all blocks."""
-        worst = 0.0
-        for mat in self.blocks:
-            if mat.shape == (1, 1):
-                worst = max(worst, abs(mat[0, 0]))
-            else:
-                worst = max(worst, float(np.linalg.norm(mat, 2)))
-        return float(worst)
+        return float(column_element_norms(self.algebra, self.to_vec())[0])
 
     def to_vec(self) -> np.ndarray:
         return np.concatenate([m.ravel() for m in self.blocks])
@@ -209,30 +224,56 @@ class AlgebraElement:
         return f"AlgebraElement({self.algebra!r})"
 
 
-def operator_norm(x: AlgebraElement) -> float:
-    """Operator norm of an element (largest singular value over blocks)."""
-    return x.norm()
+def multiply(algebra: FdCStarAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coordinates of the products x * y of coordinate arrays.
+
+    The last axis of x and y is the canonical basis; the leading axes
+    broadcast. The blocks of each size are multiplied by one matmul.
+    """
+    x = np.asarray(x)
+    y = np.asarray(y)
+    shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    out = np.empty(shape + (algebra.dim,), dtype=np.result_type(x, y, complex))
+    for n, idx in algebra.size_groups:
+        a, b = x[..., idx], y[..., idx]
+        out[..., idx] = a * b if n == 1 else a @ b
+    return out
+
+
+def span_rank(algebra: FdCStarAlgebra, xs: np.ndarray, ys: np.ndarray) -> int:
+    """Numeric rank of the span of all products x * y, for x a row of xs
+    and y a row of ys (coordinate rows)."""
+    products = multiply(algebra, xs[:, None, :], ys[None, :, :])
+    return numeric_rank(products.reshape(-1, algebra.dim))
 
 
 def column_element_norms(algebra: FdCStarAlgebra, matrix: np.ndarray) -> np.ndarray:
-    """Operator norm of the element encoded by each column of matrix."""
+    """Operator norm of the element encoded by each column of matrix.
+
+    A column with a NaN coordinate has norm NaN; one with an infinite
+    coordinate and no NaN has norm inf.
+    """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim == 1:
         matrix = matrix.reshape(-1, 1)
-    ncols = matrix.shape[1]
-    out = np.zeros(ncols)
-    for off, n in algebra.block_slices():
-        sub = matrix[off : off + n * n, :].T.reshape(ncols, n, n)
+    out = np.zeros(matrix.shape[1])
+    for n, idx in algebra.size_groups:
+        sub = np.moveaxis(matrix[idx], -1, 0)  # (column, block, n, n)
         if n == 1:
-            vals = np.abs(sub[:, 0, 0])
+            vals = np.abs(sub[..., 0, 0])
+        elif np.isfinite(sub).all():
+            vals = np.linalg.svd(sub, compute_uv=False)[..., 0]
         else:
-            vals = np.linalg.svd(sub, compute_uv=False)[:, 0]
-        np.maximum(out, vals, out=out)
+            finite = np.isfinite(sub).all(axis=(-2, -1))
+            vals = np.where(np.isnan(sub).any(axis=(-2, -1)), np.nan, np.inf)
+            vals[finite] = np.linalg.svd(sub[finite], compute_uv=False)[:, 0]
+        np.maximum(out, vals.max(axis=1), out=out)
     return out
 
 
 def max_image_defect(codomain: FdCStarAlgebra, matrix_diff: np.ndarray) -> float:
-    """Worst operator norm over the columns of a matrix of element differences."""
+    """Worst operator norm over the columns of a matrix of element
+    differences; NaN when any column's norm is NaN."""
     norms = column_element_norms(codomain, matrix_diff)
     return float(norms.max()) if norms.size else 0.0
 
@@ -335,23 +376,6 @@ class LinearFunctional:
         return f"LinearFunctional({self.algebra!r})"
 
 
-def classify_state(omega: LinearFunctional, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the density is PSD Hermitian with total trace 1."""
-    return omega.is_state(tol)
-
-
-def classify_faithful(
-    omega: LinearFunctional, floor: float = FAITHFULNESS_FLOOR
-) -> bool:
-    """True iff every density block has min eigenvalue at or above the floor."""
-    return omega.is_faithful(floor)
-
-
-def classify_trace(omega: LinearFunctional, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every density block is a nonnegative multiple of the identity."""
-    return omega.is_trace(tol)
-
-
 def trace_state(algebra: FdCStarAlgebra) -> LinearFunctional:
     """The normalized trace; on a commutative algebra, the uniform measure."""
     total = sum(algebra.block_dims)
@@ -419,10 +443,22 @@ class TensorLayout:
         return np.asarray(vec)[self.pair_index]
 
     def combine(self, table: np.ndarray) -> np.ndarray:
-        """Inverse of split."""
-        out = np.empty(self.product.dim, dtype=complex)
-        out[self.pair_index] = table
+        """Inverse of split; leading axes of table are kept, so a stack of
+        (dim left, dim right) tables gives a stack of product coordinates."""
+        table = np.asarray(table)
+        out = np.empty(table.shape[:-2] + (self.product.dim,), dtype=complex)
+        out[..., self.pair_index] = table
         return out
+
+    def left_units(self) -> np.ndarray:
+        """Coordinate rows of e_i (x) 1, e_i the left factor's basis."""
+        ident = self.right.identity().to_vec()
+        return self.combine(np.eye(self.left.dim)[:, :, None] * ident)
+
+    def right_units(self) -> np.ndarray:
+        """Coordinate rows of 1 (x) f_j, f_j the right factor's basis."""
+        ident = self.left.identity().to_vec()
+        return self.combine(ident[None, :, None] * np.eye(self.right.dim)[:, None, :])
 
 
 @lru_cache(maxsize=None)

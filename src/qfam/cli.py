@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,6 +62,17 @@ def _fmt(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.3g}"
 
 
+def _strict(value):
+    """value with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    return value
+
+
 def emit_report(report: CheckReport, fmt: str) -> str:
     """Render a report: text for eyes, structured JSON for scripts."""
     if fmt == "structured":
@@ -84,7 +96,7 @@ def emit_report(report: CheckReport, fmt: str) -> str:
             ],
         }
         doc.update(report.extras)
-        return json.dumps(doc, indent=2)
+        return json.dumps(_strict(doc), indent=2, allow_nan=False)
     lines = [f"{report.command}: " + (" ".join(report.inputs) or "(no inputs)")]
     width = max((len(c.name) for c in report.checks), default=0)
     for c in report.checks:
@@ -104,9 +116,8 @@ def emit_report(report: CheckReport, fmt: str) -> str:
             lines.append(f"  {key}: {_fmt(value)}")
         elif not isinstance(value, (dict, list)):
             lines.append(f"  {key}: {value}")
-    worst = max(
-        (c.defect for c in report.checks if c.defect is not None), default=None
-    )
+    defects = [c.defect for c in report.checks if c.defect is not None]
+    worst = float(np.max(defects)) if defects else None  # NaN propagates
     tail = f"status: {report.status}"
     if report.status != "pass" and worst is not None:
         tail += f" (worst defect {_fmt(worst)})"
@@ -119,26 +130,28 @@ def emit_report(report: CheckReport, fmt: str) -> str:
 
 def _cmd_verify_hom(args) -> CheckReport:
     phi = parse_spec_file(args.inputs[0], kind="morphism")
-    scale = max(1.0, float(np.abs(phi.matrix).max()))
-    bound = args.tol * scale * scale
+    bound = phi.hom_bound(args.tol)
     checks = [
-        CheckOutcome(name, value <= bound, value, bound, "")
+        CheckOutcome.bounded(name, value, bound)
         for name, value in phi.defect_report.items()
     ]
     return CheckReport(
         "verify-hom", args.inputs, args.tol, args.seed, checks,
-        extras={"matrix_scale": scale},
+        extras={"matrix_scale": phi.scale},
     )
 
 
 def _cmd_compose(args) -> CheckReport:
     first = parse_spec_file(args.inputs[0], kind="family")
     second = parse_spec_file(args.inputs[1], kind="family")
-    checks = []
-    for label, fam in (("first-is-hom", first), ("second-is-hom", second)):
-        ok = fam.morphism.is_star_hom(args.tol)
-        worst = max(fam.morphism.defect_report.values())
-        checks.append(CheckOutcome(label, ok, worst, args.tol, ""))
+    checks = [
+        CheckOutcome.bounded(
+            label,
+            np.max(list(fam.morphism.defect_report.values())),
+            fam.morphism.hom_bound(args.tol),
+        )
+        for label, fam in (("first-is-hom", first), ("second-is-hom", second))
+    ]
     composed = compose_families(first, second)
     return CheckReport(
         "compose", args.inputs, args.tol, args.seed, checks,
@@ -164,7 +177,7 @@ def _cmd_check_invariant(args) -> CheckReport:
         return report
     defect = invariance_defects(fam, omega).defect
     checks = [
-        CheckOutcome("invariance", defect <= args.tol, defect, args.tol, ""),
+        CheckOutcome.bounded("invariance", defect, args.tol),
         CheckOutcome("state-hypothesis", True, None, None, "functional is a state"),
     ]
     return CheckReport("check-invariant", args.inputs, args.tol, args.seed, checks)
@@ -174,23 +187,21 @@ def _cmd_check_commute(args) -> CheckReport:
     first = parse_spec_file(args.inputs[0], kind="family")
     second = parse_spec_file(args.inputs[1], kind="family")
     defect = commutation_defect(first, second)
-    checks = [CheckOutcome("commutation", defect <= args.tol, defect, args.tol, "")]
+    checks = [CheckOutcome.bounded("commutation", defect, args.tol)]
     return CheckReport("check-commute", args.inputs, args.tol, args.seed, checks)
 
 
 def _cmd_check_coassoc(args) -> CheckReport:
     sg = parse_spec_file(args.inputs[0], kind="semigroup")
     defect = coassociativity_defect(sg)
-    checks = [
-        CheckOutcome("coassociativity", defect <= args.tol, defect, args.tol, "")
-    ]
+    checks = [CheckOutcome.bounded("coassociativity", defect, args.tol)]
     return CheckReport("check-coassoc", args.inputs, args.tol, args.seed, checks)
 
 
 def _cmd_check_counit(args) -> CheckReport:
     sg = parse_spec_file(args.inputs[0], kind="semigroup")
     defect = counit_defect(sg)
-    checks = [CheckOutcome("counit", defect <= args.tol, defect, args.tol, "")]
+    checks = [CheckOutcome.bounded("counit", defect, args.tol)]
     return CheckReport("check-counit", args.inputs, args.tol, args.seed, checks)
 
 
@@ -198,9 +209,7 @@ def _cmd_check_action(args) -> CheckReport:
     fam = parse_spec_file(args.inputs[0], kind="family")
     sg = parse_spec_file(args.inputs[1], kind="semigroup")
     defect = action_defect(fam, sg)
-    checks = [
-        CheckOutcome("action-equation", defect <= args.tol, defect, args.tol, "")
-    ]
+    checks = [CheckOutcome.bounded("action-equation", defect, args.tol)]
     return CheckReport("check-action", args.inputs, args.tol, args.seed, checks)
 
 
@@ -208,7 +217,7 @@ def _cmd_check_magic(args) -> CheckReport:
     u = parse_spec_file(args.inputs[0], kind="magic_unitary")
     rep = magic_unitary_check(u, args.tol)
     checks = [
-        CheckOutcome(name, value <= args.tol, value, args.tol, "")
+        CheckOutcome.bounded(name, value, args.tol)
         for name, value in rep.defects.items()
     ]
     return CheckReport(
@@ -222,10 +231,9 @@ def _cmd_check_cancellation(args) -> CheckReport:
     checks = []
     for side in ("left", "right"):
         rep = cancellation_rank(sg, side)
-        deficit = float(sg.algebra.dim**2 - rep.rank)
         checks.append(
-            CheckOutcome(
-                f"{side}-cancellation", rep.full, deficit, 0.0,
+            CheckOutcome.bounded(
+                f"{side}-cancellation", sg.algebra.dim**2 - rep.rank, 0.0,
                 f"rank {rep.rank} of {sg.algebra.dim ** 2}",
             )
         )
@@ -246,14 +254,8 @@ def _cmd_check_modular(args) -> CheckReport:
             status="hypothesis-violation",
         )
     checks = [
-        CheckOutcome(
-            "identity", rep.identity_defect <= args.tol,
-            rep.identity_defect, args.tol, "",
-        ),
-        CheckOutcome(
-            "left-inverse", rep.left_invertibility_defect <= args.tol,
-            rep.left_invertibility_defect, args.tol, "",
-        ),
+        CheckOutcome.bounded("identity", rep.identity_defect, args.tol),
+        CheckOutcome.bounded("left-inverse", rep.left_invertibility_defect, args.tol),
     ]
     return CheckReport("check-modular", args.inputs, args.tol, args.seed, checks)
 
@@ -262,8 +264,8 @@ def _cmd_check_podles(args) -> CheckReport:
     fam = parse_spec_file(args.inputs[0], kind="family")
     rep = podles_rank(fam)
     checks = [
-        CheckOutcome(
-            "podles-density", rep.full, float(rep.total - rep.rank), 0.0,
+        CheckOutcome.bounded(
+            "podles-density", rep.total - rep.rank, 0.0,
             f"span rank {rep.rank} of {rep.total}",
         )
     ]
@@ -284,22 +286,15 @@ def _cmd_enumerate_classical(args) -> CheckReport:
 
 
 def _cmd_run_suite(args) -> CheckReport:
-    if args.suite is not None:
-        checks = [
-            CheckOutcome(f"{args.suite}:{c.name}", c.passed, c.defect, c.threshold, c.detail)
-            for c in run_suite(args.suite, args.seed)
-        ]
-        extras = {"suite": args.suite}
-    else:
-        checks = []
-        for name in SUITES:
-            checks.extend(
-                CheckOutcome(f"{name}:{c.name}", c.passed, c.defect, c.threshold, c.detail)
-                for c in run_suite(name, args.seed)
-            )
-        extras = {"suite": "all"}
+    names = list(SUITES) if args.suite is None else [args.suite]
+    checks = [
+        replace(c, name=f"{name}:{c.name}")
+        for name in names
+        for c in run_suite(name, args.seed)
+    ]
     return CheckReport(
-        "run-suite", [], args.tol, args.seed, checks, extras=extras
+        "run-suite", [], args.tol, args.seed, checks,
+        extras={"suite": args.suite or "all"},
     )
 
 
@@ -358,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if not 0 < args.tol < math.inf:
+        print("error: --tol must be a positive finite number", file=sys.stderr)
         return 2
     if args.command == "enumerate-classical":
         handler = _cmd_enumerate_classical

@@ -13,6 +13,7 @@ key. Saving and reloading a document reproduces the object bit-for-bit.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -30,16 +31,27 @@ def _fail(path: str, message: str) -> DocumentParseError:
     return DocumentParseError(f"{path}: {message}")
 
 
+def _is_finite_number(value: Any) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _as_complex(value: Any, path: str) -> complex:
-    if isinstance(value, (int, float)):
+    """A finite number or [re, im] pair of finite numbers; booleans, NaN
+    and infinities are refused."""
+    if _is_finite_number(value):
         return complex(value)
     if (
         isinstance(value, (list, tuple))
         and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
+        and all(_is_finite_number(v) for v in value)
     ):
         return complex(value[0], value[1])
-    raise _fail(path, f"expected a number or [re, im] pair, got {value!r}")
+    raise _fail(path, f"expected a finite number or [re, im] pair, got {value!r}")
 
 
 def _pair(z: complex) -> list[float]:

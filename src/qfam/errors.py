@@ -30,7 +30,7 @@ class InvalidCharacterError(QfamError):
 
 
 class ResourceLimitError(QfamError):
-    """An enumeration would exceed the configured cap."""
+    """An enumeration or a dense array would exceed its configured cap."""
 
 
 class MissingComponentError(QfamError):

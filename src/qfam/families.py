@@ -32,7 +32,6 @@ from .errors import (
     IncompatibleAlgebraError,
     InvalidCharacterError,
     InvalidMatrixError,
-    NotAHomomorphismError,
 )
 from .linalg import nullspace, numeric_rank
 from .morphisms import (
@@ -42,6 +41,7 @@ from .morphisms import (
     flip,
     functions_algebra,
     identity_morphism,
+    require_star_hom,
     scalar_algebra,
     tensor_morphisms,
 )
@@ -109,12 +109,7 @@ def make_family(
         phi = morphism
     else:
         phi = StarMorphism(source, layout.product, np.asarray(morphism, dtype=complex))
-    if not phi.is_star_hom(tol):
-        raise NotAHomomorphismError(
-            "family map fails the homomorphism checks: "
-            + ", ".join(f"{k}={v:.3e}" for k, v in phi.defect_report.items())
-        )
-    return QuantumFamily(source, target_factor, label, phi)
+    return QuantumFamily(source, target_factor, label, require_star_hom(phi, tol))
 
 
 def singleton_family(phi: StarMorphism) -> QuantumFamily:
@@ -131,10 +126,7 @@ def trivial_family(
 ) -> QuantumFamily:
     """The family b -> b (x) I. Its matrix is a 0/1 placement matrix."""
     layout = tensor_layout(source, label)
-    ident = label.identity()
-    mat = np.zeros((layout.product.dim, source.dim), dtype=complex)
-    for i in range(source.dim):
-        mat[:, i] = layout.elem(source.basis_element(i), ident).to_vec()
+    mat = layout.left_units().T
     return QuantumFamily(
         source, source, label, StarMorphism(source, layout.product, mat)
     )
@@ -225,31 +217,16 @@ def invariance_defects(
     _require_self_map(family, "invariance")
     if omega.algebra != family.source:
         raise IncompatibleAlgebraError("functional lives over a different algebra")
-    layout = family.layout
-    slices = family.morphism.matrix[layout.pair_index, :]  # (dB, dA, dB)
+    slices = family.morphism.matrix[family.layout.pair_index, :]  # (dB, dA, dB)
     partial = np.einsum("iab,i->ab", slices, omega.covector)
     target = np.outer(family.label.identity().to_vec(), omega.covector)
-    diff = partial - target
-    defect = float(
-        max(
-            (family.label.from_vec(diff[:, j]).norm() for j in range(family.source.dim)),
-            default=0.0,
-        )
-    )
+    diff = partial - target  # column j: the generator of the j-th matrix unit
+    defect = max_image_defect(family.label, diff)
     if basis is None and omega.is_faithful():
         basis = orthonormal_basis(family.source, omega)
-    if basis is None:
-        generators = tuple(
-            family.label.from_vec(diff[:, j]) for j in range(family.source.dim)
-        )
-    else:
-        gens = []
-        ident = family.label.identity()
-        for m in basis:
-            table = layout.split(family(m).to_vec())  # (dB, dA)
-            slice_a = omega.covector @ table
-            gens.append(family.label.from_vec(slice_a) - omega(m) * ident)
-        generators = tuple(gens)
+    if basis is not None:  # generators are linear in m
+        diff = diff @ np.column_stack([m.to_vec() for m in basis])
+    generators = tuple(family.label.from_vec(col) for col in diff.T)
     return InvarianceReport(defect=defect, generators=generators)
 
 
@@ -269,10 +246,8 @@ def action_coefficients(
     ) < family.source.dim:
         raise InvalidMatrixError("given elements do not form a basis of the source")
     duals = np.linalg.inv(bmat)
-    images = np.stack(
-        [layout.split(family(m).to_vec()) for m in basis], axis=0
-    )  # (l, i, a)
-    return np.einsum("lia,ki->kla", images, duals)
+    images = (family.morphism.matrix @ bmat)[layout.pair_index]  # (i, a, l)
+    return np.einsum("ial,ki->kla", images, duals)
 
 
 def commutation_defect(first: QuantumFamily, second: QuantumFamily) -> float:

@@ -23,10 +23,13 @@ from .algebra import (
     FdCStarAlgebra,
     LinearFunctional,
     adjoint_permutation,
+    column_element_norms,
     make_algebra,
     max_image_defect,
     multiplication_table,
+    multiply,
     tensor_layout,
+    within,
 )
 from .errors import (
     IncompatibleAlgebraError,
@@ -38,6 +41,10 @@ from .errors import (
 
 # Cap on n for enumerating all n^n self-maps of an n-point set.
 SET_MAP_CAP = 6
+
+# Cap on the bytes of one dense tensor lift (output dim x input dim x 16);
+# 2^30 admits coassociativity on cyclic groups of order up to 36.
+LIFT_BYTES_CAP = 2**30
 
 # Above this many complex entries the multiplicativity check is chunked.
 _DEFECT_CHUNK = 4_000_000
@@ -77,11 +84,6 @@ class StarMorphism:
             raise IncompatibleAlgebraError("argument is not in the domain algebra")
         return self.codomain.from_vec(self.matrix @ x.to_vec())
 
-    @property
-    def map_matrix(self) -> np.ndarray:
-        """The matrix over canonical bases (column j = image of basis j)."""
-        return self.matrix
-
     @cached_property
     def defect_report(self) -> dict[str, float]:
         """Worst-case defects: mult_defect, star_defect, unit_defect.
@@ -91,10 +93,19 @@ class StarMorphism:
         """
         return _defect_report(self)
 
+    @cached_property
+    def scale(self) -> float:
+        """max(1, max|entry|) of the matrix; NaN when an entry is NaN."""
+        return float(np.maximum(1.0, np.abs(self.matrix).max()))
+
+    def hom_bound(self, tol: float = DEFAULT_TOL) -> float:
+        """The bound each defect is held to: tol * scale^2."""
+        return tol * self.scale * self.scale
+
     def is_star_hom(self, tol: float = DEFAULT_TOL) -> bool:
-        """True when all defects stay within tol scaled by the matrix norm."""
-        scale = max(1.0, float(np.abs(self.matrix).max()))
-        return all(v <= tol * scale * scale for v in self.defect_report.values())
+        """True when every defect is within hom_bound(tol)."""
+        bound = self.hom_bound(tol)
+        return all(within(v, bound) for v in self.defect_report.values())
 
     def __repr__(self) -> str:
         return f"StarMorphism({self.domain!r} -> {self.codomain!r})"
@@ -104,48 +115,24 @@ def _defect_report(phi: StarMorphism) -> dict[str, float]:
     dom, cod, mat = phi.domain, phi.codomain, phi.matrix
     d = dom.dim
 
-    unit = max_image_defect(cod, (phi(dom.identity()) - cod.identity()).to_vec())
+    unit = max_image_defect(cod, mat @ dom.identity().to_vec() - cod.identity().to_vec())
 
     star_diff = mat[:, adjoint_permutation(dom)] - np.conj(mat[adjoint_permutation(cod), :])
     star = max_image_defect(cod, star_diff)
 
-    # phi(e_i)phi(e_j) - phi(e_i e_j), batched per codomain block.
-    tbl = multiplication_table(dom)
-    tidx = np.where(tbl >= 0, tbl, d).reshape(-1)
-    padded = np.concatenate([mat, np.zeros((cod.dim, 1))], axis=1)
-    mult = 0.0
-    for off, n in cod.block_slices():
-        images = mat[off : off + n * n, :].T.reshape(d, n, n)
-        targets = padded[off : off + n * n, tidx].T.reshape(d, d, n, n)
-        step = max(1, _DEFECT_CHUNK // max(1, d * n * n))
-        for lo in range(0, d, step):
-            hi = min(d, lo + step)
-            prod = np.einsum("ipq,jqr->ijpr", images[lo:hi], images)
-            diff = prod - targets[lo:hi]
-            if n == 1:
-                worst = float(np.abs(diff).max()) if diff.size else 0.0
-            else:
-                svals = np.linalg.svd(diff.reshape(-1, n, n), compute_uv=False)
-                worst = float(svals[:, 0].max()) if svals.size else 0.0
-            mult = max(mult, worst)
+    # phi(e_i)phi(e_j) - phi(e_i e_j), in chunks of at most _DEFECT_CHUNK entries.
+    tidx = multiplication_table(dom)
+    # Row d of padded is 0; the table's -1 entries (zero products) pick it.
+    padded = np.concatenate([mat, np.zeros((cod.dim, 1))], axis=1).T
+    images = padded[:d]
+    norms = np.zeros(d * d)
+    step = max(1, _DEFECT_CHUNK // max(1, d * cod.dim))
+    for lo in range(0, d, step):
+        hi = min(d, lo + step)
+        diff = multiply(cod, images[lo:hi, None, :], images) - padded[tidx[lo:hi]]
+        norms[lo * d : hi * d] = column_element_norms(cod, diff.reshape(-1, cod.dim).T)
+    mult = float(norms.max())
     return {"mult_defect": mult, "star_defect": star, "unit_defect": unit}
-
-
-def make_and_verify_morphism(
-    domain: FdCStarAlgebra,
-    codomain: FdCStarAlgebra,
-    matrix: np.ndarray,
-) -> StarMorphism:
-    """Build a morphism with its defect report already computed.
-
-    Never rejects: a transpose map comes back with a large mult_defect
-    rather than an exception, so faults are measurable. Callers that need
-    a guaranteed homomorphism should test is_star_hom or use
-    require_star_hom.
-    """
-    phi = StarMorphism(domain, codomain, matrix)
-    phi.defect_report  # force and cache
-    return phi
 
 
 def require_star_hom(phi: StarMorphism, tol: float = DEFAULT_TOL) -> StarMorphism:
@@ -194,6 +181,12 @@ def tensor_morphisms(
         lout.right,
     ) != (phi.codomain, psi.codomain):
         raise IncompatibleAlgebraError("layout factors do not match the morphisms")
+    nbytes = lout.product.dim * lin.product.dim * 16
+    if nbytes > LIFT_BYTES_CAP:
+        raise ResourceLimitError(
+            f"a dense {lout.product.dim} x {lin.product.dim} tensor lift needs "
+            f"{nbytes / 2**20:.0f} MiB, over the cap of {LIFT_BYTES_CAP / 2**20:.0f} MiB"
+        )
     mat = np.zeros((lout.product.dim, lin.product.dim), dtype=complex)
     mat[np.ix_(lout.kron_to_prod, lin.kron_to_prod)] = np.kron(phi.matrix, psi.matrix)
     return StarMorphism(lin.product, lout.product, mat)

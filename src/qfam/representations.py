@@ -2,10 +2,11 @@
 and the structure matrix attached to a family by an invariant state.
 
 A grid is a tuple of tuples of algebra elements, all from one algebra. The
-checks here measure, in operator norm, how far a grid is from satisfying
-the comultiplication rule, from being an isometry as a block matrix, or
-from being a magic unitary (projection entries, rows and columns summing
-to the identity).
+checks here convert it once into a (rows, cols, dim) coordinate array and
+measure, in operator norm, how far it is from satisfying the
+comultiplication rule, from being an isometry as a block matrix, or from
+being a magic unitary (projection entries, rows and columns summing to the
+identity).
 """
 
 from __future__ import annotations
@@ -21,10 +22,15 @@ from .algebra import (
     AlgebraElement,
     FdCStarAlgebra,
     LinearFunctional,
+    adjoint_permutation,
     make_algebra,
+    max_image_defect,
+    multiply,
     orthonormal_basis,
     sigma_map,
+    span_rank,
     tensor_layout,
+    within,
 )
 from .errors import (
     DegenerateStateError,
@@ -34,24 +40,22 @@ from .errors import (
     PreconditionError,
 )
 from .families import QuantumFamily, action_coefficients, invariance_defects
-from .linalg import numeric_rank
 from .morphisms import StarMorphism, functions_algebra, scalar_algebra
 from .semigroups import QuantumSemigroup
 
 
-def _as_grid(
-    algebra: FdCStarAlgebra, entries: Sequence[Sequence[AlgebraElement]]
-) -> tuple[tuple[AlgebraElement, ...], ...]:
-    rows = tuple(tuple(row) for row in entries)
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise InvalidMatrixError("entries must form a nonempty rectangular grid")
-    for row in rows:
-        for v in row:
-            if not isinstance(v, AlgebraElement) or v.algebra != algebra:
-                raise IncompatibleAlgebraError(
-                    "all grid entries must belong to the stated algebra"
-                )
-    return rows
+def grid_array(entries: Sequence[Sequence[AlgebraElement]]) -> np.ndarray:
+    """Coordinates of a grid of elements as one (rows, cols, dim) array."""
+    return np.array([[v.to_vec() for v in row] for row in entries], dtype=complex)
+
+
+def _adjoint(algebra: FdCStarAlgebra, coords: np.ndarray) -> np.ndarray:
+    return coords[..., adjoint_permutation(algebra)].conj()
+
+
+def _worst(algebra: FdCStarAlgebra, coords: np.ndarray) -> float:
+    """Worst operator norm over a coordinate array (last axis the basis)."""
+    return max_image_defect(algebra, coords.reshape(-1, algebra.dim).T)
 
 
 @dataclass(frozen=True)
@@ -62,9 +66,15 @@ class Representation:
     entries: tuple[tuple[AlgebraElement, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = _as_grid(self.algebra, self.entries)
-        if len(rows) != len(rows[0]):
-            raise InvalidMatrixError("grid must be square")
+        rows = tuple(tuple(row) for row in self.entries)
+        if not rows or any(len(r) != len(rows) for r in rows):
+            raise InvalidMatrixError("entries must form a nonempty square grid")
+        for row in rows:
+            for v in row:
+                if not isinstance(v, AlgebraElement) or v.algebra != self.algebra:
+                    raise IncompatibleAlgebraError(
+                        "all grid entries must belong to the stated algebra"
+                    )
         object.__setattr__(self, "entries", rows)
 
     @property
@@ -72,21 +82,26 @@ class Representation:
         return len(self.entries)
 
 
+def _representation_defect(
+    algebra: FdCStarAlgebra, v: np.ndarray, sg: QuantumSemigroup
+) -> float:
+    if algebra != sg.algebra:
+        raise IncompatibleAlgebraError("grid and semigroup algebras differ")
+    layout = tensor_layout(algebra, algebra)
+    lhs = v @ sg.comultiplication.matrix.T
+    rhs = layout.combine(np.einsum("kri,rlj->klij", v, v))
+    return _worst(layout.product, lhs - rhs)
+
+
 def representation_defect(rep: Representation, sg: QuantumSemigroup) -> float:
     """Worst norm of Delta(v[k][l]) - sum_r v[k][r] (x) v[r][l]."""
-    if rep.algebra != sg.algebra:
-        raise IncompatibleAlgebraError("grid and semigroup algebras differ")
-    layout = tensor_layout(rep.algebra, rep.algebra)
-    n = rep.size
-    worst = 0.0
-    for k in range(n):
-        for l in range(n):
-            lhs = sg.comultiplication(rep.entries[k][l])
-            rhs = layout.product.zero()
-            for r in range(n):
-                rhs = rhs + layout.elem(rep.entries[k][r], rep.entries[r][l])
-            worst = max(worst, (lhs - rhs).norm())
-    return worst
+    return _representation_defect(rep.algebra, grid_array(rep.entries), sg)
+
+
+def _isometry_defect(algebra: FdCStarAlgebra, v: np.ndarray) -> float:
+    gram = multiply(algebra, _adjoint(algebra, v)[:, :, None], v[:, None]).sum(axis=0)
+    gram[np.diag_indices(v.shape[1])] -= algebra.identity().to_vec()
+    return _worst(algebra, gram)
 
 
 def matrix_isometry_defect(
@@ -96,41 +111,7 @@ def matrix_isometry_defect(
 
     Zero means the grid, read as a block matrix, is an isometry.
     """
-    rows = tuple(tuple(r) for r in entries)
-    algebra = rows[0][0].algebra
-    ident = algebra.identity()
-    ncols = len(rows[0])
-    worst = 0.0
-    for l in range(ncols):
-        for t in range(ncols):
-            acc = algebra.zero()
-            for row in rows:
-                acc = acc + row[l].adjoint() * row[t]
-            if l == t:
-                acc = acc - ident
-            worst = max(worst, acc.norm())
-    return worst
-
-
-def tensor_representation_entries(
-    left: Sequence[Sequence[AlgebraElement]],
-    right: Sequence[Sequence[AlgebraElement]],
-) -> list[list[AlgebraElement]]:
-    """Entry grid of the tensor product matrix, pairs ordered left-major."""
-    l0 = left[0][0].algebra
-    if any(v.algebra != l0 for row in left for v in row) or any(
-        v.algebra != l0 for row in right for v in row
-    ):
-        raise IncompatibleAlgebraError("both grids must live over one algebra")
-    out = []
-    for k in range(len(left)):
-        for kp in range(len(right)):
-            row = []
-            for l in range(len(left[0])):
-                for lp in range(len(right[0])):
-                    row.append(left[k][l] * right[kp][lp])
-            out.append(row)
-    return out
+    return _isometry_defect(entries[0][0].algebra, grid_array(entries))
 
 
 def tensor_representations(left: Representation, right: Representation) -> Representation:
@@ -141,26 +122,17 @@ def tensor_representations(left: Representation, right: Representation) -> Repre
     """
     if left.algebra != right.algebra:
         raise IncompatibleAlgebraError("factors live over different algebras")
-    entries = tensor_representation_entries(left.entries, right.entries)
-    return Representation(left.algebra, tuple(tuple(r) for r in entries))
+    alg = left.algebra
+    v, w = grid_array(left.entries), grid_array(right.entries)
+    prod = multiply(alg, v[:, None, :, None], w[None, :, None, :])
+    size = left.size * right.size
+    rows = prod.reshape(size, size, alg.dim)
+    return Representation(alg, tuple(tuple(map(alg.from_vec, row)) for row in rows))
 
 
 @dataclass(frozen=True)
-class MagicUnitary:
+class MagicUnitary(Representation):
     """A square grid of elements meant to be projections with magic sums."""
-
-    algebra: FdCStarAlgebra
-    entries: tuple[tuple[AlgebraElement, ...], ...]
-
-    def __post_init__(self) -> None:
-        rows = _as_grid(self.algebra, self.entries)
-        if len(rows) != len(rows[0]):
-            raise InvalidMatrixError("a magic unitary grid must be square")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -178,32 +150,20 @@ class MagicReport:
 
 def magic_unitary_check(u: MagicUnitary, tol: float = DEFAULT_TOL) -> MagicReport:
     """Check entries are projections and rows and columns each sum to 1."""
-    n = u.size
-    ident = u.algebra.identity()
-    idem = 0.0
-    herm = 0.0
-    for row in u.entries:
-        for p in row:
-            idem = max(idem, (p * p - p).norm())
-            herm = max(herm, (p.adjoint() - p).norm())
-    rows = 0.0
-    cols = 0.0
-    for k in range(n):
-        racc = u.algebra.zero()
-        cacc = u.algebra.zero()
-        for l in range(n):
-            racc = racc + u.entries[k][l]
-            cacc = cacc + u.entries[l][k]
-        rows = max(rows, (racc - ident).norm())
-        cols = max(cols, (cacc - ident).norm())
-    comm = 0.0
-    flat = [p for row in u.entries for p in row]
-    for a in range(len(flat)):
-        for b in range(a + 1, len(flat)):
-            comm = max(comm, (flat[a] * flat[b] - flat[b] * flat[a]).norm())
-    defects = {"idempotent": idem, "hermitian": herm, "row_sums": rows, "col_sums": cols}
+    alg = u.algebra
+    p = grid_array(u.entries)
+    ident = alg.identity().to_vec()
+    defects = {
+        "idempotent": _worst(alg, multiply(alg, p, p) - p),
+        "hermitian": _worst(alg, _adjoint(alg, p) - p),
+        "row_sums": _worst(alg, p.sum(axis=1) - ident),
+        "col_sums": _worst(alg, p.sum(axis=0) - ident),
+    }
+    flat = p.reshape(-1, alg.dim)
+    a, b = np.triu_indices(len(flat), 1)
+    comm = _worst(alg, multiply(alg, flat[a], flat[b]) - multiply(alg, flat[b], flat[a]))
     return MagicReport(
-        passed=all(v <= tol for v in defects.values()),
+        passed=all(within(v, tol) for v in defects.values()),
         defects=defects,
         max_commutator=comm,
     )
@@ -221,17 +181,11 @@ def projection_family_check(
     entries = list(entries)
     if not entries:
         raise InvalidMatrixError("need at least one projection")
-    algebra = entries[0].algebra
-    acc = algebra.zero()
-    for p in entries:
-        acc = acc + p
-    sum_defect = (acc - algebra.identity()).norm()
-    ortho = 0.0
-    for a in range(len(entries)):
-        for b in range(len(entries)):
-            if a != b:
-                ortho = max(ortho, (entries[a] * entries[b]).norm())
-    return float(sum_defect), float(ortho)
+    alg = entries[0].algebra
+    p = grid_array([entries])[0]
+    a, b = np.nonzero(~np.eye(len(p), dtype=bool))
+    sum_defect = _worst(alg, p.sum(axis=0) - alg.identity().to_vec())
+    return sum_defect, _worst(alg, multiply(alg, p[a], p[b]))
 
 
 def wang_family(u: MagicUnitary, tol: float = DEFAULT_TOL) -> QuantumFamily:
@@ -247,15 +201,10 @@ def wang_family(u: MagicUnitary, tol: float = DEFAULT_TOL) -> QuantumFamily:
             "grid is not a magic unitary: "
             + ", ".join(f"{k}={v:.3e}" for k, v in report.defects.items())
         )
-    n = u.size
-    source = functions_algebra(n)
+    source = functions_algebra(u.size)
     layout = tensor_layout(source, u.algebra)
-    mat = np.zeros((layout.product.dim, n), dtype=complex)
-    for j in range(n):
-        col = layout.product.zero()
-        for i in range(n):
-            col = col + layout.elem(source.basis_element(i), u.entries[i][j])
-        mat[:, j] = col.to_vec()
+    # the split table of column j is column j of the grid
+    mat = layout.combine(grid_array(u.entries).transpose(1, 0, 2)).T
     return QuantumFamily(
         source, source, u.algebra, StarMorphism(source, layout.product, mat)
     )
@@ -317,7 +266,6 @@ class ActionMatrixReport:
 
     basis: tuple[AlgebraElement, ...]
     coefficients: np.ndarray
-    entries: tuple[tuple[AlgebraElement, ...], ...]
     isometry_defect: float
     conjugate_isometry_defect: float | None
     representation_defect: float | None
@@ -338,23 +286,16 @@ def action_matrix(
     basis = orthonormal_basis(family.source, omega)
     coeffs = action_coefficients(family, basis)
     param = family.label
-    d = family.source.dim
-    entries = tuple(
-        tuple(param.from_vec(coeffs[k, l]) for l in range(d)) for k in range(d)
-    )
-    iso = matrix_isometry_defect(entries)
     conj_iso = None
     if omega.is_trace():
-        conj = tuple(tuple(v.adjoint() for v in row) for row in entries)
-        conj_iso = matrix_isometry_defect(conj)
+        conj_iso = _isometry_defect(param, _adjoint(param, coeffs))
     rep_defect = None
     if sg is not None:
-        rep_defect = representation_defect(Representation(param, entries), sg)
+        rep_defect = _representation_defect(param, coeffs, sg)
     return ActionMatrixReport(
         basis=tuple(basis),
         coefficients=coeffs,
-        entries=entries,
-        isometry_defect=float(iso),
+        isometry_defect=_isometry_defect(param, coeffs),
         conjugate_isometry_defect=conj_iso,
         representation_defect=rep_defect,
     )
@@ -410,52 +351,20 @@ def modular_report(
     sigma = sigma_map(family.source, omega)
     bmat = np.column_stack([m.to_vec() for m in basis])
     smat = np.linalg.solve(bmat, sigma @ bmat).T  # rows: sigma(m_i) over basis
-    coeffs = action_coefficients(family, basis)
     param = family.label
-    d = family.source.dim
-    a = [[param.from_vec(coeffs[k, l]) for l in range(d)] for k in range(d)]
-    astar = [[a[k][l].adjoint() for l in range(d)] for k in range(d)]
-    ident = param.identity()
-    middle = [[param.zero() for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            acc = param.zero()
-            for p in range(d):
-                for q in range(d):
-                    s_pq = smat[p, q]
-                    if abs(s_pq) > 1e-15:
-                        acc = acc + s_pq * (a[p][i] * astar[q][j])
-            middle[i][j] = acc
-    identity_defect = 0.0
-    for i in range(d):
-        for j in range(d):
-            identity_defect = max(
-                identity_defect, (middle[i][j] - smat[i, j] * ident).norm()
-            )
-    sinv = np.linalg.inv(smat)
-    left_defect = 0.0
-    for i in range(d):
-        for j in range(d):
-            acc = param.zero()
-            for t in range(d):
-                if abs(sinv[i, t]) > 1e-15:
-                    acc = acc + sinv[i, t] * middle[t][j]
-            if i == j:
-                acc = acc - ident
-            left_defect = max(left_defect, acc.norm())
+    a = action_coefficients(family, basis)  # a[p, i]
+    # middle[i, j] = sum_q (sum_p s[p, q] a[p][i]) a[q][j]*
+    c = np.einsum("pq,pia->qia", smat, a)
+    middle = multiply(param, c[:, :, None], _adjoint(param, a)[:, None]).sum(axis=0)
+    ident = param.identity().to_vec()
+    left = np.einsum("it,tja->ija", np.linalg.inv(smat), middle)
+    left[np.diag_indices(len(left))] -= ident
     return ModularReport(
-        identity_defect=float(identity_defect),
-        left_invertibility_defect=float(left_defect),
+        identity_defect=_worst(param, middle - smat[:, :, None] * ident),
+        left_invertibility_defect=_worst(param, left),
         sigma_matrix=smat,
         basis=tuple(basis),
     )
-
-
-def modular_compatibility_defect(
-    family: QuantumFamily, omega: LinearFunctional, tol: float = DEFAULT_TOL
-) -> float:
-    """Just the identity defect from modular_report."""
-    return modular_report(family, omega, tol).identity_defect
 
 
 @dataclass(frozen=True)
@@ -475,13 +384,6 @@ def podles_rank(family: QuantumFamily) -> DensityReport:
     label algebra, fills the whole product.
     """
     layout = family.layout
-    ident = family.target_factor.identity()
-    cols = []
-    for i in range(family.source.dim):
-        img = layout.product.from_vec(family.morphism.matrix[:, i])
-        for j in range(family.label.dim):
-            loc = layout.elem(ident, family.label.basis_element(j))
-            cols.append((img * loc).to_vec())
-    rank = numeric_rank(np.column_stack(cols))
+    rank = span_rank(layout.product, family.morphism.matrix.T, layout.right_units())
     total = layout.product.dim
     return DensityReport(rank=rank, total=total, full=rank == total)

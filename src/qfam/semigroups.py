@@ -19,6 +19,7 @@ from .algebra import (
     FdCStarAlgebra,
     LinearFunctional,
     max_image_defect,
+    span_rank,
     tensor_layout,
 )
 from .errors import (
@@ -28,7 +29,6 @@ from .errors import (
     MissingComponentError,
 )
 from .families import QuantumFamily, action_coefficients, invariance_defects
-from .linalg import numeric_rank
 from .morphisms import (
     Character,
     StarMorphism,
@@ -83,10 +83,7 @@ def counit_defect(sg: QuantumSemigroup) -> float:
     eye = np.eye(sg.algebra.dim)
     left = compose_morphisms(tensor_morphisms(sg.counit, ident), delta)
     right = compose_morphisms(tensor_morphisms(ident, sg.counit), delta)
-    return max(
-        max_image_defect(sg.algebra, left.matrix - eye),
-        max_image_defect(sg.algebra, right.matrix - eye),
-    )
+    return max_image_defect(sg.algebra, np.hstack([left.matrix - eye, right.matrix - eye]))
 
 
 def action_defect(family: QuantumFamily, sg: QuantumSemigroup) -> float:
@@ -156,17 +153,11 @@ def cancellation_rank(sg: QuantumSemigroup, side: str = "left") -> CancellationR
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     alg = sg.algebra
     layout = tensor_layout(alg, alg)
-    square = layout.product
-    ident = alg.identity()
-    cols = []
-    for i in range(alg.dim):
-        e_i = alg.basis_element(i)
-        fixed = layout.elem(e_i, ident) if side == "left" else layout.elem(ident, e_i)
-        for j in range(alg.dim):
-            dj = square.from_vec(sg.comultiplication.matrix[:, j])
-            prod = fixed * dj if side == "left" else dj * fixed
-            cols.append(prod.to_vec())
-    rank = numeric_rank(np.column_stack(cols))
+    deltas = sg.comultiplication.matrix.T  # rows Delta(e_j)
+    if side == "left":
+        rank = span_rank(layout.product, layout.left_units(), deltas)
+    else:
+        rank = span_rank(layout.product, deltas, layout.right_units())
     return CancellationReport(side=side, rank=rank, full=rank == alg.dim**2)
 
 
@@ -192,21 +183,15 @@ def coideal_defect(
         basis = family.source.basis()
     report = invariance_defects(family, omega, basis=basis)
     coeffs = action_coefficients(family, basis)  # (k, l, coordinate)
-    alg = sg.algebra
-    layout = tensor_layout(alg, alg)
+    layout = tensor_layout(sg.algebra, sg.algebra)
     xmat = np.column_stack([x.to_vec() for x in report.generators])  # (dA, l)
     lhs = sg.comultiplication.matrix @ xmat  # (dA^2, l)
-    ivec = alg.identity().to_vec()
+    ivec = sg.algebra.identity().to_vec()
     # rhs table over pairs (A coordinate, A coordinate) per generator.
     rhs_tables = np.einsum("ip,pla->lia", xmat, coeffs) + np.einsum(
         "i,al->lia", ivec, xmat
     )
-    worst = 0.0
-    for l in range(len(report.generators)):
-        rhs = np.empty(layout.product.dim, dtype=complex)
-        rhs[layout.pair_index] = rhs_tables[l]
-        worst = max(worst, max_image_defect(layout.product, lhs[:, l] - rhs))
-    return worst
+    return max_image_defect(layout.product, lhs - layout.combine(rhs_tables).T)
 
 
 # -- classical (commutative) semigroups ------------------------------------

@@ -27,6 +27,7 @@ from .algebra import (
     max_image_defect,
     tensor_layout,
     trace_state,
+    within,
 )
 from .families import (
     QuantumFamily,
@@ -49,6 +50,7 @@ from .morphisms import (
 from .representations import (
     MagicUnitary,
     action_matrix,
+    grid_array,
     magic_unitary_check,
     modular_report,
     nonclassical_magic_4x4,
@@ -90,10 +92,13 @@ class CheckOutcome:
     threshold: float | None
     detail: str = ""
 
-
-def _bounded(name: str, defect: float, threshold: float, detail: str) -> CheckOutcome:
-    defect = float(defect)
-    return CheckOutcome(name, defect <= threshold, defect, threshold, detail)
+    @classmethod
+    def bounded(
+        cls, name: str, defect: float, threshold: float, detail: str = ""
+    ) -> "CheckOutcome":
+        """A check held to a bound; it passes by the verdict rule within()."""
+        defect = float(defect)
+        return cls(name, within(defect, threshold), defect, threshold, detail)
 
 
 def _flag(name: str, ok: bool, detail: str) -> CheckOutcome:
@@ -357,7 +362,7 @@ def suite_compose_associativity(seed: int = 0) -> list[CheckOutcome]:
         worst_ratio = max(worst_ratio, ratio)
         worst_abs = max(worst_abs, defect)
     return [
-        _bounded(
+        CheckOutcome.bounded(
             "triple-associativity",
             worst_ratio,
             1e-9,
@@ -448,14 +453,14 @@ def suite_invariance_closure(seed: int = 0) -> list[CheckOutcome]:
         ):
             worst_composed = max(worst_composed, invariance_defects(comp, psi).defect)
     return [
-        _bounded(
+        CheckOutcome.bounded(
             "composed-invariance",
             worst_composed,
             1e-8,
             "50 seeded pairs on 3 points, one permutation family and one "
             "projective doubly-stochastic family, composed in both orders",
         ),
-        _bounded(
+        CheckOutcome.bounded(
             "factor-invariance",
             worst_factor,
             1e-10,
@@ -518,7 +523,7 @@ def suite_commutant_closure(seed: int = 0) -> list[CheckOutcome]:
             worst_gap, abs(commutation_defect(f1, f2) - commutation_defect(f2, f1))
         )
     return [
-        _bounded(
+        CheckOutcome.bounded(
             "composed-commutant",
             worst_composed,
             1e-8,
@@ -526,20 +531,20 @@ def suite_commutant_closure(seed: int = 0) -> list[CheckOutcome]:
             "random diagonal-phase conjugations); the first member against "
             "the composition of the other two",
         ),
-        _bounded(
+        CheckOutcome.bounded(
             "pairwise-commutation",
             worst_pairwise,
             1e-10,
             "the same triples commute pairwise",
         ),
-        _bounded(
+        CheckOutcome.bounded(
             "symmetry-gap",
             worst_gap,
             1e-9,
             "20 random pairs of self-map families; the commutation defect "
             "does not depend on the operand order",
         ),
-        _bounded(
+        CheckOutcome.bounded(
             "trivial-commutes",
             worst_trivial,
             0.0,
@@ -607,8 +612,8 @@ def suite_projection_partition(seed: int = 0) -> list[CheckOutcome]:
         worst_orth = max(worst_orth, orth_defect)
     detail = "200 seeded Haar partitions of unity in M_d, d <= 6"
     return [
-        _bounded("orthogonality", worst_orth, 1e-9, detail),
-        _bounded("partition-sum", worst_sum, 1e-9, detail),
+        CheckOutcome.bounded("orthogonality", worst_orth, 1e-9, detail),
+        CheckOutcome.bounded("partition-sum", worst_sum, 1e-9, detail),
     ]
 
 
@@ -618,7 +623,7 @@ def suite_action_isometry(seed: int = 0) -> list[CheckOutcome]:
     for name, fam, omega, magic in invariant_corpus(seed):
         inv = invariance_defects(fam, omega).defect
         out.append(
-            _bounded(
+            CheckOutcome.bounded(
                 f"{name}-invariance",
                 inv,
                 1e-10,
@@ -627,7 +632,7 @@ def suite_action_isometry(seed: int = 0) -> list[CheckOutcome]:
         )
         report = action_matrix(fam, omega)
         out.append(
-            _bounded(
+            CheckOutcome.bounded(
                 f"{name}-isometry",
                 report.isometry_defect,
                 1e-8,
@@ -635,13 +640,11 @@ def suite_action_isometry(seed: int = 0) -> list[CheckOutcome]:
             )
         )
         if magic is not None:
-            gap = max(
-                (report.entries[i][j] - magic.entries[i][j]).norm()
-                for i in range(magic.size)
-                for j in range(magic.size)
-            )
+            diff = report.coefficients - grid_array(magic.entries)
+            diff = diff.reshape(-1, magic.algebra.dim)
+            gap = max_image_defect(magic.algebra, diff.T)
             out.append(
-                _bounded(
+                CheckOutcome.bounded(
                     f"{name}-matches-magic",
                     gap,
                     1e-12,
@@ -674,39 +677,39 @@ def suite_modular_identity(seed: int = 0) -> list[CheckOutcome]:
     rep_r = modular_report(fam3, state3)
 
     return [
-        _bounded(
+        CheckOutcome.bounded(
             "random-identity",
             rep_r.identity_defect,
             1e-9,
             "seeded diagonal-phase conjugation on M_3 with a random "
             "diagonal faithful state",
         ),
-        _bounded(
+        CheckOutcome.bounded(
             "random-left-inverse",
             rep_r.left_invertibility_defect,
             1e-8,
             "the same family admits the one-sided inverse",
         ),
-        _bounded(
+        CheckOutcome.bounded(
             "tracial-reduction",
             reduction_gap,
             1e-12,
             "for the trace the identity defect coincides with the "
             "conjugate-isometry defect of the action matrix",
         ),
-        _bounded(
+        CheckOutcome.bounded(
             "tracial-sigma-is-identity",
             sigma_gap,
             1e-12,
             "the exchange map of the trace is the identity",
         ),
-        _bounded(
+        CheckOutcome.bounded(
             "weighted-identity",
             rep_w.identity_defect,
             1e-9,
             "sign conjugation on M_2 with invariant state diag(1/3, 2/3)",
         ),
-        _bounded(
+        CheckOutcome.bounded(
             "weighted-left-inverse",
             rep_w.left_invertibility_defect,
             1e-8,
@@ -724,7 +727,7 @@ def suite_cancellation_ranks(seed: int = 0) -> list[CheckOutcome]:
         right = cancellation_rank(sg, "right")
         gap = abs(left.rank - n * n) + abs(right.rank - n * n)
         out.append(
-            _bounded(
+            CheckOutcome.bounded(
                 f"cyclic-group-{n}",
                 float(gap),
                 0.0,
@@ -761,7 +764,7 @@ def suite_cancellation_ranks(seed: int = 0) -> list[CheckOutcome]:
             ):
                 mismatches += 1
     out.append(
-        _bounded(
+        CheckOutcome.bounded(
             "classical-oracle-agreement",
             float(mismatches),
             0.0,
@@ -789,27 +792,27 @@ def suite_semigroup_axioms(seed: int = 0) -> list[CheckOutcome]:
     worst_coideal = max(coideal_defect(fam, sg, psi) for psi in states)
 
     return [
-        _bounded(
+        CheckOutcome.bounded(
             "action-equation",
             action_defect(fam, sg),
             1e-12,
             "the full family is an action of the map monoid",
         ),
-        _bounded(
+        CheckOutcome.bounded(
             "coassociativity",
             coassociativity_defect(sg),
             1e-12,
             "composition-dual comultiplication on functions over the 4 "
             "self-maps of 2 points",
         ),
-        _bounded(
+        CheckOutcome.bounded(
             "coideal-identity",
             worst_coideal,
             1e-9,
             "invariance generators of 11 weighted states span a right "
             "coideal up to the stated bound",
         ),
-        _bounded(
+        CheckOutcome.bounded(
             "counit",
             counit_defect(sg),
             1e-12,

@@ -10,17 +10,16 @@ from qfam import (
     IncompatibleAlgebraError,
     InvalidDimensionError,
     LinearFunctional,
-    classify_faithful,
-    classify_state,
-    classify_trace,
     make_algebra,
-    operator_norm,
+    max_image_defect,
+    multiply,
     orthonormal_basis,
     sigma_map,
     tensor_layout,
     tensor_product,
     trace_state,
 )
+from qfam.algebra import column_element_norms
 from qfam.suites import random_faithful_state
 
 block_dims = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3)
@@ -89,7 +88,7 @@ def test_norm_is_spectral():
     alg = make_algebra([2])
     x = alg.element([np.diag([3.0, -4.0])])
     assert abs(x.norm() - 4.0) <= 1e-12
-    assert abs(operator_norm(alg.basis_element(1)) - 1.0) <= 1e-12
+    assert abs(alg.basis_element(1).norm() - 1.0) <= 1e-12
     assert alg.identity().norm() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -115,9 +114,9 @@ def test_mixed_algebra_arithmetic_rejected():
 def test_trace_state_classifiers():
     alg = make_algebra([2, 1])
     tau = trace_state(alg)
-    assert classify_state(tau)
-    assert classify_trace(tau)
-    assert classify_faithful(tau)
+    assert tau.is_state()
+    assert tau.is_trace()
+    assert tau.is_faithful()
     assert tau(alg.identity()) == pytest.approx(1.0, abs=1e-12)
     # trace kills commutators
     rng = np.random.default_rng(5)
@@ -138,16 +137,16 @@ def test_nontrace_state_detected():
     alg = make_algebra([2])
     rho = alg.element([np.diag([0.25, 0.75])])
     omega = LinearFunctional(alg, rho)
-    assert classify_state(omega)
-    assert classify_faithful(omega)
-    assert not classify_trace(omega)
+    assert omega.is_state()
+    assert omega.is_faithful()
+    assert not omega.is_trace()
 
 
 def test_degenerate_state_flagged():
     alg = make_algebra([1, 1])
     omega = LinearFunctional.from_values(alg, [1.0, 0.0])
-    assert classify_state(omega)
-    assert not classify_faithful(omega)
+    assert omega.is_state()
+    assert not omega.is_faithful()
     with pytest.raises(DegenerateStateError):
         orthonormal_basis(alg, omega)
     with pytest.raises(DegenerateStateError):
@@ -304,3 +303,43 @@ def test_scalar_tensor_is_relabeling(left_dims, right_dims):
     assert np.array_equal(
         lay2.kron_to_prod, np.arange(lay2.product.dim)
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    block_dims,
+    st.lists(st.integers(min_value=1, max_value=3), max_size=2),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_multiply_and_norm_kernels_match_elements(dims, batch, seed):
+    """The batched kernels agree with element arithmetic and with a per-block
+    numpy oracle; y broadcasts against x over the leading batch axes."""
+    alg = make_algebra(dims)
+    rng = np.random.default_rng(seed)
+    xshape, yshape = tuple(batch) + (alg.dim,), tuple(batch[1:]) + (alg.dim,)
+    x = rng.standard_normal(xshape) + 1j * rng.standard_normal(xshape)
+    y = rng.standard_normal(yshape) + 1j * rng.standard_normal(yshape)
+    prod = multiply(alg, x, y)
+    norms = column_element_norms(alg, x.reshape(-1, alg.dim).T).reshape(batch)
+    assert prod.shape == xshape
+    for idx in np.ndindex(*batch):
+        xe, ye = alg.from_vec(x[idx]), alg.from_vec(y[idx[1:]])
+        assert np.max(np.abs(prod[idx] - (xe * ye).to_vec())) <= 1e-12
+        oracle = max(np.linalg.norm(b, 2) for b in xe.blocks)
+        assert abs(norms[idx] - xe.norm()) <= 1e-12
+        assert abs(norms[idx] - oracle) <= 1e-12 * max(1.0, oracle)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@settings(max_examples=25, deadline=None)
+@given(block_dims, st.data())
+def test_non_finite_coordinate_norms(bad, dims, data):
+    """A NaN coordinate gives a NaN norm and an infinite one an infinite
+    norm, and the worst defect over columns keeps either in any order."""
+    alg = make_algebra(dims)
+    vec = np.ones(alg.dim, dtype=complex)
+    vec[data.draw(st.integers(min_value=0, max_value=alg.dim - 1))] = bad
+    assert np.array_equal(alg.from_vec(vec).norm(), abs(bad), equal_nan=True)
+    twice = np.column_stack([np.zeros(alg.dim), vec])
+    assert np.array_equal(max_image_defect(alg, twice), abs(bad), equal_nan=True)
+    assert np.array_equal(max_image_defect(alg, twice[:, ::-1]), abs(bad), equal_nan=True)

@@ -7,6 +7,7 @@ import pytest
 
 from qfam import (
     LinearFunctional,
+    QuantumFamily,
     QuantumSemigroup,
     all_maps_family,
     classical_family,
@@ -18,6 +19,7 @@ from qfam import (
     parse_spec_document,
     permutation_magic_unitary,
     save_document,
+    serialize,
     set_map_morphism,
     sign_conjugation_family,
     tensor_layout,
@@ -287,3 +289,73 @@ def test_nonpositive_tolerance_rejected(capsys, tmp_path):
     code, _, err = _run(capsys, ["verify-hom", "--tol", "0", doc])
     assert code == 2
     assert "tol" in err
+
+
+def _strict_json(text):
+    """Parse a structured report, refusing the NaN/Infinity extensions."""
+
+    def refuse(name):
+        raise ValueError(f"report is not strict JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_compose_prints_the_scaled_bound_it_applies(tmp_path, capsys):
+    """A family matrix with an entry 2 is held to tol * 2^2, and the report
+    prints that bound."""
+    fam = all_maps_family(2)
+    doubled = QuantumFamily(
+        fam.source, fam.target_factor, fam.label,
+        StarMorphism(fam.source, fam.morphism.codomain, 2 * fam.morphism.matrix),
+    )
+    first = _write(tmp_path, "doubled.json", doubled)
+    second = _write(tmp_path, "fam.json", fam)
+    code, out, _ = _run(
+        capsys, ["compose", "--tol", "1e-9", "--format", "structured", first, second]
+    )
+    checks = {c["name"]: c for c in _strict_json(out)["checks"]}
+    assert checks["first-is-hom"]["threshold"] == pytest.approx(4e-9, rel=1e-12)
+    assert checks["second-is-hom"]["threshold"] == pytest.approx(1e-9, rel=1e-12)
+    assert not checks["first-is-hom"]["passed"]
+    assert code == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_verify_hom_overflowing_matrix_fails(tmp_path, capsys):
+    """A permutation matrix scaled by 1e200 overflows its bound to inf; no
+    check can pass against a non-finite bound."""
+    phi = set_map_morphism([1, 0])
+    big = StarMorphism(phi.domain, phi.codomain, 1e200 * phi.matrix)
+    doc = _write(tmp_path, "big.json", big)
+    code, out, _ = _run(capsys, ["verify-hom", "--format", "structured", doc])
+    assert code == 1
+    payload = _strict_json(out)
+    assert payload["status"] == "fail"
+    assert not any(c["passed"] for c in payload["checks"])
+    assert all(c["threshold"] is None for c in payload["checks"])
+    code, out, _ = _run(capsys, ["verify-hom", doc])
+    assert code == 1
+    assert "PASS" not in out
+
+
+@pytest.mark.parametrize("command", ["check-magic", "verify-hom"])
+def test_non_finite_or_boolean_documents_exit_2(tmp_path, capsys, command):
+    if command == "check-magic":
+        doc = serialize(permutation_magic_unitary([1, 2, 0]))
+        doc["entries"][0][0]["blocks"][0][0][0] = [float("nan"), 0.0]
+    else:
+        doc = serialize(set_map_morphism([1, 0, 2]))
+        doc["matrix"] = [[bool(v[0]) for v in row] for row in doc["matrix"]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = _run(capsys, [command, "--format", "structured", str(path)])
+    assert code == 2
+    assert _strict_json(out)["status"] == "error"
+
+
+def test_non_finite_tolerance_rejected(capsys, tmp_path):
+    doc = _write(tmp_path, "phi.json", set_map_morphism([0, 1]))
+    for tol in ("nan", "inf"):
+        code, _, err = _run(capsys, ["verify-hom", "--tol", tol, doc])
+        assert code == 2
+        assert "tol" in err

@@ -1,6 +1,7 @@
 """JSON document parsing and serialization for every object kind."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -232,3 +233,62 @@ def test_parse_spec_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(DocumentParseError, match="not valid JSON"):
         parse_spec_file(bad)
+
+
+def _bad_entry_documents():
+    """(document, setter, path of the entry it sets) per matrix-bearing field."""
+    table, _ = map_monoid_table(2)
+    sg = serialize(classical_semigroup_algebra(table))
+
+    def at(*keys):
+        def put(doc, value):
+            target = doc
+            for k in keys[:-1]:
+                target = target[k]
+            target[keys[-1]] = value
+
+        return put
+
+    return {
+        "morphism.matrix": (
+            serialize(set_map_morphism([1, 0])), at("matrix", 0, 0), "morphism.matrix[0][0]"
+        ),
+        "family.morphism": (
+            serialize(sign_conjugation_family()), at("morphism", 0, 0), "family.morphism[0][0]"
+        ),
+        "semigroup.delta_matrix": (
+            sg, at("delta_matrix", 0, 0), "semigroup.delta_matrix[0][0]"
+        ),
+        "semigroup.counit": (sg, at("counit", 0, 0), "semigroup.counit[0][0]"),
+        "functional.density": (
+            serialize(trace_state(make_algebra([2]))),
+            at("density", "blocks", 0, 0, 0),
+            "functional.density.blocks[0][0][0]",
+        ),
+        "element.blocks": (
+            serialize(make_algebra([2]).identity()),
+            at("blocks", 0, 0, 0),
+            "element.blocks[0][0][0]",
+        ),
+        "magic_unitary.entries": (
+            serialize(nonclassical_magic_4x4(0.7)),
+            at("entries", 0, 0, "blocks", 0, 0, 0),
+            "magic_unitary.entries[0][0].blocks[0][0][0]",
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), True, [1, float("nan")]],
+    ids=["NaN", "Infinity", "true", "pair-NaN"],
+)
+@pytest.mark.parametrize("field", sorted(_bad_entry_documents()))
+def test_non_finite_and_boolean_entries_rejected(tmp_path, field, value):
+    """Written as JSON (NaN, Infinity, true), every matrix-bearing field
+    refuses the entry and names its path."""
+    doc, put, path = _bad_entry_documents()[field]
+    put(doc, value)
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    with pytest.raises(DocumentParseError, match=re.escape(path)):
+        parse_spec_file(file)

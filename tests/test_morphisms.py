@@ -19,7 +19,6 @@ from qfam import (
     functions_algebra,
     identity_morphism,
     make_algebra,
-    make_and_verify_morphism,
     require_star_hom,
     scalar_algebra,
     set_map_morphism,
@@ -99,7 +98,7 @@ def test_transpose_is_not_a_homomorphism():
     transpose = np.zeros((4, 4))
     for i, (k, r, s) in enumerate(alg.basis_labels):
         transpose[alg.basis_index(k, s, r), i] = 1.0
-    phi = make_and_verify_morphism(alg, alg, transpose)
+    phi = StarMorphism(alg, alg, transpose)
     report = phi.defect_report
     assert report["mult_defect"] > 0.5
     assert report["unit_defect"] <= 1e-12

@@ -23,7 +23,6 @@ from qfam import (
     magic_unitary_check,
     make_algebra,
     matrix_isometry_defect,
-    modular_compatibility_defect,
     modular_report,
     nonclassical_magic_4x4,
     permutation_magic_unitary,
@@ -222,7 +221,6 @@ def test_modular_identity_weighted_conjugation():
     report = modular_report(fam, omega)
     assert report.identity_defect <= 1e-9
     assert report.left_invertibility_defect <= 1e-8
-    assert modular_compatibility_defect(fam, omega) == report.identity_defect
 
 
 def test_modular_identity_tracial_reduction():

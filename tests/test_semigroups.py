@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import qfam.morphisms
 from qfam import (
     Character,
     IncompatibleAlgebraError,
@@ -12,6 +13,7 @@ from qfam import (
     LinearFunctional,
     MissingComponentError,
     QuantumSemigroup,
+    ResourceLimitError,
     action_defect,
     all_maps_family,
     cancellation_rank,
@@ -27,6 +29,7 @@ from qfam import (
     left_zero_table,
     map_monoid_table,
     qs_morphism_defect,
+    save_document,
     table_identity,
     table_is_associative,
     table_is_left_cancellative,
@@ -35,6 +38,7 @@ from qfam import (
     trace_state,
     wang_family,
 )
+from qfam.cli import main
 from qfam.morphisms import StarMorphism
 
 
@@ -285,3 +289,18 @@ def test_coideal_identity_for_the_translation_action(translation_magic):
     fam = wang_family(translation_magic(3))
     sg = classical_semigroup_algebra(group_table(3))
     assert coideal_defect(fam, sg, trace_state(fam.source)) <= 1e-9
+
+
+def test_dense_lift_over_the_cap_is_refused(monkeypatch, tmp_path, capsys):
+    """With the cap lowered to 1 MiB, the 4 MB lifts of coassociativity on
+    the cyclic group of order 12 are refused before they are allocated."""
+    monkeypatch.setattr(qfam.morphisms, "LIFT_BYTES_CAP", 2**20)
+    sg = classical_semigroup_algebra(group_table(12))
+    with pytest.raises(ResourceLimitError, match="MiB"):
+        coassociativity_defect(sg)
+    doc = tmp_path / "cyclic-12.json"
+    save_document(sg, doc)
+    assert main(["check-coassoc", str(doc)]) == 2
+    assert "cap" in capsys.readouterr().err
+    # a small group still fits under the lowered cap
+    assert coassociativity_defect(classical_semigroup_algebra(group_table(4))) == 0.0
