@@ -91,10 +91,11 @@ class FdCStarAlgebra:
     def size_groups(self) -> tuple[tuple[int, np.ndarray], ...]:
         """(n, idx) per distinct block size n, where idx[b, r, s] is the
         coordinate of entry (r, s) of the b-th block of size n."""
-        groups: dict[int, list[np.ndarray]] = {}
-        for off, n in self.block_slices():
-            groups.setdefault(n, []).append(off + np.arange(n * n).reshape(n, n))
-        return tuple((n, np.stack(idx)) for n, idx in groups.items())
+        dims, offs = np.array(self.block_dims), np.array(self._offsets)
+        return tuple(
+            (n, offs[dims == n, None, None] + np.arange(n * n).reshape(n, n))
+            for n in dict.fromkeys(self.block_dims)
+        )
 
     def basis_index(self, block: int, row: int, col: int) -> int:
         return self._offsets[block] + row * self.block_dims[block] + col
@@ -405,29 +406,15 @@ class TensorLayout:
     @cached_property
     def pair_index(self) -> np.ndarray:
         """pair_index[i, j] = product basis index of e_i (x) f_j."""
-        prod = self.product
-        nright = len(self.right.block_dims)
-        out = np.empty((self.left.dim, self.right.dim), dtype=np.intp)
-        for k, n in enumerate(self.left.block_dims):
-            for l, m in enumerate(self.right.block_dims):
-                off = prod._offsets[k * nright + l]
-                nm = n * m
-                for r in range(n):
-                    for s in range(n):
-                        i = self.left.basis_index(k, r, s)
-                        base = out[i]
-                        for rho in range(m):
-                            row = r * m + rho
-                            for sig in range(m):
-                                j = self.right.basis_index(l, rho, sig)
-                                base[j] = off + row * nm + (s * m + sig)
+        # (block, row, col) of e_i down the rows, of f_j along the columns
+        k, r, s = np.array(self.left.basis_labels, dtype=np.intp).T[:, :, None]
+        l, rho, sig = np.array(self.right.basis_labels, dtype=np.intp).T[:, None, :]
+        n = np.array(self.left.block_dims)[k]
+        m = np.array(self.right.block_dims)[l]
+        off = np.array(self.product._offsets)[k * len(self.right.block_dims) + l]
+        out = off + (r * m + rho) * (n * m) + s * m + sig
         out.setflags(write=False)
         return out
-
-    @cached_property
-    def kron_to_prod(self) -> np.ndarray:
-        """Product basis index for each Kronecker coordinate i*dim(right)+j."""
-        return self.pair_index.reshape(-1)
 
     def elem(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         """The element x (x) y of the product algebra."""

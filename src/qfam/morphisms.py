@@ -42,8 +42,8 @@ from .errors import (
 # Cap on n for enumerating all n^n self-maps of an n-point set.
 SET_MAP_CAP = 6
 
-# Cap on the bytes of one dense tensor lift (output dim x input dim x 16);
-# 2^30 admits coassociativity on cyclic groups of order up to 36.
+# Cap on the bytes of the largest array one tensor lift allocates;
+# 2^30 admits coassociativity on cyclic groups of order up to 90.
 LIFT_BYTES_CAP = 2**30
 
 # Above this many complex entries the multiplicativity check is chunked.
@@ -129,8 +129,11 @@ def _defect_report(phi: StarMorphism) -> dict[str, float]:
     step = max(1, _DEFECT_CHUNK // max(1, d * cod.dim))
     for lo in range(0, d, step):
         hi = min(d, lo + step)
-        diff = multiply(cod, images[lo:hi, None, :], images) - padded[tidx[lo:hi]]
-        norms[lo * d : hi * d] = column_element_norms(cod, diff.reshape(-1, cod.dim).T)
+        # huge entries overflow to inf or NaN here; within() fails those
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod = multiply(cod, images[lo:hi, None, :], images)
+            diff = (prod - padded[tidx[lo:hi]]).reshape(-1, cod.dim)
+        norms[lo * d : hi * d] = column_element_norms(cod, diff.T)
     mult = float(norms.max())
     return {"mult_defect": mult, "star_defect": star, "unit_defect": unit}
 
@@ -159,37 +162,49 @@ def compose_morphisms(outer: StarMorphism, inner: StarMorphism) -> StarMorphism:
     return StarMorphism(inner.domain, outer.codomain, outer.matrix @ inner.matrix)
 
 
-def tensor_morphisms(
-    phi: StarMorphism,
-    psi: StarMorphism,
-    layout_in=None,
-    layout_out=None,
-) -> StarMorphism:
-    """The map phi (x) psi between the tensor product algebras.
-
-    Layouts default to the canonical ones for the factor pairs; passing
-    explicit layouts just asserts the factors match.
-    """
-    lin = layout_in if layout_in is not None else tensor_layout(phi.domain, psi.domain)
-    lout = (
-        layout_out
-        if layout_out is not None
-        else tensor_layout(phi.codomain, psi.codomain)
-    )
-    if (lin.left, lin.right) != (phi.domain, psi.domain) or (
-        lout.left,
-        lout.right,
-    ) != (phi.codomain, psi.codomain):
-        raise IncompatibleAlgebraError("layout factors do not match the morphisms")
-    nbytes = lout.product.dim * lin.product.dim * 16
+def _require_lift_fits(phi: StarMorphism, psi: StarMorphism, ncols: int) -> None:
+    """Refuse a lift of ncols columns whose largest array exceeds the cap."""
+    (b1, a1), (b2, a2) = phi.matrix.shape, psi.matrix.shape
+    nbytes = 16 * ncols * max(a1 * a2, b1 * a2, b1 * b2)
     if nbytes > LIFT_BYTES_CAP:
         raise ResourceLimitError(
-            f"a dense {lout.product.dim} x {lin.product.dim} tensor lift needs "
-            f"{nbytes / 2**20:.0f} MiB, over the cap of {LIFT_BYTES_CAP / 2**20:.0f} MiB"
+            f"a tensor lift of {ncols} columns needs {nbytes / 2**20:.0f} MiB, "
+            f"over the cap of {LIFT_BYTES_CAP / 2**20:.0f} MiB"
         )
-    mat = np.zeros((lout.product.dim, lin.product.dim), dtype=complex)
-    mat[np.ix_(lout.kron_to_prod, lin.kron_to_prod)] = np.kron(phi.matrix, psi.matrix)
-    return StarMorphism(lin.product, lout.product, mat)
+
+
+def lift(phi: StarMorphism, psi: StarMorphism, columns: np.ndarray) -> np.ndarray:
+    """Coordinates of (phi (x) psi)(c) for each column c of columns.
+
+    Each column is split into a (dim phi.domain, dim psi.domain) table
+    through the domain layout's pair_index; phi then psi act on the table's
+    axes, and the result is written back through the codomain layout's.
+    """
+    lin = tensor_layout(phi.domain, psi.domain)
+    lout = tensor_layout(phi.codomain, psi.codomain)
+    columns = np.asarray(columns)
+    if columns.ndim != 2 or columns.shape[0] != lin.product.dim:
+        raise InvalidMatrixError(
+            f"columns of shape {columns.shape} are not coordinates over {lin.product}"
+        )
+    n = columns.shape[1]
+    _require_lift_fits(phi, psi, n)
+    (b1, a1), (b2, a2) = phi.matrix.shape, psi.matrix.shape
+    table = columns[lin.pair_index].reshape(a1, a2 * n)
+    table = (phi.matrix @ table).reshape(b1, a2, n)
+    table = psi.matrix @ table  # (b1, b2, n): one matmul per row of phi's image
+    out = np.empty((lout.product.dim, n), dtype=complex)
+    out[lout.pair_index] = table
+    return out
+
+
+def tensor_morphisms(phi: StarMorphism, psi: StarMorphism) -> StarMorphism:
+    """The map phi (x) psi between the tensor product algebras."""
+    lin = tensor_layout(phi.domain, psi.domain)
+    _require_lift_fits(phi, psi, lin.product.dim)  # before the identity exists
+    mat = lift(phi, psi, np.eye(lin.product.dim))
+    codomain = tensor_layout(phi.codomain, psi.codomain).product
+    return StarMorphism(lin.product, codomain, mat)
 
 
 def flip(left: FdCStarAlgebra, right: FdCStarAlgebra) -> StarMorphism:
@@ -268,8 +283,7 @@ def set_map_morphism(table: Sequence[int]) -> StarMorphism:
     if any(t < 0 or t >= n for t in table):
         raise InvalidMatrixError(f"table {table} is not a self-map of {n} points")
     mat = np.zeros((n, n), dtype=complex)
-    for i, t in enumerate(table):
-        mat[i, t] = 1.0
+    mat[np.arange(n), table] = 1.0
     return StarMorphism(alg, alg, mat)
 
 

@@ -343,7 +343,7 @@ def modular_report(
     basis = orthonormal_basis(family.source, omega)
     if require_invariant:
         inv = invariance_defects(family, omega, basis=basis)
-        if inv.defect > max(tol, 1e-8):
+        if not within(inv.defect, max(tol, 1e-8)):
             raise PreconditionError(
                 "hypothesis violated: omega is not invariant under the family "
                 f"(defect {inv.defect:.3e})"

@@ -32,10 +32,9 @@ from .families import QuantumFamily, action_coefficients, invariance_defects
 from .morphisms import (
     Character,
     StarMorphism,
-    compose_morphisms,
     functions_algebra,
     identity_morphism,
-    tensor_morphisms,
+    lift,
 )
 
 
@@ -69,9 +68,9 @@ def coassociativity_defect(sg: QuantumSemigroup) -> float:
     """Worst norm of ((Delta (x) id) - (id (x) Delta)) Delta on the basis."""
     delta = sg.comultiplication
     ident = identity_morphism(sg.algebra)
-    left = compose_morphisms(tensor_morphisms(delta, ident), delta)
-    right = compose_morphisms(tensor_morphisms(ident, delta), delta)
-    return max_image_defect(left.codomain, left.matrix - right.matrix)
+    diff = lift(delta, ident, delta.matrix)
+    diff -= lift(ident, delta, delta.matrix)
+    return max_image_defect(tensor_layout(delta.codomain, sg.algebra).product, diff)
 
 
 def counit_defect(sg: QuantumSemigroup) -> float:
@@ -81,9 +80,10 @@ def counit_defect(sg: QuantumSemigroup) -> float:
     delta = sg.comultiplication
     ident = identity_morphism(sg.algebra)
     eye = np.eye(sg.algebra.dim)
-    left = compose_morphisms(tensor_morphisms(sg.counit, ident), delta)
-    right = compose_morphisms(tensor_morphisms(ident, sg.counit), delta)
-    return max_image_defect(sg.algebra, np.hstack([left.matrix - eye, right.matrix - eye]))
+    # scalars (x) A and A (x) scalars share A's coordinates
+    left = lift(sg.counit, ident, delta.matrix)
+    right = lift(ident, sg.counit, delta.matrix)
+    return max_image_defect(sg.algebra, np.hstack([left - eye, right - eye]))
 
 
 def action_defect(family: QuantumFamily, sg: QuantumSemigroup) -> float:
@@ -95,12 +95,9 @@ def action_defect(family: QuantumFamily, sg: QuantumSemigroup) -> float:
     if not family.is_self_map:
         raise IncompatibleAlgebraError("the action equation needs a self-map family")
     psi = family.morphism
-    lifted = tensor_morphisms(psi, identity_morphism(sg.algebra))
-    left = compose_morphisms(lifted, psi)
-    right = compose_morphisms(
-        tensor_morphisms(identity_morphism(family.source), sg.comultiplication), psi
-    )
-    return max_image_defect(left.codomain, left.matrix - right.matrix)
+    diff = lift(psi, identity_morphism(sg.algebra), psi.matrix)
+    diff -= lift(identity_morphism(family.source), sg.comultiplication, psi.matrix)
+    return max_image_defect(tensor_layout(psi.codomain, sg.algebra).product, diff)
 
 
 def qs_morphism_defect(
@@ -111,9 +108,9 @@ def qs_morphism_defect(
         raise IncompatibleAlgebraError(
             "map must go from the source semigroup algebra to the target one"
         )
-    left = compose_morphisms(tensor_morphisms(lam, lam), source.comultiplication)
-    right = compose_morphisms(target.comultiplication, lam)
-    return max_image_defect(left.codomain, left.matrix - right.matrix)
+    left = lift(lam, lam, source.comultiplication.matrix)
+    right = target.comultiplication.matrix @ lam.matrix
+    return max_image_defect(target.comultiplication.codomain, left - right)
 
 
 def convolve(
@@ -249,9 +246,7 @@ def classical_semigroup_algebra(table: Sequence[Sequence[int]]) -> QuantumSemigr
     alg = functions_algebra(n)
     layout = tensor_layout(alg, alg)
     mat = np.zeros((layout.product.dim, n), dtype=complex)
-    for s in range(n):
-        for t in range(n):
-            mat[layout.pair_index[s, t], arr[s, t]] += 1.0
+    mat[layout.pair_index, arr] = 1.0  # each pair (s, t) has its own row
     delta = StarMorphism(alg, layout.product, mat)
     counit = None
     e = table_identity(arr)

@@ -105,6 +105,12 @@ def _flag(name: str, ok: bool, detail: str) -> CheckOutcome:
     return CheckOutcome(name, bool(ok), None, None, detail)
 
 
+def _worst(*values: float) -> float:
+    """The largest value, NaN when any value is NaN (the builtin max keeps
+    its first argument against a NaN)."""
+    return float(np.max(values))
+
+
 # -- corpus builders --------------------------------------------------------
 
 
@@ -359,8 +365,8 @@ def suite_compose_associativity(seed: int = 0) -> list[CheckOutcome]:
             * np.linalg.norm(h.morphism.matrix, 2)
         )
         ratio = defect / norms if norms > 0 else (0.0 if defect == 0.0 else np.inf)
-        worst_ratio = max(worst_ratio, ratio)
-        worst_abs = max(worst_abs, defect)
+        worst_ratio = _worst(worst_ratio, ratio)
+        worst_abs = _worst(worst_abs, defect)
     return [
         CheckOutcome.bounded(
             "triple-associativity",
@@ -446,12 +452,14 @@ def suite_invariance_closure(seed: int = 0) -> list[CheckOutcome]:
         f_perm = classical_family(perms)
         f_proj = wang_family(random_magic_unitary(rng, 3))
         for fam in (f_perm, f_proj):
-            worst_factor = max(worst_factor, invariance_defects(fam, psi).defect)
+            worst_factor = _worst(worst_factor, invariance_defects(fam, psi).defect)
         for comp in (
             compose_families(f_perm, f_proj),
             compose_families(f_proj, f_perm),
         ):
-            worst_composed = max(worst_composed, invariance_defects(comp, psi).defect)
+            worst_composed = _worst(
+                worst_composed, invariance_defects(comp, psi).defect
+            )
     return [
         CheckOutcome.bounded(
             "composed-invariance",
@@ -478,7 +486,7 @@ def suite_commutant_closure(seed: int = 0) -> list[CheckOutcome]:
         src = random_source_algebra(rng)
         fam = random_family(rng, src, src, random_label(rng))
         triv = trivial_family(src, random_label(rng))
-        worst_trivial = max(
+        worst_trivial = _worst(
             worst_trivial,
             commutation_defect(triv, fam),
             commutation_defect(fam, triv),
@@ -504,13 +512,13 @@ def suite_commutant_closure(seed: int = 0) -> list[CheckOutcome]:
     worst_pairwise = 0.0
     worst_composed = 0.0
     for b, c, d in triples:
-        worst_pairwise = max(
+        worst_pairwise = _worst(
             worst_pairwise,
             commutation_defect(b, c),
             commutation_defect(b, d),
             commutation_defect(c, d),
         )
-        worst_composed = max(
+        worst_composed = _worst(
             worst_composed, commutation_defect(b, compose_families(c, d))
         )
 
@@ -519,7 +527,7 @@ def suite_commutant_closure(seed: int = 0) -> list[CheckOutcome]:
         src = random_source_algebra(rng)
         f1 = random_family(rng, src, src, random_label(rng))
         f2 = random_family(rng, src, src, random_label(rng))
-        worst_gap = max(
+        worst_gap = _worst(
             worst_gap, abs(commutation_defect(f1, f2) - commutation_defect(f2, f1))
         )
     return [
@@ -563,7 +571,7 @@ def suite_wang_relations(seed: int = 0) -> list[CheckOutcome]:
     for n in range(1, 5):
         for perm in itertools.permutations(range(n)):
             report = magic_unitary_check(permutation_magic_unitary(perm))
-            worst = max(worst, max(report.defects.values()))
+            worst = _worst(worst, *report.defects.values())
             all_passed = all_passed and report.passed
             count += 1
 
@@ -608,8 +616,8 @@ def suite_projection_partition(seed: int = 0) -> list[CheckOutcome]:
         sum_defect, orth_defect = projection_family_check(
             random_partition(rng, d, parts)
         )
-        worst_sum = max(worst_sum, sum_defect)
-        worst_orth = max(worst_orth, orth_defect)
+        worst_sum = _worst(worst_sum, sum_defect)
+        worst_orth = _worst(worst_orth, orth_defect)
     detail = "200 seeded Haar partitions of unity in M_d, d <= 6"
     return [
         CheckOutcome.bounded("orthogonality", worst_orth, 1e-9, detail),
@@ -789,7 +797,7 @@ def suite_semigroup_axioms(seed: int = 0) -> list[CheckOutcome]:
         states.append(
             LinearFunctional.from_values(functions_algebra(2), w / w.sum())
         )
-    worst_coideal = max(coideal_defect(fam, sg, psi) for psi in states)
+    worst_coideal = _worst(*(coideal_defect(fam, sg, psi) for psi in states))
 
     return [
         CheckOutcome.bounded(

@@ -6,6 +6,11 @@ passes at the suite's stated tolerance; the printed line carries the worst
 observed defect so the margins are visible in the log (run with -s or -rA).
 """
 
+import dataclasses
+
+import pytest
+
+import qfam.suites
 from qfam import run_suite
 
 
@@ -75,3 +80,43 @@ def test_12_podles_density():
     for seed in (1, 2):
         for check in run_suite("podles-density", seed=seed):
             assert check.passed, (seed, check)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "suite, name, poison",
+    [
+        ("compose-associativity", "max_image_defect", lambda out: NAN),
+        (
+            "invariance-closure",
+            "invariance_defects",
+            lambda out: dataclasses.replace(out, defect=NAN),
+        ),
+        ("commutant-closure", "commutation_defect", lambda out: NAN),
+        (
+            "wang-relations",
+            "magic_unitary_check",
+            lambda out: dataclasses.replace(out, defects={"col_sums": NAN}),
+        ),
+        ("projection-partition", "projection_family_check", lambda out: (NAN, NAN)),
+        ("semigroup-axioms", "coideal_defect", lambda out: NAN),
+    ],
+    ids=lambda value: value if isinstance(value, str) else "nan",
+)
+def test_nan_defect_on_a_later_call_fails_the_suite(monkeypatch, suite, name, poison):
+    """A NaN defect arriving after a finite one must not be dropped by the
+    suite's running maximum."""
+    original = getattr(qfam.suites, name)
+    calls = []
+
+    def second_call_nan(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(name)
+        return poison(out) if len(calls) == 2 else out
+
+    monkeypatch.setattr(qfam.suites, name, second_call_nan)
+    outcomes = run_suite(suite)
+    assert len(calls) >= 2
+    assert not all(c.passed for c in outcomes)

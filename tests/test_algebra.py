@@ -298,11 +298,26 @@ def test_scalar_tensor_is_relabeling(left_dims, right_dims):
     scalar = make_algebra([1])
     alg = make_algebra(left_dims)
     lay = tensor_layout(scalar, alg)
-    assert np.array_equal(lay.kron_to_prod, np.arange(alg.dim))
+    assert np.array_equal(lay.pair_index.reshape(-1), np.arange(alg.dim))
     lay2 = tensor_layout(make_algebra(right_dims), scalar)
     assert np.array_equal(
-        lay2.kron_to_prod, np.arange(lay2.product.dim)
+        lay2.pair_index.reshape(-1), np.arange(lay2.product.dim)
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_dims, block_dims)
+def test_pair_index_matches_brute_force(left_dims, right_dims):
+    """pair_index[i, j] is the one coordinate where e_i (x) f_j is nonzero,
+    found from Kronecker products of the matrix units named by basis_labels."""
+    left, right = make_algebra(left_dims), make_algebra(right_dims)
+    lay = tensor_layout(left, right)
+    expect = np.empty((left.dim, right.dim), dtype=np.intp)
+    for i in range(len(left.basis_labels)):
+        for j in range(len(right.basis_labels)):
+            unit = lay.elem(left.basis_element(i), right.basis_element(j))
+            (expect[i, j],) = np.flatnonzero(unit.to_vec())
+    assert np.array_equal(lay.pair_index, expect)
 
 
 @settings(max_examples=40, deadline=None)

@@ -320,20 +320,23 @@ def test_compose_prints_the_scaled_bound_it_applies(tmp_path, capsys):
     assert code == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_hom_overflowing_matrix_fails(tmp_path, capsys):
     """A permutation matrix scaled by 1e200 overflows its bound to inf; no
-    check can pass against a non-finite bound."""
+    check can pass against a non-finite bound, and the overflow itself
+    prints no warning."""
     phi = set_map_morphism([1, 0])
     big = StarMorphism(phi.domain, phi.codomain, 1e200 * phi.matrix)
     doc = _write(tmp_path, "big.json", big)
-    code, out, _ = _run(capsys, ["verify-hom", "--format", "structured", doc])
+    code, out, err = _run(capsys, ["verify-hom", "--format", "structured", doc])
+    assert err == ""
     assert code == 1
     payload = _strict_json(out)
     assert payload["status"] == "fail"
     assert not any(c["passed"] for c in payload["checks"])
     assert all(c["threshold"] is None for c in payload["checks"])
-    code, out, _ = _run(capsys, ["verify-hom", doc])
+    code, out, err = _run(capsys, ["verify-hom", doc])
+    assert err == ""
     assert code == 1
     assert "PASS" not in out
 

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfam import (
     Character,
@@ -18,6 +20,7 @@ from qfam import (
     flip,
     functions_algebra,
     identity_morphism,
+    lift,
     make_algebra,
     require_star_hom,
     scalar_algebra,
@@ -151,6 +154,34 @@ def test_tensor_of_identities_is_identity():
     b = make_algebra([1, 1])
     prod = tensor_morphisms(identity_morphism(a), identity_morphism(b))
     assert np.array_equal(prod.matrix, np.eye(a.dim * b.dim))
+
+
+block_dims = st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(block_dims, min_size=4, max_size=4), st.integers(0, 3), st.integers(0))
+def test_lift_matches_dense_kronecker(dims, ncols, seed):
+    """lift(phi, psi, c) equals the dense Kronecker matrix of phi (x) psi,
+    placed through the pair indices, times c."""
+    rng = np.random.default_rng(seed)
+
+    def random_map(dom, cod):
+        mat = rng.standard_normal((cod.dim, dom.dim, 2)) @ [1, 1j]
+        return StarMorphism(dom, cod, mat)
+
+    a1, a2, b1, b2 = (make_algebra(d) for d in dims)
+    phi, psi = random_map(a1, b1), random_map(a2, b2)
+    lin, lout = tensor_layout(a1, a2), tensor_layout(b1, b2)
+    columns = rng.standard_normal((lin.product.dim, ncols))
+    dense = np.zeros((lout.product.dim, lin.product.dim), dtype=complex)
+    rows, cols = lout.pair_index.reshape(-1), lin.pair_index.reshape(-1)
+    dense[np.ix_(rows, cols)] = np.kron(phi.matrix, psi.matrix)
+    got = lift(phi, psi, columns)
+    assert got.shape == (lout.product.dim, ncols)
+    assert np.allclose(got, dense @ columns, rtol=0, atol=1e-12)
+    with pytest.raises(InvalidMatrixError):
+        lift(phi, psi, columns[1:])
 
 
 @pytest.mark.parametrize(

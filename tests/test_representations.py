@@ -12,7 +12,9 @@ from qfam import (
     MagicUnitary,
     NotMagicError,
     PreconditionError,
+    QuantumFamily,
     Representation,
+    StarMorphism,
     action_matrix,
     all_maps_family,
     characters_of,
@@ -247,6 +249,21 @@ def test_modular_precondition_messages():
         modular_report(fam, degenerate)
     with pytest.raises(PreconditionError, match="not invariant"):
         modular_report(all_maps_family(2), trace_state(functions_algebra(2)))
+
+
+def test_modular_precondition_refuses_a_nan_family():
+    """A NaN invariance defect is not within any bound."""
+    fam = sign_conjugation_family()
+    mat = np.array(fam.morphism.matrix)
+    mat[0, 0] = np.nan
+    broken = QuantumFamily(
+        fam.source,
+        fam.target_factor,
+        fam.label,
+        StarMorphism(fam.source, fam.morphism.codomain, mat),
+    )
+    with pytest.raises(PreconditionError, match="not invariant"):
+        modular_report(broken, trace_state(fam.source))
 
 
 def test_modular_invariance_check_can_be_waived():

@@ -1,6 +1,7 @@
 """Quantum semigroups: structure laws, convolution, cancellation, coideals."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from qfam import (
     counit_defect,
     functions_algebra,
     group_table,
+    identity_morphism,
     invariance_defects,
     left_zero_table,
     map_monoid_table,
@@ -35,6 +37,7 @@ from qfam import (
     table_is_left_cancellative,
     table_is_right_cancellative,
     tensor_layout,
+    tensor_morphisms,
     trace_state,
     wang_family,
 )
@@ -292,15 +295,31 @@ def test_coideal_identity_for_the_translation_action(translation_magic):
 
 
 def test_dense_lift_over_the_cap_is_refused(monkeypatch, tmp_path, capsys):
-    """With the cap lowered to 1 MiB, the 4 MB lifts of coassociativity on
-    the cyclic group of order 12 are refused before they are allocated."""
+    """With the cap lowered to 1 MiB, the 2.4 MiB lift arrays of
+    coassociativity on the cyclic group of order 20 (16 * 20^4 bytes) are
+    refused before they are allocated."""
     monkeypatch.setattr(qfam.morphisms, "LIFT_BYTES_CAP", 2**20)
-    sg = classical_semigroup_algebra(group_table(12))
+    sg = classical_semigroup_algebra(group_table(20))
     with pytest.raises(ResourceLimitError, match="MiB"):
         coassociativity_defect(sg)
-    doc = tmp_path / "cyclic-12.json"
+    with pytest.raises(ResourceLimitError, match="MiB"):
+        tensor_morphisms(sg.comultiplication, identity_morphism(sg.algebra))
+    doc = tmp_path / "cyclic-20.json"
     save_document(sg, doc)
     assert main(["check-coassoc", str(doc)]) == 2
     assert "cap" in capsys.readouterr().err
-    # a small group still fits under the lowered cap
+    # a small group still fits under the lowered cap, and so does order 16,
+    # whose lift arrays take exactly 16 * 16^4 = 2^20 bytes
     assert coassociativity_defect(classical_semigroup_algebra(group_table(4))) == 0.0
+    assert coassociativity_defect(classical_semigroup_algebra(group_table(16))) == 0.0
+
+
+def test_coassociativity_of_order_40_fits_the_default_cap(tmp_path, capsys):
+    """The lift arrays of order 40 take 16 * 40^4 bytes (39 MiB); a dense
+    Kronecker lift would take 16 * 40^5 bytes (1.6 GiB), over the cap."""
+    doc = tmp_path / "cyclic-40.json"
+    save_document(classical_semigroup_algebra(group_table(40)), doc)
+    assert main(["check-coassoc", "--format", "structured", str(doc)]) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["name"] == "coassociativity"
+    assert check["defect"] == 0.0
