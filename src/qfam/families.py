@@ -39,7 +39,6 @@ from .morphisms import (
     StarMorphism,
     flip,
     functions_algebra,
-    identity_morphism,
     lift,
     require_star_hom,
     scalar_algebra,
@@ -168,7 +167,7 @@ def compose_families(first: QuantumFamily, second: QuantumFamily) -> QuantumFami
         raise IncompatibleAlgebraError(
             "first family's source must equal the second one's target factor"
         )
-    mat = lift(first.morphism, identity_morphism(second.label), second.morphism.matrix)
+    mat = lift(first.morphism, second.label, second.morphism.matrix)
     label = tensor_layout(first.label, second.label).product
     codomain = tensor_layout(first.target_factor, label).product
     comp = StarMorphism(second.source, codomain, mat)
@@ -212,10 +211,10 @@ def invariance_defects(
     _require_self_map(family, "invariance")
     if omega.algebra != family.source:
         raise IncompatibleAlgebraError("functional lives over a different algebra")
-    slices = family.morphism.matrix[family.layout.pair_index, :]  # (dB, dA, dB)
-    partial = np.einsum("iab,i->ab", slices, omega.covector)
-    target = np.outer(family.label.identity().to_vec(), omega.covector)
-    diff = partial - target  # column j: the generator of the j-th matrix unit
+    omega_map = StarMorphism(family.source, scalar_algebra(), omega.covector[None])
+    partial = lift(omega_map, family.label, family.morphism.matrix)
+    # column j: the generator of the j-th matrix unit
+    diff = partial - family.label.identity().to_vec()[:, None] * omega.covector
     defect = max_image_defect(family.label, diff)
     if basis is None and omega.is_faithful():
         basis = orthonormal_basis(family.source, omega)
@@ -260,7 +259,7 @@ def commutation_defect(first: QuantumFamily, second: QuantumFamily) -> float:
     left = compose_families(first, second)
     right = compose_families(second, first)
     swap = flip(first.label, second.label)
-    diff = lift(identity_morphism(first.source), swap, left.morphism.matrix)
+    diff = lift(first.source, swap, left.morphism.matrix)
     diff -= right.morphism.matrix
     return max_image_defect(right.morphism.codomain, diff)
 
@@ -289,8 +288,7 @@ def evaluate_at_character(family: QuantumFamily, chi: Character) -> StarMorphism
         raise InvalidCharacterError(
             "character domain does not match the family label algebra"
         )
-    slices = family.morphism.matrix[family.layout.pair_index, :]  # (dC, dA, dB)
-    mat = np.einsum("iab,a->ib", slices, chi.matrix.reshape(-1))
+    mat = lift(family.target_factor, chi, family.morphism.matrix)
     return StarMorphism(family.source, family.target_factor, mat)
 
 
@@ -310,6 +308,6 @@ def factorization_defect(
         raise IncompatibleAlgebraError(
             "connecting morphism must map one label algebra to the other"
         )
-    diff = lift(identity_morphism(phi.target_factor), lam, phi.morphism.matrix)
+    diff = lift(phi.target_factor, lam, phi.morphism.matrix)
     diff -= psi.morphism.matrix
     return max_image_defect(psi.morphism.codomain, diff)

@@ -42,8 +42,8 @@ from .errors import (
 # Cap on n for enumerating all n^n self-maps of an n-point set.
 SET_MAP_CAP = 6
 
-# Cap on the bytes of the largest array one tensor lift allocates;
-# 2^30 admits coassociativity on cyclic groups of order up to 90.
+# Cap on the bytes of three arrays of the largest size of a tensor lift;
+# 2^30 admits coassociativity on cyclic groups of order up to 68.
 LIFT_BYTES_CAP = 2**30
 
 # Above this many complex entries the multiplicativity check is chunked.
@@ -162,10 +162,22 @@ def compose_morphisms(outer: StarMorphism, inner: StarMorphism) -> StarMorphism:
     return StarMorphism(inner.domain, outer.codomain, outer.matrix @ inner.matrix)
 
 
-def _require_lift_fits(phi: StarMorphism, psi: StarMorphism, ncols: int) -> None:
-    """Refuse a lift of ncols columns whose largest array exceeds the cap."""
-    (b1, a1), (b2, a2) = phi.matrix.shape, psi.matrix.shape
-    nbytes = 16 * ncols * max(a1 * a2, b1 * a2, b1 * b2)
+# A factor of a lift; an algebra stands for its identity map.
+LiftFactor = StarMorphism | FdCStarAlgebra
+
+
+def _ends(factor: LiftFactor) -> tuple[FdCStarAlgebra, FdCStarAlgebra]:
+    if isinstance(factor, FdCStarAlgebra):
+        return factor, factor
+    return factor.domain, factor.codomain
+
+
+def _require_lift_fits(phi: LiftFactor, psi: LiftFactor, ncols: int) -> None:
+    """Refuse a lift of ncols columns when three arrays of its largest size
+    exceed the cap: a defect that subtracts two lifts holds the first one's
+    result while the second holds its own result and its largest product."""
+    (a1, b1), (a2, b2) = ((x.dim, y.dim) for x, y in (_ends(phi), _ends(psi)))
+    nbytes = 3 * 16 * ncols * max(a1 * a2, b1 * a2, b1 * b2)
     if nbytes > LIFT_BYTES_CAP:
         raise ResourceLimitError(
             f"a tensor lift of {ncols} columns needs {nbytes / 2**20:.0f} MiB, "
@@ -173,15 +185,20 @@ def _require_lift_fits(phi: StarMorphism, psi: StarMorphism, ncols: int) -> None
         )
 
 
-def lift(phi: StarMorphism, psi: StarMorphism, columns: np.ndarray) -> np.ndarray:
+def lift(phi: LiftFactor, psi: LiftFactor, columns: np.ndarray) -> np.ndarray:
     """Coordinates of (phi (x) psi)(c) for each column c of columns.
 
     Each column is split into a (dim phi.domain, dim psi.domain) table
     through the domain layout's pair_index; phi then psi act on the table's
     axes, and the result is written back through the codomain layout's.
+    An algebra in place of phi or psi is its identity map: its axis is
+    split and scattered but never multiplied. A functional acts as a
+    1 x dim map into scalar_algebra(), whose tensor factor shares the other
+    factor's coordinates.
     """
-    lin = tensor_layout(phi.domain, psi.domain)
-    lout = tensor_layout(phi.codomain, psi.codomain)
+    (dom1, cod1), (dom2, cod2) = _ends(phi), _ends(psi)
+    lin = tensor_layout(dom1, dom2)
+    lout = tensor_layout(cod1, cod2)
     columns = np.asarray(columns)
     if columns.ndim != 2 or columns.shape[0] != lin.product.dim:
         raise InvalidMatrixError(
@@ -189,11 +206,15 @@ def lift(phi: StarMorphism, psi: StarMorphism, columns: np.ndarray) -> np.ndarra
         )
     n = columns.shape[1]
     _require_lift_fits(phi, psi, n)
-    (b1, a1), (b2, a2) = phi.matrix.shape, psi.matrix.shape
-    table = columns[lin.pair_index].reshape(a1, a2 * n)
-    table = (phi.matrix @ table).reshape(b1, a2, n)
-    table = psi.matrix @ table  # (b1, b2, n): one matmul per row of phi's image
+    # the result first: the steps allocated after it are freed on return,
+    # so they leave no hole under it in the heap
     out = np.empty((lout.product.dim, n), dtype=complex)
+    table = columns[lin.pair_index]  # (dim dom1, dim dom2, n)
+    if isinstance(phi, StarMorphism):
+        table = phi.matrix @ table.reshape(dom1.dim, dom2.dim * n)
+        table = table.reshape(cod1.dim, dom2.dim, n)
+    if isinstance(psi, StarMorphism):
+        table = psi.matrix @ table  # one matmul per row of phi's image
     out[lout.pair_index] = table
     return out
 

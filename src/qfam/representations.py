@@ -169,9 +169,7 @@ def magic_unitary_check(u: MagicUnitary, tol: float = DEFAULT_TOL) -> MagicRepor
     )
 
 
-def projection_family_check(
-    entries: Sequence[AlgebraElement], tol: float = DEFAULT_TOL
-) -> tuple[float, float]:
+def projection_family_check(entries: Sequence[AlgebraElement]) -> tuple[float, float]:
     """(sum defect, pairwise orthogonality defect) of a list of projections.
 
     Projections summing to the identity are automatically pairwise

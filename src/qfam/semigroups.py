@@ -33,8 +33,8 @@ from .morphisms import (
     Character,
     StarMorphism,
     functions_algebra,
-    identity_morphism,
     lift,
+    scalar_algebra,
 )
 
 
@@ -67,9 +67,8 @@ class QuantumSemigroup:
 def coassociativity_defect(sg: QuantumSemigroup) -> float:
     """Worst norm of ((Delta (x) id) - (id (x) Delta)) Delta on the basis."""
     delta = sg.comultiplication
-    ident = identity_morphism(sg.algebra)
-    diff = lift(delta, ident, delta.matrix)
-    diff -= lift(ident, delta, delta.matrix)
+    diff = lift(delta, sg.algebra, delta.matrix)
+    diff -= lift(sg.algebra, delta, delta.matrix)
     return max_image_defect(tensor_layout(delta.codomain, sg.algebra).product, diff)
 
 
@@ -78,11 +77,10 @@ def counit_defect(sg: QuantumSemigroup) -> float:
     if sg.counit is None:
         raise MissingComponentError("semigroup has no counit attached")
     delta = sg.comultiplication
-    ident = identity_morphism(sg.algebra)
     eye = np.eye(sg.algebra.dim)
     # scalars (x) A and A (x) scalars share A's coordinates
-    left = lift(sg.counit, ident, delta.matrix)
-    right = lift(ident, sg.counit, delta.matrix)
+    left = lift(sg.counit, sg.algebra, delta.matrix)
+    right = lift(sg.algebra, sg.counit, delta.matrix)
     return max_image_defect(sg.algebra, np.hstack([left - eye, right - eye]))
 
 
@@ -95,8 +93,8 @@ def action_defect(family: QuantumFamily, sg: QuantumSemigroup) -> float:
     if not family.is_self_map:
         raise IncompatibleAlgebraError("the action equation needs a self-map family")
     psi = family.morphism
-    diff = lift(psi, identity_morphism(sg.algebra), psi.matrix)
-    diff -= lift(identity_morphism(family.source), sg.comultiplication, psi.matrix)
+    diff = lift(psi, sg.algebra, psi.matrix)
+    diff -= lift(family.source, sg.comultiplication, psi.matrix)
     return max_image_defect(tensor_layout(psi.codomain, sg.algebra).product, diff)
 
 
@@ -121,10 +119,10 @@ def convolve(
         raise IncompatibleAlgebraError(
             "both functionals must live on the semigroup algebra"
         )
-    layout = tensor_layout(sg.algebra, sg.algebra)
-    pcov = np.empty(layout.product.dim, dtype=complex)
-    pcov[layout.pair_index] = np.outer(f.covector, g.covector)
-    values = sg.comultiplication.matrix.T @ pcov
+    f_map, g_map = (
+        StarMorphism(sg.algebra, scalar_algebra(), h.covector[None]) for h in (f, g)
+    )
+    values = lift(f_map, g_map, sg.comultiplication.matrix)
     return LinearFunctional.from_values(sg.algebra, values)
 
 

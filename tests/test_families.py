@@ -11,6 +11,7 @@ from qfam import (
     InvalidCharacterError,
     LinearFunctional,
     NotAHomomorphismError,
+    QuantumSemigroup,
     all_maps_family,
     characters_of,
     classical_family,
@@ -31,12 +32,21 @@ from qfam import (
     set_map_morphism,
     sign_conjugation_family,
     singleton_family,
+    tensor_layout,
     trace_state,
     trivial_family,
     triviality_defect,
     wang_family,
 )
-from qfam.suites import random_family, random_source_algebra, random_algebra, random_label
+from qfam.morphisms import StarMorphism
+from qfam.suites import (
+    conjugation_family,
+    haar_unitary,
+    random_algebra,
+    random_family,
+    random_label,
+    random_source_algebra,
+)
 
 
 def test_make_family_rejects_non_homomorphism():
@@ -82,6 +92,24 @@ def test_conjugation_fixed_points_are_diagonal():
     for x in fixed.basis:
         off_diag = np.abs(x.blocks[0] - np.diag(np.diag(x.blocks[0]))).max()
         assert off_diag <= 1e-9
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 2)])
+def test_conjugation_family_sums_the_conjugated_tensors(n, count):
+    """Psi(x) = sum_t u_t x u_t* (x) delta_t, built element by element."""
+    rng = np.random.default_rng(n + count)
+    unitaries = [haar_unitary(rng, n) for _ in range(count)]
+    fam = conjugation_family(unitaries)
+    layout = fam.layout
+    for j, x in enumerate(fam.source.basis()):
+        want = sum(
+            layout.elem(
+                fam.source.element([u @ x.blocks[0] @ u.conj().T]),
+                fam.label.basis_element(t),
+            ).to_vec()
+            for t, u in enumerate(unitaries)
+        )
+        assert np.allclose(fam.morphism.matrix[:, j], want, rtol=0, atol=1e-15)
 
 
 def test_singleton_family_keeps_the_matrix():
@@ -163,6 +191,48 @@ def test_evaluation_respects_convolution():
             evaluate_at_character(fam, lam), evaluate_at_character(fam, mu)
         ).matrix
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+def _random_functional(rng, algebra):
+    values = rng.standard_normal((algebra.dim, 2)) @ [1, 1j]
+    return LinearFunctional.from_values(algebra, values)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_partial_functionals_match_einsum_references(seed):
+    """invariance_defects, evaluate_at_character and convolve apply a
+    functional on one tensor factor; each agrees with a contraction over
+    the pair indices written out here."""
+    rng = np.random.default_rng(seed)
+    source = random_source_algebra(rng)
+    label = make_algebra([1] + [int(rng.integers(1, 3))])  # has a character
+    fam = random_family(rng, source, source, label)
+    slices = fam.morphism.matrix[fam.layout.pair_index]  # (source, label, basis)
+
+    omega = _random_functional(rng, source)
+    diff = np.einsum("iab,i->ab", slices, omega.covector)
+    diff -= np.einsum("a,b->ab", label.identity().to_vec(), omega.covector)
+    want = max(
+        max(np.linalg.norm(block, 2) for block in label.from_vec(col).blocks)
+        for col in diff.T
+    )
+    got = invariance_defects(fam, omega).defect
+    assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+    chi = characters_of(label)[0]
+    want = np.einsum("iab,a->ib", slices, chi.matrix.reshape(-1))
+    got = evaluate_at_character(fam, chi).matrix
+    assert np.allclose(got, want, rtol=0, atol=1e-13)
+
+    layout = tensor_layout(label, label)
+    delta = StarMorphism(
+        label, layout.product, rng.standard_normal((layout.product.dim, label.dim))
+    )
+    sg = QuantumSemigroup(label, delta)
+    f, g = _random_functional(rng, label), _random_functional(rng, label)
+    pairs = delta.matrix[layout.pair_index]
+    want = np.einsum("ijc,i,j->c", pairs, f.covector, g.covector)
+    assert np.allclose(convolve(f, g, sg).covector, want, rtol=0, atol=1e-12)
 
 
 def test_uniform_state_invariant_under_wang_action():

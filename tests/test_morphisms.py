@@ -184,6 +184,22 @@ def test_lift_matches_dense_kronecker(dims, ncols, seed):
         lift(phi, psi, columns[1:])
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(block_dims, min_size=3, max_size=3), st.integers(0, 3), st.integers(0))
+def test_lift_with_an_algebra_factor_is_the_identity(dims, ncols, seed):
+    """An algebra in place of either factor of lift acts as its identity
+    morphism."""
+    rng = np.random.default_rng(seed)
+    a, b, c = (make_algebra(d) for d in dims)
+    phi = StarMorphism(a, b, rng.standard_normal((b.dim, a.dim, 2)) @ [1, 1j])
+    ident = identity_morphism(c)
+    # a (x) c and c (x) a have the same dimension
+    columns = rng.standard_normal((a.dim * c.dim, ncols, 2)) @ [1, 1j]
+    assert np.array_equal(lift(phi, c, columns), lift(phi, ident, columns))
+    assert np.array_equal(lift(c, phi, columns), lift(ident, phi, columns))
+    assert np.array_equal(lift(a, c, columns), columns)
+
+
 @pytest.mark.parametrize(
     "dims", [[1], [2], [1, 1], [3], [1, 2], [1, 1, 1], [1, 1, 1, 1]]
 )

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qfam import (
     all_maps_family,
     cancellation_rank,
     characters_of,
+    classical_family,
     classical_semigroup_algebra,
     coassociativity_defect,
     coideal_defect,
@@ -295,9 +297,9 @@ def test_coideal_identity_for_the_translation_action(translation_magic):
 
 
 def test_dense_lift_over_the_cap_is_refused(monkeypatch, tmp_path, capsys):
-    """With the cap lowered to 1 MiB, the 2.4 MiB lift arrays of
-    coassociativity on the cyclic group of order 20 (16 * 20^4 bytes) are
-    refused before they are allocated."""
+    """With the cap lowered to 1 MiB, coassociativity on the cyclic group of
+    order 20, which holds three lift arrays of 16 * 20^4 bytes at once
+    (7.3 MiB), is refused before they are allocated."""
     monkeypatch.setattr(qfam.morphisms, "LIFT_BYTES_CAP", 2**20)
     sg = classical_semigroup_algebra(group_table(20))
     with pytest.raises(ResourceLimitError, match="MiB"):
@@ -308,10 +310,38 @@ def test_dense_lift_over_the_cap_is_refused(monkeypatch, tmp_path, capsys):
     save_document(sg, doc)
     assert main(["check-coassoc", str(doc)]) == 2
     assert "cap" in capsys.readouterr().err
-    # a small group still fits under the lowered cap, and so does order 16,
-    # whose lift arrays take exactly 16 * 16^4 = 2^20 bytes
-    assert coassociativity_defect(classical_semigroup_algebra(group_table(4))) == 0.0
-    assert coassociativity_defect(classical_semigroup_algebra(group_table(16))) == 0.0
+    # order 12 fits under the lowered cap and order 13 does not:
+    # 48 * 12^4 <= 2^20 < 48 * 13^4
+    assert coassociativity_defect(classical_semigroup_algebra(group_table(12))) == 0.0
+    with pytest.raises(ResourceLimitError):
+        coassociativity_defect(classical_semigroup_algebra(group_table(13)))
+
+
+def test_largest_admitted_lift_peaks_within_the_cap(monkeypatch):
+    """At the largest cyclic order the lowered cap admits, the traced peak
+    of coassociativity and of the action equation stays within the cap.
+    The first call builds and caches the product algebras' index tables,
+    which the cap does not count, so the peak is taken on a second call."""
+    monkeypatch.setattr(qfam.morphisms, "LIFT_BYTES_CAP", 2**20)
+    order = 2
+    while True:
+        try:
+            coassociativity_defect(classical_semigroup_algebra(group_table(order + 1)))
+        except ResourceLimitError:
+            break
+        order += 1
+    sg = classical_semigroup_algebra(group_table(order))
+    family = classical_family(group_table(order))  # the group acting on itself
+    checks = (lambda: coassociativity_defect(sg), lambda: action_defect(family, sg))
+    for check in checks:
+        assert check() == 0.0
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, (order, peak)
 
 
 def test_coassociativity_of_order_40_fits_the_default_cap(tmp_path, capsys):
