@@ -9,7 +9,13 @@ matrix over the canonical basis of matrix units.
 Conventions fixed here and relied on by every other module:
 
 * the canonical basis consists of the matrix units E^(k)_{r,s} ordered
-  lexicographically by (block, row, column);
+  lexicographically by (block, row, column); its bookkeeping is index
+  arrays: ``basis_labels`` is a (dim, 3) array of those labels, and
+  :func:`multiplication_table` and :func:`adjoint_permutation` index the
+  basis by it;
+* every other basis is a (dim, k) coordinate matrix with one column per
+  basis element (the canonical basis is ``np.eye(dim)``), as returned by
+  :func:`orthonormal_basis`;
 * tensor products order the product blocks with the left factor major, and
   inside a block pair use the Kronecker (row-major) convention;
 * all scalars are complex128; checks report a defect value and the caller
@@ -76,39 +82,41 @@ class FdCStarAlgebra:
         return int(sum(n * n for n in self.block_dims))
 
     @cached_property
-    def _offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for n in self.block_dims:
-            out.append(acc)
-            acc += n * n
-        return tuple(out)
+    def _offsets(self) -> np.ndarray:
+        """First coordinate of each block."""
+        sizes = np.array(self.block_dims, dtype=np.intp) ** 2
+        out = np.cumsum(sizes) - sizes
+        out.setflags(write=False)
+        return out
 
     def block_slices(self) -> tuple[tuple[int, int], ...]:
         """(offset, size) of the coordinate range of each block."""
-        return tuple(zip(self._offsets, self.block_dims))
+        return tuple(zip(self._offsets.tolist(), self.block_dims))
 
     @cached_property
     def size_groups(self) -> tuple[tuple[int, np.ndarray], ...]:
         """(n, idx) per distinct block size n, where idx[b, r, s] is the
         coordinate of entry (r, s) of the b-th block of size n."""
-        dims, offs = np.array(self.block_dims), np.array(self._offsets)
+        dims = np.array(self.block_dims)
         return tuple(
-            (n, offs[dims == n, None, None] + np.arange(n * n).reshape(n, n))
+            (n, self._offsets[dims == n, None, None] + np.arange(n * n).reshape(n, n))
             for n in dict.fromkeys(self.block_dims)
         )
 
     def basis_index(self, block: int, row: int, col: int) -> int:
-        return self._offsets[block] + row * self.block_dims[block] + col
+        return int(self._offsets[block]) + row * self.block_dims[block] + col
 
     @cached_property
-    def basis_labels(self) -> tuple[tuple[int, int, int], ...]:
-        """(block, row, col) of each canonical matrix unit, in lex order."""
-        out = []
-        for k, n in enumerate(self.block_dims):
-            for r in range(n):
-                for s in range(n):
-                    out.append((k, r, s))
-        return tuple(out)
+    def basis_labels(self) -> np.ndarray:
+        """(block, row, col) of each canonical matrix unit, one row each, in
+        lex order; a read-only (dim, 3) array."""
+        dims = np.array(self.block_dims, dtype=np.intp)
+        block = np.repeat(np.arange(len(dims)), dims * dims)
+        local = np.arange(self.dim) - self._offsets[block]
+        n = dims[block]
+        out = np.stack([block, local // n, local % n], axis=1)
+        out.setflags(write=False)
+        return out
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(
@@ -123,9 +131,6 @@ class FdCStarAlgebra:
         blocks = [np.zeros((n, n), dtype=complex) for n in self.block_dims]
         blocks[k][r, s] = 1.0
         return AlgebraElement(self, blocks)
-
-    def basis(self) -> list["AlgebraElement"]:
-        return list(_canonical_basis(self))
 
     def element(self, blocks: Iterable) -> "AlgebraElement":
         return AlgebraElement(self, blocks)
@@ -144,11 +149,6 @@ class FdCStarAlgebra:
 def make_algebra(block_dims: Sequence[int]) -> FdCStarAlgebra:
     """Build the direct sum of full matrix algebras with the given sizes."""
     return FdCStarAlgebra(tuple(block_dims))
-
-
-@lru_cache(maxsize=None)
-def _canonical_basis(algebra: FdCStarAlgebra) -> tuple["AlgebraElement", ...]:
-    return tuple(algebra.basis_element(i) for i in range(algebra.dim))
 
 
 class AlgebraElement:
@@ -282,15 +282,9 @@ def max_image_defect(codomain: FdCStarAlgebra, matrix_diff: np.ndarray) -> float
 @lru_cache(maxsize=None)
 def multiplication_table(algebra: FdCStarAlgebra) -> np.ndarray:
     """Index of e_i * e_j in the canonical basis, or -1 when the product is 0."""
-    d = algebra.dim
-    table = np.full((d, d), -1, dtype=np.intp)
-    for k, n in enumerate(algebra.block_dims):
-        for r in range(n):
-            for s in range(n):
-                i = algebra.basis_index(k, r, s)
-                for s2 in range(n):
-                    j = algebra.basis_index(k, s, s2)
-                    table[i, j] = algebra.basis_index(k, r, s2)
+    table = np.full((algebra.dim, algebra.dim), -1, dtype=np.intp)
+    for _, idx in algebra.size_groups:  # E_rs E_st = E_rt inside each block
+        table[idx[:, :, :, None], idx[:, None, :, :]] = idx[:, :, None, :]
     table.setflags(write=False)
     return table
 
@@ -299,8 +293,8 @@ def multiplication_table(algebra: FdCStarAlgebra) -> np.ndarray:
 def adjoint_permutation(algebra: FdCStarAlgebra) -> np.ndarray:
     """Permutation p with e_i^* = e_{p[i]} on the canonical basis."""
     perm = np.empty(algebra.dim, dtype=np.intp)
-    for i, (k, r, s) in enumerate(algebra.basis_labels):
-        perm[i] = algebra.basis_index(k, s, r)
+    for _, idx in algebra.size_groups:  # E_rs^* = E_sr
+        perm[idx] = idx.transpose(0, 2, 1)
     perm.setflags(write=False)
     return perm
 
@@ -321,7 +315,8 @@ class LinearFunctional:
     def covector(self) -> np.ndarray:
         """Values on the canonical basis, as a vector of length dim."""
         if self._cov is None:
-            cov = np.concatenate([rho.T.ravel() for rho in self.density.blocks])
+            # omega(E_rs) = rho[s, r]: the density's transpose, a permutation
+            cov = self.density.to_vec()[adjoint_permutation(self.algebra)]
             cov.setflags(write=False)
             self._cov = cov
         return self._cov
@@ -337,11 +332,7 @@ class LinearFunctional:
     ) -> "LinearFunctional":
         """Functional with the given values on the canonical basis."""
         values = np.asarray(values, dtype=complex).reshape(algebra.dim)
-        blocks = [
-            values[off : off + n * n].reshape(n, n).T
-            for off, n in algebra.block_slices()
-        ]
-        return cls(algebra, AlgebraElement(algebra, blocks))
+        return cls(algebra, algebra.from_vec(values[adjoint_permutation(algebra)]))
 
     def is_state(self, tol: float = DEFAULT_TOL) -> bool:
         """Hermitian positive semidefinite density with total trace 1."""
@@ -407,11 +398,11 @@ class TensorLayout:
     def pair_index(self) -> np.ndarray:
         """pair_index[i, j] = product basis index of e_i (x) f_j."""
         # (block, row, col) of e_i down the rows, of f_j along the columns
-        k, r, s = np.array(self.left.basis_labels, dtype=np.intp).T[:, :, None]
-        l, rho, sig = np.array(self.right.basis_labels, dtype=np.intp).T[:, None, :]
+        k, r, s = self.left.basis_labels.T[:, :, None]
+        l, rho, sig = self.right.basis_labels.T[:, None, :]
         n = np.array(self.left.block_dims)[k]
         m = np.array(self.right.block_dims)[l]
-        off = np.array(self.product._offsets)[k * len(self.right.block_dims) + l]
+        off = self.product._offsets[k * len(self.right.block_dims) + l]
         out = off + (r * m + rho) * (n * m) + s * m + sig
         out.setflags(write=False)
         return out
@@ -454,17 +445,6 @@ def tensor_layout(left: FdCStarAlgebra, right: FdCStarAlgebra) -> TensorLayout:
     return TensorLayout(left, right)
 
 
-def tensor_product(a, b):
-    """Tensor product of two algebras (a layout) or two elements."""
-    if isinstance(a, FdCStarAlgebra) and isinstance(b, FdCStarAlgebra):
-        return tensor_layout(a, b)
-    if isinstance(a, AlgebraElement) and isinstance(b, AlgebraElement):
-        return tensor_layout(a.algebra, b.algebra).elem(a, b)
-    raise IncompatibleAlgebraError(
-        "tensor_product expects two algebras or two elements"
-    )
-
-
 def _bilinear_table(algebra: FdCStarAlgebra, omega: LinearFunctional) -> np.ndarray:
     """T[i, j] = omega(e_i e_j) over the canonical basis."""
     table = multiplication_table(algebra)
@@ -477,34 +457,26 @@ def orthonormal_basis(
     algebra: FdCStarAlgebra,
     omega: LinearFunctional,
     floor: float = FAITHFULNESS_FLOOR,
-) -> list[AlgebraElement]:
-    """Gram-Schmidt of the canonical basis for the inner product omega(x* y).
+) -> np.ndarray:
+    """Gram-Schmidt of the canonical basis for the inner product omega(x* y),
+    as a (dim, dim) matrix whose columns are the basis elements.
 
-    The canonical order is kept, so the result is deterministic. Raises
-    DegenerateStateError when the Gram matrix has an eigenvalue below the
-    faithfulness floor.
+    With G = L L^* the Cholesky factorization of the Gram matrix, the result
+    is inv(L^*): the one upper-triangular B with positive diagonal and
+    B^* G B = I, which is what Gram-Schmidt in canonical order produces.
+    Raises DegenerateStateError when the Gram matrix has an eigenvalue below
+    the faithfulness floor.
     """
     if omega.algebra != algebra:
         raise IncompatibleAlgebraError("functional lives over a different algebra")
-    d = algebra.dim
     gram = _bilinear_table(algebra, omega)[adjoint_permutation(algebra), :]
-    min_eig = float(np.linalg.eigvalsh((gram + gram.conj().T) / 2).min())
+    gram = (gram + gram.conj().T) / 2
+    min_eig = float(np.linalg.eigvalsh(gram).min())
     if min_eig < floor:
         raise DegenerateStateError(
             f"Gram matrix minimum eigenvalue {min_eig:.3e} is below {floor:g}"
         )
-    cols: list[np.ndarray] = []
-    for i in range(d):
-        v = np.zeros(d, dtype=complex)
-        v[i] = 1.0
-        for _ in range(2):  # second pass keeps the basis orthonormal to ~1e-15
-            for u in cols:
-                v = v - (u.conj() @ (gram @ v)) * u
-        nrm2 = float((v.conj() @ (gram @ v)).real)
-        if nrm2 < floor:
-            raise DegenerateStateError("Gram-Schmidt collapsed; functional degenerate")
-        cols.append(v / np.sqrt(nrm2))
-    return [algebra.from_vec(c) for c in cols]
+    return np.linalg.inv(np.linalg.cholesky(gram).conj().T)
 
 
 def sigma_map(

@@ -19,7 +19,13 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import AlgebraElement, FdCStarAlgebra, LinearFunctional, make_algebra
+from .algebra import (
+    AlgebraElement,
+    FdCStarAlgebra,
+    LinearFunctional,
+    make_algebra,
+    tensor_layout,
+)
 from .errors import DocumentParseError, InvalidDimensionError, QfamError
 from .families import QuantumFamily, classical_family
 from .morphisms import Character, StarMorphism
@@ -181,8 +187,6 @@ def parse_family(doc: Any, path: str = "family") -> QuantumFamily:
     target = parse_algebra(doc["target_factor"], f"{path}.target_factor")
     label = parse_algebra(doc["label"], f"{path}.label")
     matrix = _parse_matrix(doc["morphism"], f"{path}.morphism")
-    from .algebra import tensor_layout
-
     layout = tensor_layout(target, label)
     if matrix.shape != (layout.product.dim, source.dim):
         raise _fail(
@@ -209,8 +213,6 @@ def parse_semigroup(doc: Any, path: str = "semigroup") -> QuantumSemigroup:
             raise _fail(path, f'missing "{field}" field')
     algebra = parse_algebra(doc["algebra"], f"{path}.algebra")
     delta = _parse_matrix(doc["delta_matrix"], f"{path}.delta_matrix")
-    from .algebra import tensor_layout
-
     square = tensor_layout(algebra, algebra).product
     if delta.shape != (square.dim, algebra.dim):
         raise _fail(

@@ -185,28 +185,28 @@ def triviality_defect(family: QuantumFamily) -> float:
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Worst defect of the invariance equation, plus the generator elements.
+    """Worst defect of the invariance equation, plus the generators.
 
-    generators[l] is (omega (x) id) Psi(m_l) - omega(m_l) I in the label
-    algebra, one per element of the generator basis; invariance of omega
-    means every generator vanishes.
+    generators is a (dim label, k) coordinate matrix whose column l is
+    (omega (x) id) Psi(m_l) - omega(m_l) I, one per column m_l of the
+    generator basis; invariance of omega means every generator vanishes.
     """
 
     defect: float
-    generators: tuple[AlgebraElement, ...]
+    generators: np.ndarray
 
 
 def invariance_defects(
     family: QuantumFamily,
     omega: LinearFunctional,
-    basis: Sequence[AlgebraElement] | None = None,
+    basis: np.ndarray | None = None,
 ) -> InvarianceReport:
     """Check (omega (x) id) Psi(m) = omega(m) 1 for a self-map family.
 
     The defect is always measured over the canonical basis. Generators are
-    expanded over the given basis when one is passed, over the
-    omega-orthonormal basis when omega is faithful, and over the canonical
-    basis otherwise.
+    expanded over the columns of basis (a coordinate matrix over the
+    source) when one is passed, over the omega-orthonormal basis when omega
+    is faithful, and over the canonical basis otherwise.
     """
     _require_self_map(family, "invariance")
     if omega.algebra != family.source:
@@ -219,28 +219,27 @@ def invariance_defects(
     if basis is None and omega.is_faithful():
         basis = orthonormal_basis(family.source, omega)
     if basis is not None:  # generators are linear in m
-        diff = diff @ np.column_stack([m.to_vec() for m in basis])
-    generators = tuple(family.label.from_vec(col) for col in diff.T)
-    return InvarianceReport(defect=defect, generators=generators)
+        diff = diff @ basis
+    return InvarianceReport(defect=defect, generators=diff)
 
 
-def action_coefficients(
-    family: QuantumFamily, basis: Sequence[AlgebraElement]
-) -> np.ndarray:
+def action_coefficients(family: QuantumFamily, basis: np.ndarray) -> np.ndarray:
     """Coefficients a[k, l] with Psi(m_l) = sum_k m_k (x) a[k, l].
 
-    basis must be a linear basis of the source of a self-map family; the
-    result has shape (d, d, dim label) with axes (k, l, label coordinate).
+    basis is a (d, d) coordinate matrix whose columns m_l form a linear
+    basis of the source of a self-map family (np.eye(d) for the canonical
+    one); the result has shape (d, d, dim label) with axes (k, l, label
+    coordinate).
     """
     _require_self_map(family, "coefficient expansion")
     layout = family.layout
-    bmat = np.column_stack([m.to_vec() for m in basis])
-    if bmat.shape != (family.source.dim, family.source.dim) or numeric_rank(
-        bmat
+    basis = np.asarray(basis)
+    if basis.shape != (family.source.dim, family.source.dim) or numeric_rank(
+        basis
     ) < family.source.dim:
-        raise InvalidMatrixError("given elements do not form a basis of the source")
-    duals = np.linalg.inv(bmat)
-    images = (family.morphism.matrix @ bmat)[layout.pair_index]  # (i, a, l)
+        raise InvalidMatrixError("basis columns do not span the source")
+    duals = np.linalg.inv(basis)
+    images = (family.morphism.matrix @ basis)[layout.pair_index]  # (i, a, l)
     return np.einsum("ial,ki->kla", images, duals)
 
 
@@ -266,10 +265,14 @@ def commutation_defect(first: QuantumFamily, second: QuantumFamily) -> float:
 
 @dataclass(frozen=True)
 class FixedPointSpace:
-    """Basis of the x with Psi(x) = x (x) I, with an ergodicity flag."""
+    """The x with Psi(x) = x (x) I, with an ergodicity flag.
+
+    basis is a (dim source, dimension) coordinate matrix with orthonormal
+    columns spanning the fixed points.
+    """
 
     dimension: int
-    basis: tuple[AlgebraElement, ...]
+    basis: np.ndarray
     ergodic: bool
 
 
@@ -278,8 +281,8 @@ def fixed_point_space(family: QuantumFamily) -> FixedPointSpace:
     _require_self_map(family, "fixed points")
     triv = trivial_family(family.source, family.label)
     null = nullspace(family.morphism.matrix - triv.morphism.matrix)
-    basis = tuple(family.source.from_vec(null[:, j]) for j in range(null.shape[1]))
-    return FixedPointSpace(dimension=len(basis), basis=basis, ergodic=len(basis) == 1)
+    dimension = null.shape[1]
+    return FixedPointSpace(dimension=dimension, basis=null, ergodic=dimension == 1)
 
 
 def evaluate_at_character(family: QuantumFamily, chi: Character) -> StarMorphism:

@@ -9,33 +9,23 @@ import numpy as np
 RANK_CUT = 1e-9
 
 
+def _rank_of(s: np.ndarray, rel_cut: float) -> int:
+    """Number of singular values s (descending) at or above rel_cut * s[0]."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s >= rel_cut * s[0]))
+
+
 def numeric_rank(mat: np.ndarray, rel_cut: float = RANK_CUT) -> int:
     """Rank of a matrix with singular values cut at rel_cut times the largest."""
     mat = np.asarray(mat)
     if mat.size == 0:
         return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s >= rel_cut * s[0]))
+    return _rank_of(np.linalg.svd(mat, compute_uv=False), rel_cut)
 
 
 def nullspace(mat: np.ndarray, rel_cut: float = RANK_CUT) -> np.ndarray:
     """Orthonormal basis, as columns, of the numerical nullspace of mat."""
     mat = np.asarray(mat, dtype=complex)
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s >= rel_cut * s[0]))
-    return vh[rank:].conj().T
-
-
-def span_residual(span: np.ndarray, target: np.ndarray) -> float:
-    """Distance from target to the column span of span, via least squares."""
-    target = np.asarray(target, dtype=complex)
-    span = np.asarray(span, dtype=complex)
-    if span.size == 0:
-        return float(np.linalg.norm(target))
-    coef, *_ = np.linalg.lstsq(span, target, rcond=None)
-    return float(np.linalg.norm(target - span @ coef))
+    return vh[_rank_of(s, rel_cut) :].conj().T

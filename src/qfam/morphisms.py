@@ -42,8 +42,9 @@ from .errors import (
 # Cap on n for enumerating all n^n self-maps of an n-point set.
 SET_MAP_CAP = 6
 
-# Cap on the bytes of three arrays of the largest size of a tensor lift;
-# 2^30 admits coassociativity on cyclic groups of order up to 68.
+# Cap on the bytes of three arrays of the largest size of a tensor lift plus
+# the index arrays two lifts cache; 2^30 admits coassociativity on cyclic
+# groups of order up to 68.
 LIFT_BYTES_CAP = 2**30
 
 # Above this many complex entries the multiplicativity check is chunked.
@@ -148,10 +149,6 @@ def require_star_hom(phi: StarMorphism, tol: float = DEFAULT_TOL) -> StarMorphis
     return phi
 
 
-def identity_morphism(algebra: FdCStarAlgebra) -> StarMorphism:
-    return StarMorphism(algebra, algebra, np.eye(algebra.dim, dtype=complex))
-
-
 def compose_morphisms(outer: StarMorphism, inner: StarMorphism) -> StarMorphism:
     """outer after inner."""
     if inner.codomain != outer.domain:
@@ -173,11 +170,15 @@ def _ends(factor: LiftFactor) -> tuple[FdCStarAlgebra, FdCStarAlgebra]:
 
 
 def _require_lift_fits(phi: LiftFactor, psi: LiftFactor, ncols: int) -> None:
-    """Refuse a lift of ncols columns when three arrays of its largest size
-    exceed the cap: a defect that subtracts two lifts holds the first one's
-    result while the second holds its own result and its largest product."""
+    """Refuse a lift of ncols columns when three arrays of its largest size,
+    with the index arrays of two lifts, exceed the cap: a defect that
+    subtracts two lifts holds the first one's result while the second holds
+    its own result and its largest product, and each lift caches 24 bytes
+    per coordinate of its domain and codomain products (pair_index, block
+    offsets and block sizes)."""
     (a1, b1), (a2, b2) = ((x.dim, y.dim) for x, y in (_ends(phi), _ends(psi)))
     nbytes = 3 * 16 * ncols * max(a1 * a2, b1 * a2, b1 * b2)
+    nbytes += 2 * 24 * (a1 * a2 + b1 * b2)
     if nbytes > LIFT_BYTES_CAP:
         raise ResourceLimitError(
             f"a tensor lift of {ncols} columns needs {nbytes / 2**20:.0f} MiB, "

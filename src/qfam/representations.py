@@ -255,14 +255,15 @@ def nonclassical_magic_4x4(theta: float) -> MagicUnitary:
 class ActionMatrixReport:
     """Structure matrix of a family over an orthonormal basis of the source.
 
-    coefficients[k, l] holds the label-algebra coordinates of the
-    element a[k, l] with Psi(m_l) = sum_k m_k (x) a[k, l]. When omega is an
-    invariant state the matrix is an isometry; the conjugate-isometry
-    defect is reported too when omega is a trace, and the comultiplication
-    rule defect when a semigroup is supplied.
+    basis is the omega-orthonormal basis as a (d, d) coordinate matrix whose
+    column l is m_l, and coefficients[k, l] holds the label-algebra
+    coordinates of the element a[k, l] with Psi(m_l) = sum_k m_k (x) a[k, l].
+    When omega is an invariant state the matrix is an isometry; the
+    conjugate-isometry defect is reported too when omega is a trace, and the
+    comultiplication rule defect when a semigroup is supplied.
     """
 
-    basis: tuple[AlgebraElement, ...]
+    basis: np.ndarray
     coefficients: np.ndarray
     isometry_defect: float
     conjugate_isometry_defect: float | None
@@ -291,7 +292,7 @@ def action_matrix(
     if sg is not None:
         rep_defect = _representation_defect(param, coeffs, sg)
     return ActionMatrixReport(
-        basis=tuple(basis),
+        basis=basis,
         coefficients=coeffs,
         isometry_defect=_isometry_defect(param, coeffs),
         conjugate_isometry_defect=conj_iso,
@@ -303,7 +304,8 @@ def action_matrix(
 class ModularReport:
     """Compatibility of the family coefficients with the modular structure.
 
-    sigma_matrix[i, p] expands the modular image of the i-th basis element
+    basis is the omega-orthonormal basis as a (d, d) coordinate matrix whose
+    column i is m_i, and sigma_matrix[i, p] expands the modular image of m_i
     back over the basis. identity_defect is the worst norm of
     sum_{p,q} a[p][i] s[p, q] a[q][j]* - s[i, j] 1, and
     left_invertibility_defect the worst norm of
@@ -316,7 +318,7 @@ class ModularReport:
     identity_defect: float
     left_invertibility_defect: float
     sigma_matrix: np.ndarray
-    basis: tuple[AlgebraElement, ...]
+    basis: np.ndarray
 
 
 def modular_report(
@@ -347,8 +349,7 @@ def modular_report(
                 f"(defect {inv.defect:.3e})"
             )
     sigma = sigma_map(family.source, omega)
-    bmat = np.column_stack([m.to_vec() for m in basis])
-    smat = np.linalg.solve(bmat, sigma @ bmat).T  # rows: sigma(m_i) over basis
+    smat = np.linalg.solve(basis, sigma @ basis).T  # rows: sigma(m_i) over basis
     param = family.label
     a = action_coefficients(family, basis)  # a[p, i]
     # middle[i, j] = sum_q (sum_p s[p, q] a[p][i]) a[q][j]*
@@ -361,7 +362,7 @@ def modular_report(
         identity_defect=_worst(param, middle - smat[:, :, None] * ident),
         left_invertibility_defect=_worst(param, left),
         sigma_matrix=smat,
-        basis=tuple(basis),
+        basis=basis,
     )
 
 

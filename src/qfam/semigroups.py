@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
-    AlgebraElement,
     FdCStarAlgebra,
     LinearFunctional,
     max_image_defect,
@@ -160,26 +159,26 @@ def coideal_defect(
     family: QuantumFamily,
     sg: QuantumSemigroup,
     omega: LinearFunctional,
-    basis: Sequence[AlgebraElement] | None = None,
+    basis: np.ndarray | None = None,
 ) -> float:
     """Worst defect of Delta(X_l) = sum_p X_p (x) a[p, l] + 1 (x) X_l.
 
     X_l = (omega (x) id) Psi(m_l) - omega(m_l) 1 are the invariance
     generators of omega for the family, and a[p, l] the coefficients of the
-    family over the basis (canonical by default). When the action equation
-    holds, the identity holds for every basis; its defect measures how far
-    the generators are from spanning a right coideal.
+    family over the basis, a coordinate matrix with one column m_l per
+    element (the canonical basis np.eye(dim) by default). When the action
+    equation holds, the identity holds for every basis; its defect measures
+    how far the generators are from spanning a right coideal.
     """
     if family.label != sg.algebra:
         raise IncompatibleAlgebraError(
             "family label algebra differs from the semigroup algebra"
         )
     if basis is None:
-        basis = family.source.basis()
-    report = invariance_defects(family, omega, basis=basis)
+        basis = np.eye(family.source.dim)
+    xmat = invariance_defects(family, omega, basis=basis).generators  # (dA, l)
     coeffs = action_coefficients(family, basis)  # (k, l, coordinate)
     layout = tensor_layout(sg.algebra, sg.algebra)
-    xmat = np.column_stack([x.to_vec() for x in report.generators])  # (dA, l)
     lhs = sg.comultiplication.matrix @ xmat  # (dA^2, l)
     ivec = sg.algebra.identity().to_vec()
     # rhs table over pairs (A coordinate, A coordinate) per generator.
@@ -192,6 +191,22 @@ def coideal_defect(
 # -- classical (commutative) semigroups ------------------------------------
 
 
+def tables_are_associative(tables: np.ndarray) -> np.ndarray:
+    """Associativity of each table of a (batch, n, n) stack whose entries
+    index range(n), of any integer type: (x y) z == x (y z) as n^3
+    comparisons per table, one n^2 slice of each table per z."""
+    tables = np.asarray(tables)
+    n = tables.shape[-1]
+    b = np.arange(len(tables))[:, None, None]
+    x = np.arange(n)[:, None]
+    ok = np.ones(len(tables), dtype=bool)
+    for z in range(n):
+        lhs = tables[b, tables, z]  # (x y) z at [b, x, y]
+        rhs = tables[b, x, tables[:, None, :, z]]  # x (y z)
+        ok &= (lhs == rhs).all(axis=(1, 2))
+    return ok
+
+
 def table_is_associative(table: Sequence[Sequence[int]]) -> bool:
     try:
         arr = np.asarray(table, dtype=np.intp)
@@ -200,8 +215,7 @@ def table_is_associative(table: Sequence[Sequence[int]]) -> bool:
     n = arr.shape[0] if arr.ndim == 2 else 0
     if n == 0 or arr.shape != (n, n) or arr.min() < 0 or arr.max() >= n:
         return False
-    # (x y) z == x (y z) as an n^3 tensor comparison
-    return bool(np.array_equal(arr[arr], arr[:, arr]))
+    return bool(tables_are_associative(arr[None])[0])
 
 
 def table_identity(table: Sequence[Sequence[int]]) -> int | None:

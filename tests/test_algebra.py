@@ -16,10 +16,9 @@ from qfam import (
     orthonormal_basis,
     sigma_map,
     tensor_layout,
-    tensor_product,
     trace_state,
 )
-from qfam.algebra import column_element_norms
+from qfam.algebra import adjoint_permutation, column_element_norms, multiplication_table
 from qfam.suites import random_faithful_state
 
 block_dims = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3)
@@ -37,7 +36,7 @@ def _random_element(rng, algebra, scale=1.0):
 def test_dimension_is_sum_of_squares(dims):
     alg = make_algebra(dims)
     assert alg.dim == sum(n * n for n in dims)
-    assert len(alg.basis()) == alg.dim
+    assert alg.basis_labels.shape == (alg.dim, 3)
 
 
 @pytest.mark.parametrize("dims", [[], [0], [2, -1], [1.5]])
@@ -49,11 +48,37 @@ def test_invalid_block_dims_rejected(dims):
 def test_basis_is_lex_ordered_matrix_units():
     alg = make_algebra([2, 1])
     # block, then row, then column
-    assert alg.basis_labels == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0))
+    assert alg.basis_labels.tolist() == [
+        [0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1], [1, 0, 0]
+    ]
     e01 = alg.basis_element(1)
     assert e01.blocks[0][0, 1] == 1.0
     assert np.count_nonzero(e01.blocks[0]) == 1
     assert np.count_nonzero(e01.blocks[1]) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4))
+def test_basis_index_arrays_match_brute_force(dims):
+    """basis_labels, multiplication_table and adjoint_permutation agree with
+    matrix units built block by block and multiplied and adjoined as
+    elements."""
+    alg = make_algebra(dims)
+    labels = [(k, r, s) for k, n in enumerate(dims) for r in range(n) for s in range(n)]
+    units = []
+    for k, r, s in labels:
+        blocks = [np.zeros((n, n)) for n in dims]
+        blocks[k][r, s] = 1.0
+        units.append(alg.element(blocks))
+
+    def index_of(x):
+        found = np.flatnonzero(x.to_vec())
+        return int(found[0]) if found.size else -1
+
+    assert alg.basis_labels.tolist() == [list(t) for t in labels]
+    table = [[index_of(x * y) for y in units] for x in units]
+    assert multiplication_table(alg).tolist() == table
+    assert adjoint_permutation(alg).tolist() == [index_of(x.adjoint()) for x in units]
 
 
 def test_matrix_unit_products():
@@ -129,8 +154,8 @@ def test_from_values_matches_on_basis():
     alg = make_algebra([2, 1])
     values = np.arange(5, dtype=float) + 1j
     omega = LinearFunctional.from_values(alg, values)
-    for i, e in enumerate(alg.basis()):
-        assert omega(e) == pytest.approx(values[i], abs=1e-14)
+    for i in range(alg.dim):
+        assert omega(alg.basis_element(i)) == pytest.approx(values[i], abs=1e-14)
 
 
 def test_nontrace_state_detected():
@@ -157,8 +182,7 @@ def test_orthonormal_basis_trace_oracle():
     """For the normalized trace on M_2 the result is sqrt(2) times each unit."""
     alg = make_algebra([2])
     basis = orthonormal_basis(alg, trace_state(alg))
-    for i, m in enumerate(basis):
-        vec = m.to_vec()
+    for i, vec in enumerate(basis.T):
         assert abs(vec[i] - np.sqrt(2.0)) <= 1e-12
         assert np.max(np.abs(np.delete(vec, i))) <= 1e-12
 
@@ -166,8 +190,8 @@ def test_orthonormal_basis_trace_oracle():
 def test_orthonormal_basis_uniform_oracle():
     alg = make_algebra([1, 1, 1])
     basis = orthonormal_basis(alg, trace_state(alg))
-    for i, m in enumerate(basis):
-        assert abs(m.to_vec()[i] - np.sqrt(3.0)) <= 1e-12
+    for i, vec in enumerate(basis.T):
+        assert abs(vec[i] - np.sqrt(3.0)) <= 1e-12
 
 
 @pytest.mark.parametrize("dims", [[2, 1], [2], [1, 1, 1], [3, 1]])
@@ -175,9 +199,26 @@ def test_orthonormal_basis_gram(dims):
     rng = np.random.default_rng(11)
     alg = make_algebra(dims)
     omega = random_faithful_state(rng, alg)
-    basis = orthonormal_basis(alg, omega)
+    basis = [alg.from_vec(col) for col in orthonormal_basis(alg, omega).T]
     gram = np.array([[omega(a.adjoint() * b) for b in basis] for a in basis])
     assert np.max(np.abs(gram - np.eye(alg.dim))) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_dims, st.integers(min_value=0, max_value=2**32 - 1))
+def test_orthonormal_basis_is_gram_schmidt(dims, seed):
+    """B is upper triangular with a positive real diagonal and B* G B = I for
+    the Gram matrix G[i, j] = omega(e_i* e_j): the one matrix with those
+    properties is Gram-Schmidt of the canonical basis in canonical order."""
+    alg = make_algebra(dims)
+    omega = random_faithful_state(np.random.default_rng(seed), alg)
+    units = [alg.basis_element(i) for i in range(alg.dim)]
+    gram = np.array([[omega(x.adjoint() * y) for y in units] for x in units])
+    basis = orthonormal_basis(alg, omega)
+    assert np.array_equal(basis, np.triu(basis))
+    diag = np.diag(basis)
+    assert np.all(diag.real > 0) and np.all(diag.imag == 0)
+    assert np.max(np.abs(basis.conj().T @ gram @ basis - np.eye(alg.dim))) <= 1e-9
 
 
 def test_sigma_frozen_oracle():
@@ -267,7 +308,7 @@ def test_tensor_norm_multiplicative():
     for _ in range(100):
         x = _random_element(rng, a)
         y = _random_element(rng, b)
-        prod = tensor_product(x, y)
+        prod = tensor_layout(a, b).elem(x, y)
         lhs = prod.norm()
         rhs = x.norm() * y.norm()
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, rhs)
@@ -283,12 +324,6 @@ def test_tensor_multiplication_factors():
     lhs = lay.elem(x1, y1) * lay.elem(x2, y2)
     rhs = lay.elem(x1 * x2, y1 * y2)
     assert (lhs - rhs).norm() <= 1e-12
-
-
-def test_tensor_product_type_dispatch():
-    a = make_algebra([2])
-    with pytest.raises(IncompatibleAlgebraError):
-        tensor_product(a, a.identity())
 
 
 @settings(max_examples=25)

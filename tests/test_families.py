@@ -79,7 +79,7 @@ def test_all_maps_family_is_ergodic():
     assert fixed.dimension == 1
     assert fixed.ergodic
     # the fixed line is spanned by the identity
-    v = fixed.basis[0].to_vec()
+    v = fixed.basis[:, 0]
     assert np.max(np.abs(v - v[0])) <= 1e-9
     assert triviality_defect(fam) > 0.4
 
@@ -89,8 +89,9 @@ def test_conjugation_fixed_points_are_diagonal():
     fixed = fixed_point_space(fam)
     assert fixed.dimension == 2
     assert not fixed.ergodic
-    for x in fixed.basis:
-        off_diag = np.abs(x.blocks[0] - np.diag(np.diag(x.blocks[0]))).max()
+    for col in fixed.basis.T:
+        (x,) = fam.source.from_vec(col).blocks
+        off_diag = np.abs(x - np.diag(np.diag(x))).max()
         assert off_diag <= 1e-9
 
 
@@ -101,7 +102,8 @@ def test_conjugation_family_sums_the_conjugated_tensors(n, count):
     unitaries = [haar_unitary(rng, n) for _ in range(count)]
     fam = conjugation_family(unitaries)
     layout = fam.layout
-    for j, x in enumerate(fam.source.basis()):
+    for j in range(fam.source.dim):
+        x = fam.source.basis_element(j)
         want = sum(
             layout.elem(
                 fam.source.element([u @ x.blocks[0] @ u.conj().T]),
@@ -240,9 +242,9 @@ def test_uniform_state_invariant_under_wang_action():
     omega = trace_state(fam.source)
     report = invariance_defects(fam, omega)
     assert report.defect <= 1e-12
-    assert len(report.generators) == fam.source.dim
-    for x in report.generators:
-        assert x.norm() <= 1e-12
+    assert report.generators.shape == (fam.label.dim, fam.source.dim)
+    for col in report.generators.T:
+        assert fam.label.from_vec(col).norm() <= 1e-12
 
 
 def test_uniform_state_not_invariant_for_all_maps():

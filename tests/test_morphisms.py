@@ -19,7 +19,6 @@ from qfam import (
     enumerate_set_maps,
     flip,
     functions_algebra,
-    identity_morphism,
     lift,
     make_algebra,
     require_star_hom,
@@ -80,10 +79,10 @@ def test_composition_duality(n):
 
 def test_identity_and_composition_unit():
     alg = make_algebra([2, 1])
-    ident = identity_morphism(alg)
-    assert np.array_equal(ident.matrix, np.eye(alg.dim))
+    assert StarMorphism(alg, alg, np.eye(alg.dim)).is_star_hom()
     phi = set_map_morphism([1, 0])
-    same = compose_morphisms(identity_morphism(phi.codomain), phi)
+    ident = StarMorphism(phi.codomain, phi.codomain, np.eye(phi.codomain.dim))
+    same = compose_morphisms(ident, phi)
     assert np.array_equal(same.matrix, phi.matrix)
 
 
@@ -152,7 +151,9 @@ def test_tensor_morphisms_elementwise():
 def test_tensor_of_identities_is_identity():
     a = make_algebra([2])
     b = make_algebra([1, 1])
-    prod = tensor_morphisms(identity_morphism(a), identity_morphism(b))
+    prod = tensor_morphisms(
+        StarMorphism(a, a, np.eye(a.dim)), StarMorphism(b, b, np.eye(b.dim))
+    )
     assert np.array_equal(prod.matrix, np.eye(a.dim * b.dim))
 
 
@@ -192,7 +193,7 @@ def test_lift_with_an_algebra_factor_is_the_identity(dims, ncols, seed):
     rng = np.random.default_rng(seed)
     a, b, c = (make_algebra(d) for d in dims)
     phi = StarMorphism(a, b, rng.standard_normal((b.dim, a.dim, 2)) @ [1, 1j])
-    ident = identity_morphism(c)
+    ident = StarMorphism(c, c, np.eye(c.dim))
     # a (x) c and c (x) a have the same dimension
     columns = rng.standard_normal((a.dim * c.dim, ncols, 2)) @ [1, 1j]
     assert np.array_equal(lift(phi, c, columns), lift(phi, ident, columns))

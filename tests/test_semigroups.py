@@ -28,7 +28,6 @@ from qfam import (
     counit_defect,
     functions_algebra,
     group_table,
-    identity_morphism,
     invariance_defects,
     left_zero_table,
     map_monoid_table,
@@ -45,6 +44,7 @@ from qfam import (
 )
 from qfam.cli import main
 from qfam.morphisms import StarMorphism
+from qfam.semigroups import tables_are_associative
 
 
 def _map2():
@@ -201,6 +201,25 @@ def test_cancellation_matches_classical_oracle_order_two():
         assert cancellation_rank(sg, "right").full == table_is_right_cancellative(table)
 
 
+def test_batched_associativity_matches_triple_loop():
+    """tables_are_associative agrees, table by table, with (x y) z == x (y z)
+    checked over every triple in Python: all 3^9 tables of order 3, and
+    random tables of order 4 stacked with two associative ones."""
+    rng = np.random.default_rng(2)
+    order_4 = [group_table(4), left_zero_table(4)]
+    for tables in (
+        np.array(list(itertools.product(range(3), repeat=9))).reshape(-1, 3, 3),
+        np.concatenate([order_4, rng.integers(0, 4, size=(300, 4, 4))]),
+    ):
+        triples = list(itertools.product(range(tables.shape[-1]), repeat=3))
+        want = [
+            all(t[t[x][y]][z] == t[x][t[y][z]] for x, y, z in triples)
+            for t in tables.tolist()
+        ]
+        assert tables_are_associative(tables).tolist() == want
+    assert tables_are_associative(order_4).tolist() == [True, True]
+
+
 def test_table_utilities():
     assert table_is_associative(group_table(3))
     assert not table_is_associative([[0, 0], [1, 0]])
@@ -305,23 +324,26 @@ def test_dense_lift_over_the_cap_is_refused(monkeypatch, tmp_path, capsys):
     with pytest.raises(ResourceLimitError, match="MiB"):
         coassociativity_defect(sg)
     with pytest.raises(ResourceLimitError, match="MiB"):
-        tensor_morphisms(sg.comultiplication, identity_morphism(sg.algebra))
+        tensor_morphisms(
+            sg.comultiplication, StarMorphism(sg.algebra, sg.algebra, np.eye(20))
+        )
     doc = tmp_path / "cyclic-20.json"
     save_document(sg, doc)
     assert main(["check-coassoc", str(doc)]) == 2
     assert "cap" in capsys.readouterr().err
-    # order 12 fits under the lowered cap and order 13 does not:
-    # 48 * 12^4 <= 2^20 < 48 * 13^4
-    assert coassociativity_defect(classical_semigroup_algebra(group_table(12))) == 0.0
+    # order 11 fits under the lowered cap and order 12 does not, counting
+    # three lift arrays and the index arrays of two lifts:
+    # 48 * 11^4 + 48 * (11^2 + 11^3) <= 2^20 < 48 * 12^4 + 48 * (12^2 + 12^3)
+    assert coassociativity_defect(classical_semigroup_algebra(group_table(11))) == 0.0
     with pytest.raises(ResourceLimitError):
-        coassociativity_defect(classical_semigroup_algebra(group_table(13)))
+        coassociativity_defect(classical_semigroup_algebra(group_table(12)))
 
 
 def test_largest_admitted_lift_peaks_within_the_cap(monkeypatch):
     """At the largest cyclic order the lowered cap admits, the traced peak
-    of coassociativity and of the action equation stays within the cap.
-    The first call builds and caches the product algebras' index tables,
-    which the cap does not count, so the peak is taken on a second call."""
+    of coassociativity and of the action equation stays within the cap, on
+    a first call, which builds and caches the index arrays of the layouts it
+    lifts through, and on a second call, which reuses them."""
     monkeypatch.setattr(qfam.morphisms, "LIFT_BYTES_CAP", 2**20)
     order = 2
     while True:
@@ -334,14 +356,15 @@ def test_largest_admitted_lift_peaks_within_the_cap(monkeypatch):
     family = classical_family(group_table(order))  # the group acting on itself
     checks = (lambda: coassociativity_defect(sg), lambda: action_defect(family, sg))
     for check in checks:
-        assert check() == 0.0
-        tracemalloc.start()
-        try:
-            check()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2**20, (order, peak)
+        tensor_layout.cache_clear()  # the first call builds the layouts it lifts through
+        for call in ("first", "second"):
+            tracemalloc.start()
+            try:
+                assert check() == 0.0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2**20, (order, call, peak)
 
 
 def test_coassociativity_of_order_40_fits_the_default_cap(tmp_path, capsys):
