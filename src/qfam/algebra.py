@@ -2,9 +2,9 @@
 
 Everything in this package lives over an :class:`FdCStarAlgebra`, a finite
 direct sum M_{n_1} + ... + M_{n_K} of full matrix algebras. Elements are
-stored blockwise, functionals through density elements, and tensor products
-through explicit index maps so that every linear map has a reproducible
-matrix over the canonical basis of matrix units.
+stored as canonical coordinates, functionals through density elements, and
+tensor products through explicit index maps so that every linear map has a
+reproducible matrix over the canonical basis of matrix units.
 
 Conventions fixed here and relied on by every other module:
 
@@ -24,9 +24,13 @@ Conventions fixed here and relied on by every other module:
   tolerance (default 1e-9) as given, except for *-homomorphism checks, which
   scale it by max(1, max|matrix entry|)^2;
 * norms of elements are operator norms (largest singular value over blocks);
-* batches of elements are coordinate arrays whose last axis is the canonical
-  basis: :func:`multiply` forms their products and
-  :func:`column_element_norms` their norms.
+* an element is its read-only vector of canonical coordinates, and a grid of
+  elements one (rows, cols, dim) coordinate array;
+* batches of elements take the canonical basis on one of two axes:
+  :func:`multiply` and :func:`adjoint_coords` read it on the last axis,
+  with the leading axes broadcast, while :func:`column_element_norms`,
+  morphism matrices and tensor lifts read it on the first axis, one column
+  per element.
 """
 
 from __future__ import annotations
@@ -119,28 +123,35 @@ class FdCStarAlgebra:
         return out
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(
-            self, [np.zeros((n, n), dtype=complex) for n in self.block_dims]
-        )
+        return AlgebraElement(self, np.zeros(self.dim))
 
     def identity(self) -> "AlgebraElement":
-        return AlgebraElement(self, [np.eye(n, dtype=complex) for n in self.block_dims])
+        labels = self.basis_labels
+        return AlgebraElement(self, labels[:, 1] == labels[:, 2])
 
     def basis_element(self, index: int) -> "AlgebraElement":
-        k, r, s = self.basis_labels[index]
-        blocks = [np.zeros((n, n), dtype=complex) for n in self.block_dims]
-        blocks[k][r, s] = 1.0
-        return AlgebraElement(self, blocks)
+        vec = np.zeros(self.dim)
+        vec[index] = 1.0
+        return AlgebraElement(self, vec)
 
     def element(self, blocks: Iterable) -> "AlgebraElement":
-        return AlgebraElement(self, blocks)
+        """The element with the given (n, n) matrix in each block."""
+        mats = [np.asarray(b, dtype=complex) for b in blocks]
+        if len(mats) != len(self.block_dims):
+            raise IncompatibleAlgebraError(
+                f"expected {len(self.block_dims)} blocks, got {len(mats)}"
+            )
+        for mat, n in zip(mats, self.block_dims):
+            if mat.shape != (n, n):
+                raise IncompatibleAlgebraError(
+                    f"block of shape {mat.shape} does not match size {n}"
+                )
+        return AlgebraElement(self, np.concatenate([m.ravel() for m in mats]))
 
-    def from_vec(self, vec: np.ndarray) -> "AlgebraElement":
-        vec = np.asarray(vec, dtype=complex).reshape(self.dim)
-        blocks = [
-            vec[off : off + n * n].reshape(n, n) for off, n in self.block_slices()
-        ]
-        return AlgebraElement(self, blocks)
+    def block_views(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The (n, n) blocks of a coordinate vector, as views into it."""
+        slices = self.block_slices()
+        return tuple(vec[off : off + n * n].reshape(n, n) for off, n in slices)
 
     def __repr__(self) -> str:
         return f"FdCStarAlgebra({list(self.block_dims)})"
@@ -152,28 +163,29 @@ def make_algebra(block_dims: Sequence[int]) -> FdCStarAlgebra:
 
 
 class AlgebraElement:
-    """One complex matrix per block of a parent algebra.
+    """An element of a parent algebra, stored as its canonical coordinates.
 
-    Instances are immutable after construction; arithmetic returns new
-    elements and raises when the operands belong to different algebras.
+    The coordinate vector is read-only, so instances are immutable;
+    arithmetic returns new elements and raises when the operands belong to
+    different algebras.
     """
 
-    __slots__ = ("algebra", "blocks")
+    __slots__ = ("algebra", "_vec")
 
-    def __init__(self, algebra: FdCStarAlgebra, blocks: Iterable) -> None:
-        mats = tuple(np.array(b, dtype=complex) for b in blocks)
-        if len(mats) != len(algebra.block_dims):
+    def __init__(self, algebra: FdCStarAlgebra, coords: np.ndarray) -> None:
+        vec = np.array(coords, dtype=complex)
+        if vec.shape != (algebra.dim,):
             raise IncompatibleAlgebraError(
-                f"expected {len(algebra.block_dims)} blocks, got {len(mats)}"
+                f"coordinates of shape {vec.shape} do not match dimension {algebra.dim}"
             )
-        for mat, n in zip(mats, algebra.block_dims):
-            if mat.shape != (n, n):
-                raise IncompatibleAlgebraError(
-                    f"block of shape {mat.shape} does not match size {n}"
-                )
-            mat.setflags(write=False)
+        vec.setflags(write=False)
         self.algebra = algebra
-        self.blocks = mats
+        self._vec = vec
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """Read-only (n, n) views into the coordinates, one per block."""
+        return self.algebra.block_views(self._vec)
 
     def _require_same(self, other: "AlgebraElement") -> None:
         if not isinstance(other, AlgebraElement):
@@ -185,41 +197,37 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._require_same(other)
-        return AlgebraElement(
-            self.algebra, [a + b for a, b in zip(self.blocks, other.blocks)]
-        )
+        return AlgebraElement(self.algebra, self._vec + other._vec)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._require_same(other)
-        return AlgebraElement(
-            self.algebra, [a - b for a, b in zip(self.blocks, other.blocks)]
-        )
+        return AlgebraElement(self.algebra, self._vec - other._vec)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, [-a for a in self.blocks])
+        return AlgebraElement(self.algebra, -self._vec)
 
     def __mul__(self, other):
         if isinstance(other, Number):
-            return AlgebraElement(self.algebra, [a * other for a in self.blocks])
+            return AlgebraElement(self.algebra, self._vec * other)
         self._require_same(other)
-        return AlgebraElement(
-            self.algebra, [a @ b for a, b in zip(self.blocks, other.blocks)]
-        )
+        product = multiply(self.algebra, self._vec, other._vec)
+        return AlgebraElement(self.algebra, product)
 
     def __rmul__(self, other):
         if isinstance(other, Number):
-            return AlgebraElement(self.algebra, [other * a for a in self.blocks])
+            return AlgebraElement(self.algebra, other * self._vec)
         return NotImplemented
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, [a.conj().T for a in self.blocks])
+        return AlgebraElement(self.algebra, adjoint_coords(self.algebra, self._vec))
 
     def norm(self) -> float:
         """Operator norm: the largest singular value over all blocks."""
-        return float(column_element_norms(self.algebra, self.to_vec())[0])
+        return float(column_element_norms(self.algebra, self._vec)[0])
 
     def to_vec(self) -> np.ndarray:
-        return np.concatenate([m.ravel() for m in self.blocks])
+        """The read-only coordinate vector itself, not a copy."""
+        return self._vec
 
     def __repr__(self) -> str:
         return f"AlgebraElement({self.algebra!r})"
@@ -239,6 +247,12 @@ def multiply(algebra: FdCStarAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarra
         a, b = x[..., idx], y[..., idx]
         out[..., idx] = a * b if n == 1 else a @ b
     return out
+
+
+def adjoint_coords(algebra: FdCStarAlgebra, x: np.ndarray) -> np.ndarray:
+    """Coordinates of the adjoints x* of a coordinate array (last axis the
+    canonical basis)."""
+    return x[..., adjoint_permutation(algebra)].conj()
 
 
 def span_rank(algebra: FdCStarAlgebra, xs: np.ndarray, ys: np.ndarray) -> int:
@@ -302,24 +316,17 @@ def adjoint_permutation(algebra: FdCStarAlgebra) -> np.ndarray:
 class LinearFunctional:
     """A functional omega(x) = sum_k trace(rho_k x_k) stored via its density."""
 
-    __slots__ = ("algebra", "density", "_cov")
+    __slots__ = ("algebra", "density", "covector")
 
     def __init__(self, algebra: FdCStarAlgebra, density: AlgebraElement) -> None:
         if density.algebra != algebra:
             raise IncompatibleAlgebraError("density must live in the same algebra")
         self.algebra = algebra
         self.density = density
-        self._cov = None
-
-    @property
-    def covector(self) -> np.ndarray:
-        """Values on the canonical basis, as a vector of length dim."""
-        if self._cov is None:
-            # omega(E_rs) = rho[s, r]: the density's transpose, a permutation
-            cov = self.density.to_vec()[adjoint_permutation(self.algebra)]
-            cov.setflags(write=False)
-            self._cov = cov
-        return self._cov
+        # read-only values on the canonical basis: omega(E_rs) = rho[s, r],
+        # the density's transpose, a permutation of its coordinates
+        self.covector = density.to_vec()[adjoint_permutation(algebra)]
+        self.covector.setflags(write=False)
 
     def __call__(self, x: AlgebraElement) -> complex:
         if x.algebra != self.algebra:
@@ -332,37 +339,45 @@ class LinearFunctional:
     ) -> "LinearFunctional":
         """Functional with the given values on the canonical basis."""
         values = np.asarray(values, dtype=complex).reshape(algebra.dim)
-        return cls(algebra, algebra.from_vec(values[adjoint_permutation(algebra)]))
+        density = values[adjoint_permutation(algebra)]
+        return cls(algebra, AlgebraElement(algebra, density))
+
+    def _density_measures(self) -> tuple[float, ...]:
+        """Measures of the density rho, batched over the blocks of each size:
+        the largest entry of rho - rho*, the least eigenvalue of
+        (rho + rho*)/2, |trace - 1|, and, with c = trace/n in each block,
+        the largest of |Im c| and -Re c and the largest entry of rho - c 1.
+        All are NaN when a coordinate is not finite."""
+        vec = self.density.to_vec()
+        if not np.isfinite(vec).all():
+            return (np.nan,) * 5
+        star = adjoint_coords(self.algebra, vec)
+        least, total, outside, spread = np.inf, 0.0, -np.inf, 0.0
+        for n, idx in self.algebra.size_groups:
+            rho = vec[idx]
+            least = min(least, np.linalg.eigvalsh((rho + star[idx]) / 2).min())
+            trace = np.trace(rho, axis1=1, axis2=2)
+            total += trace.sum()
+            c = trace / n
+            outside = max(outside, np.maximum(np.abs(c.imag), -c.real).max())
+            spread = max(spread, np.abs(rho - c[:, None, None] * np.eye(n)).max())
+        return np.abs(vec - star).max(), least, abs(total - 1.0), outside, spread
 
     def is_state(self, tol: float = DEFAULT_TOL) -> bool:
         """Hermitian positive semidefinite density with total trace 1."""
-        total = 0.0 + 0.0j
-        for rho in self.density.blocks:
-            if np.abs(rho - rho.conj().T).max() > tol:
-                return False
-            if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -tol:
-                return False
-            total += np.trace(rho)
-        return abs(total - 1.0) <= tol
+        herm, least, trace_gap, _, _ = self._density_measures()
+        return within(herm, tol) and within(-least, tol) and within(trace_gap, tol)
 
     def is_faithful(self, floor: float = FAITHFULNESS_FLOOR) -> bool:
-        """Every density block has minimum eigenvalue at or above the floor."""
-        for rho in self.density.blocks:
-            if np.abs(rho - rho.conj().T).max() > DEFAULT_TOL:
-                return False
-            if np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < floor:
-                return False
-        return True
+        """Hermitian density whose blocks have minimum eigenvalue at or
+        above the floor."""
+        herm, least, _, _, _ = self._density_measures()
+        return within(herm, DEFAULT_TOL) and within(floor - least, 0.0)
 
     def is_trace(self, tol: float = DEFAULT_TOL) -> bool:
         """Every density block is a nonnegative scalar multiple of the identity."""
-        for rho, n in zip(self.density.blocks, self.algebra.block_dims):
-            c = np.trace(rho) / n
-            if abs(c.imag) > tol or c.real < -tol:
-                return False
-            if np.abs(rho - c * np.eye(n)).max() > tol:
-                return False
-        return True
+        _, _, _, outside, spread = self._density_measures()
+        return within(outside, tol) and within(spread, tol)
 
     def __repr__(self) -> str:
         return f"LinearFunctional({self.algebra!r})"
@@ -413,8 +428,8 @@ class TensorLayout:
             raise IncompatibleAlgebraError(
                 "factors do not match the declared layout factors"
             )
-        blocks = [np.kron(a, b) for a in x.blocks for b in y.blocks]
-        return AlgebraElement(self.product, blocks)
+        table = np.outer(x.to_vec(), y.to_vec())
+        return AlgebraElement(self.product, self.combine(table))
 
     def split(self, vec: np.ndarray) -> np.ndarray:
         """Rearrange product coordinates into a (dim left, dim right) table."""

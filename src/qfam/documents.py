@@ -124,7 +124,7 @@ def parse_element(
             dims.append(b.shape[0])
         algebra = make_algebra(dims)
     try:
-        return AlgebraElement(algebra, blocks)
+        return algebra.element(blocks)
     except QfamError as exc:
         raise _fail(f"{path}.blocks", str(exc)) from exc
 
@@ -242,15 +242,13 @@ def parse_magic_unitary(doc: Any, path: str = "magic_unitary") -> MagicUnitary:
         raise _fail(f"{path}.entries", "expected a nonempty square array")
     entries = []
     for i, row in enumerate(rows):
+        at = f"{path}.entries[{i}]"
         if not isinstance(row, list) or len(row) != len(rows):
-            raise _fail(f"{path}.entries[{i}]", "array must be square")
+            raise _fail(at, "array must be square")
         entries.append(
-            tuple(
-                parse_element(cell, algebra, f"{path}.entries[{i}][{j}]")
-                for j, cell in enumerate(row)
-            )
+            [parse_element(c, algebra, f"{at}[{j}]") for j, c in enumerate(row)]
         )
-    return MagicUnitary(algebra, tuple(entries))
+    return MagicUnitary(algebra, entries)
 
 
 _PARSERS = {
@@ -373,7 +371,10 @@ def serialize(obj) -> dict:
             "kind": "magic_unitary",
             "ambient": {"blocks": list(obj.algebra.block_dims)},
             "entries": [
-                [{"blocks": [_matrix_doc(b) for b in cell.blocks]} for cell in row]
+                [
+                    {"blocks": [_matrix_doc(b) for b in obj.algebra.block_views(v)]}
+                    for v in row
+                ]
                 for row in obj.entries
             ],
         }

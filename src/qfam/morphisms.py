@@ -42,9 +42,9 @@ from .errors import (
 # Cap on n for enumerating all n^n self-maps of an n-point set.
 SET_MAP_CAP = 6
 
-# Cap on the bytes of three arrays of the largest size of a tensor lift plus
-# the index arrays two lifts cache; 2^30 admits coassociativity on cyclic
-# groups of order up to 68.
+# Cap on the bytes two tensor lifts hold at their peak, as counted by
+# _require_lift_fits; 2^30 admits coassociativity on cyclic groups of order
+# up to 68.
 LIFT_BYTES_CAP = 2**30
 
 # Above this many complex entries the multiplicativity check is chunked.
@@ -83,7 +83,7 @@ class StarMorphism:
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         if x.algebra != self.domain:
             raise IncompatibleAlgebraError("argument is not in the domain algebra")
-        return self.codomain.from_vec(self.matrix @ x.to_vec())
+        return AlgebraElement(self.codomain, self.matrix @ x.to_vec())
 
     @cached_property
     def defect_report(self) -> dict[str, float]:
@@ -170,15 +170,16 @@ def _ends(factor: LiftFactor) -> tuple[FdCStarAlgebra, FdCStarAlgebra]:
 
 
 def _require_lift_fits(phi: LiftFactor, psi: LiftFactor, ncols: int) -> None:
-    """Refuse a lift of ncols columns when three arrays of its largest size,
-    with the index arrays of two lifts, exceed the cap: a defect that
-    subtracts two lifts holds the first one's result while the second holds
-    its own result and its largest product, and each lift caches 24 bytes
-    per coordinate of its domain and codomain products (pair_index, block
-    offsets and block sizes)."""
+    """Refuse a lift of ncols columns when a defect subtracting two such
+    lifts would exceed the cap at its peak. It holds the first result and
+    the second's result, split table and largest product (16 bytes an
+    entry), 24 bytes per coordinate of the products each lift caches
+    (pair_index, block offsets and block sizes), and up to 16 KiB of Python
+    objects (under 6 KiB measured on cyclic groups). A lift builds its index
+    arrays before its large arrays, so their temporaries are freed by then."""
     (a1, b1), (a2, b2) = ((x.dim, y.dim) for x, y in (_ends(phi), _ends(psi)))
-    nbytes = 3 * 16 * ncols * max(a1 * a2, b1 * a2, b1 * b2)
-    nbytes += 2 * 24 * (a1 * a2 + b1 * b2)
+    nbytes = 16 * ncols * (3 * max(a1 * a2, b1 * a2, b1 * b2) + a1 * a2)
+    nbytes += 2 * 24 * (a1 * a2 + b1 * b2) + 2**14
     if nbytes > LIFT_BYTES_CAP:
         raise ResourceLimitError(
             f"a tensor lift of {ncols} columns needs {nbytes / 2**20:.0f} MiB, "
@@ -207,16 +208,17 @@ def lift(phi: LiftFactor, psi: LiftFactor, columns: np.ndarray) -> np.ndarray:
         )
     n = columns.shape[1]
     _require_lift_fits(phi, psi, n)
-    # the result first: the steps allocated after it are freed on return,
-    # so they leave no hole under it in the heap
+    # the index arrays first, so their build temporaries are freed before the
+    # large arrays exist; then the result, under the steps freed on return
+    pin, pout = lin.pair_index, lout.pair_index
     out = np.empty((lout.product.dim, n), dtype=complex)
-    table = columns[lin.pair_index]  # (dim dom1, dim dom2, n)
+    table = columns[pin]  # (dim dom1, dim dom2, n)
     if isinstance(phi, StarMorphism):
         table = phi.matrix @ table.reshape(dom1.dim, dom2.dim * n)
         table = table.reshape(cod1.dim, dom2.dim, n)
     if isinstance(psi, StarMorphism):
         table = psi.matrix @ table  # one matmul per row of phi's image
-    out[lout.pair_index] = table
+    out[pout] = table
     return out
 
 
@@ -246,7 +248,7 @@ class Character(StarMorphism):
         super().__init__(domain, scalar_algebra(), matrix)
 
     def value(self, x: AlgebraElement) -> complex:
-        return complex(self(x).blocks[0][0, 0])
+        return complex(self(x).to_vec()[0])
 
     def as_functional(self) -> LinearFunctional:
         return LinearFunctional.from_values(self.domain, self.matrix.reshape(-1))

@@ -1,8 +1,8 @@
 """Matrices over an algebra: corepresentation-style grids, magic unitaries,
 and the structure matrix attached to a family by an invariant state.
 
-A grid is a tuple of tuples of algebra elements, all from one algebra. The
-checks here convert it once into a (rows, cols, dim) coordinate array and
+A grid is a square array of elements of one algebra, stored as one
+read-only (rows, cols, dim) array of canonical coordinates. The checks here
 measure, in operator norm, how far it is from satisfying the
 comultiplication rule, from being an isometry as a block matrix, or from
 being a magic unitary (projection entries, rows and columns summing to the
@@ -22,7 +22,7 @@ from .algebra import (
     AlgebraElement,
     FdCStarAlgebra,
     LinearFunctional,
-    adjoint_permutation,
+    adjoint_coords,
     make_algebra,
     max_image_defect,
     multiply,
@@ -44,74 +44,65 @@ from .morphisms import StarMorphism, functions_algebra, scalar_algebra
 from .semigroups import QuantumSemigroup
 
 
-def grid_array(entries: Sequence[Sequence[AlgebraElement]]) -> np.ndarray:
-    """Coordinates of a grid of elements as one (rows, cols, dim) array."""
-    return np.array([[v.to_vec() for v in row] for row in entries], dtype=complex)
-
-
-def _adjoint(algebra: FdCStarAlgebra, coords: np.ndarray) -> np.ndarray:
-    return coords[..., adjoint_permutation(algebra)].conj()
-
-
 def _worst(algebra: FdCStarAlgebra, coords: np.ndarray) -> float:
     """Worst operator norm over a coordinate array (last axis the basis)."""
     return max_image_defect(algebra, coords.reshape(-1, algebra.dim).T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Representation:
-    """A square grid (v[k][l]) of elements of one algebra."""
+    """A square grid (v[k][l]) of elements of one algebra.
+
+    entries may be given as a square grid of the algebra's elements or of
+    coordinate vectors; it is stored as one read-only (n, n, dim) array.
+    """
 
     algebra: FdCStarAlgebra
-    entries: tuple[tuple[AlgebraElement, ...], ...]
+    entries: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.entries)
-        if not rows or any(len(r) != len(rows) for r in rows):
+        n, alg = len(self.entries), self.algebra
+        if not n or any(len(row) != n for row in self.entries):
             raise InvalidMatrixError("entries must form a nonempty square grid")
-        for row in rows:
-            for v in row:
-                if not isinstance(v, AlgebraElement) or v.algebra != self.algebra:
-                    raise IncompatibleAlgebraError(
-                        "all grid entries must belong to the stated algebra"
-                    )
-        object.__setattr__(self, "entries", rows)
+        cells = [
+            v.to_vec() if isinstance(v, AlgebraElement) and v.algebra == alg else v
+            for row in self.entries
+            for v in row
+        ]
+        if any(np.shape(v) != (alg.dim,) for v in cells):
+            raise IncompatibleAlgebraError(
+                "all grid entries must belong to the stated algebra"
+            )
+        grid = np.array(cells, dtype=complex).reshape(n, n, alg.dim)
+        grid.setflags(write=False)
+        object.__setattr__(self, "entries", grid)
 
     @property
     def size(self) -> int:
         return len(self.entries)
 
 
-def _representation_defect(
-    algebra: FdCStarAlgebra, v: np.ndarray, sg: QuantumSemigroup
-) -> float:
-    if algebra != sg.algebra:
+def representation_defect(rep: Representation, sg: QuantumSemigroup) -> float:
+    """Worst norm of Delta(v[k][l]) - sum_r v[k][r] (x) v[r][l]."""
+    if rep.algebra != sg.algebra:
         raise IncompatibleAlgebraError("grid and semigroup algebras differ")
-    layout = tensor_layout(algebra, algebra)
+    v = rep.entries
+    layout = tensor_layout(rep.algebra, rep.algebra)
     lhs = v @ sg.comultiplication.matrix.T
     rhs = layout.combine(np.einsum("kri,rlj->klij", v, v))
     return _worst(layout.product, lhs - rhs)
 
 
-def representation_defect(rep: Representation, sg: QuantumSemigroup) -> float:
-    """Worst norm of Delta(v[k][l]) - sum_r v[k][r] (x) v[r][l]."""
-    return _representation_defect(rep.algebra, grid_array(rep.entries), sg)
-
-
-def _isometry_defect(algebra: FdCStarAlgebra, v: np.ndarray) -> float:
-    gram = multiply(algebra, _adjoint(algebra, v)[:, :, None], v[:, None]).sum(axis=0)
-    gram[np.diag_indices(v.shape[1])] -= algebra.identity().to_vec()
-    return _worst(algebra, gram)
-
-
-def matrix_isometry_defect(
-    entries: Sequence[Sequence[AlgebraElement]],
-) -> float:
+def matrix_isometry_defect(rep: Representation) -> float:
     """Worst norm of sum_k v[k][l]* v[k][t] - delta_{lt} 1.
 
     Zero means the grid, read as a block matrix, is an isometry.
     """
-    return _isometry_defect(entries[0][0].algebra, grid_array(entries))
+    alg, v = rep.algebra, rep.entries
+    vstar = adjoint_coords(alg, v)
+    gram = multiply(alg, vstar[:, :, None], v[:, None]).sum(axis=0)
+    gram[np.diag_indices(rep.size)] -= alg.identity().to_vec()
+    return _worst(alg, gram)
 
 
 def tensor_representations(left: Representation, right: Representation) -> Representation:
@@ -123,14 +114,13 @@ def tensor_representations(left: Representation, right: Representation) -> Repre
     if left.algebra != right.algebra:
         raise IncompatibleAlgebraError("factors live over different algebras")
     alg = left.algebra
-    v, w = grid_array(left.entries), grid_array(right.entries)
+    v, w = left.entries, right.entries
     prod = multiply(alg, v[:, None, :, None], w[None, :, None, :])
     size = left.size * right.size
-    rows = prod.reshape(size, size, alg.dim)
-    return Representation(alg, tuple(tuple(map(alg.from_vec, row)) for row in rows))
+    return Representation(alg, prod.reshape(size, size, alg.dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MagicUnitary(Representation):
     """A square grid of elements meant to be projections with magic sums."""
 
@@ -151,11 +141,11 @@ class MagicReport:
 def magic_unitary_check(u: MagicUnitary, tol: float = DEFAULT_TOL) -> MagicReport:
     """Check entries are projections and rows and columns each sum to 1."""
     alg = u.algebra
-    p = grid_array(u.entries)
+    p = u.entries
     ident = alg.identity().to_vec()
     defects = {
         "idempotent": _worst(alg, multiply(alg, p, p) - p),
-        "hermitian": _worst(alg, _adjoint(alg, p) - p),
+        "hermitian": _worst(alg, adjoint_coords(alg, p) - p),
         "row_sums": _worst(alg, p.sum(axis=1) - ident),
         "col_sums": _worst(alg, p.sum(axis=0) - ident),
     }
@@ -180,7 +170,7 @@ def projection_family_check(entries: Sequence[AlgebraElement]) -> tuple[float, f
     if not entries:
         raise InvalidMatrixError("need at least one projection")
     alg = entries[0].algebra
-    p = grid_array([entries])[0]
+    p = np.array([v.to_vec() for v in entries])
     a, b = np.nonzero(~np.eye(len(p), dtype=bool))
     sum_defect = _worst(alg, p.sum(axis=0) - alg.identity().to_vec())
     return sum_defect, _worst(alg, multiply(alg, p[a], p[b]))
@@ -202,7 +192,7 @@ def wang_family(u: MagicUnitary, tol: float = DEFAULT_TOL) -> QuantumFamily:
     source = functions_algebra(u.size)
     layout = tensor_layout(source, u.algebra)
     # the split table of column j is column j of the grid
-    mat = layout.combine(grid_array(u.entries).transpose(1, 0, 2)).T
+    mat = layout.combine(u.entries.transpose(1, 0, 2)).T
     return QuantumFamily(
         source, source, u.algebra, StarMorphism(source, layout.product, mat)
     )
@@ -214,11 +204,7 @@ def permutation_magic_unitary(perm: Sequence[int]) -> MagicUnitary:
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise InvalidMatrixError(f"{perm} is not a permutation of 0..{n - 1}")
-    alg = scalar_algebra()
-    one = alg.identity()
-    zero = alg.zero()
-    entries = [[one if i == perm[j] else zero for j in range(n)] for i in range(n)]
-    return MagicUnitary(alg, tuple(tuple(r) for r in entries))
+    return MagicUnitary(scalar_algebra(), np.eye(n)[:, perm, None])
 
 
 def nonclassical_magic_4x4(theta: float) -> MagicUnitary:
@@ -285,16 +271,18 @@ def action_matrix(
     basis = orthonormal_basis(family.source, omega)
     coeffs = action_coefficients(family, basis)
     param = family.label
+    rep = Representation(param, coeffs)
     conj_iso = None
     if omega.is_trace():
-        conj_iso = _isometry_defect(param, _adjoint(param, coeffs))
+        conj = Representation(param, adjoint_coords(param, coeffs))
+        conj_iso = matrix_isometry_defect(conj)
     rep_defect = None
     if sg is not None:
-        rep_defect = _representation_defect(param, coeffs, sg)
+        rep_defect = representation_defect(rep, sg)
     return ActionMatrixReport(
         basis=basis,
         coefficients=coeffs,
-        isometry_defect=_isometry_defect(param, coeffs),
+        isometry_defect=matrix_isometry_defect(rep),
         conjugate_isometry_defect=conj_iso,
         representation_defect=rep_defect,
     )
@@ -354,7 +342,8 @@ def modular_report(
     a = action_coefficients(family, basis)  # a[p, i]
     # middle[i, j] = sum_q (sum_p s[p, q] a[p][i]) a[q][j]*
     c = np.einsum("pq,pia->qia", smat, a)
-    middle = multiply(param, c[:, :, None], _adjoint(param, a)[:, None]).sum(axis=0)
+    astar = adjoint_coords(param, a)
+    middle = multiply(param, c[:, :, None], astar[:, None]).sum(axis=0)
     ident = param.identity().to_vec()
     left = np.einsum("it,tja->ija", np.linalg.inv(smat), middle)
     left[np.diag_indices(len(left))] -= ident

@@ -50,7 +50,6 @@ from .morphisms import (
 from .representations import (
     MagicUnitary,
     action_matrix,
-    grid_array,
     magic_unitary_check,
     modular_report,
     nonclassical_magic_4x4,
@@ -284,17 +283,9 @@ def random_magic_unitary(rng: np.random.Generator, n: int) -> MagicUnitary:
     alg = make_algebra([t])
     projections = random_partition(rng, t, t)
     perms = [rng.permutation(n) for _ in range(t)]
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = alg.zero()
-            for k in range(t):
-                if perms[k][j] == i:
-                    acc = acc + projections[k]
-            row.append(acc)
-        entries.append(tuple(row))
-    return MagicUnitary(alg, tuple(entries))
+    hits = np.array(perms)[:, None, :] == np.arange(n)[:, None]  # [k, i, j]
+    coords = np.array([q.to_vec() for q in projections])
+    return MagicUnitary(alg, np.einsum("kij,kd->ijd", hits, coords))
 
 
 def all_maps_family(n: int) -> QuantumFamily:
@@ -572,9 +563,9 @@ def suite_wang_relations(seed: int = 0) -> list[CheckOutcome]:
     nc = magic_unitary_check(nonclassical_magic_4x4(0.7))
 
     base = permutation_magic_unitary((0, 1, 2))
-    rows = [list(r) for r in base.entries]
-    rows[0][0] = base.algebra.zero()
-    fault = magic_unitary_check(MagicUnitary(base.algebra, tuple(tuple(r) for r in rows)))
+    grid = base.entries.copy()
+    grid[0, 0] = 0.0
+    fault = magic_unitary_check(MagicUnitary(base.algebra, grid))
 
     return [
         _flag(
@@ -642,7 +633,7 @@ def suite_action_isometry(seed: int = 0) -> list[CheckOutcome]:
             )
         )
         if magic is not None:
-            diff = report.coefficients - grid_array(magic.entries)
+            diff = report.coefficients - magic.entries
             diff = diff.reshape(-1, magic.algebra.dim)
             gap = max_image_defect(magic.algebra, diff.T)
             out.append(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfam import (
+    AlgebraElement,
     DegenerateStateError,
     IncompatibleAlgebraError,
     InvalidDimensionError,
@@ -106,7 +107,7 @@ def test_adjoint_reverses_products():
 def test_vec_round_trip(values):
     alg = make_algebra([2, 1])
     vec = np.asarray(values, dtype=complex)
-    assert np.array_equal(alg.from_vec(vec).to_vec(), vec)
+    assert np.array_equal(AlgebraElement(alg, vec).to_vec(), vec)
 
 
 def test_norm_is_spectral():
@@ -167,6 +168,20 @@ def test_nontrace_state_detected():
     assert not omega.is_trace()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("predicate", ["is_state", "is_faithful", "is_trace"])
+def test_non_finite_density_fails_the_state_predicates(predicate, bad):
+    """The normalized trace passes all three predicates; with any one
+    density coordinate NaN or infinite, each of them is False."""
+    alg = make_algebra([2, 1])
+    assert getattr(trace_state(alg), predicate)()
+    for i in range(alg.dim):
+        vec = trace_state(alg).density.to_vec().copy()
+        vec[i] = bad
+        omega = LinearFunctional(alg, AlgebraElement(alg, vec))
+        assert not getattr(omega, predicate)(), i
+
+
 def test_degenerate_state_flagged():
     alg = make_algebra([1, 1])
     omega = LinearFunctional.from_values(alg, [1.0, 0.0])
@@ -199,7 +214,7 @@ def test_orthonormal_basis_gram(dims):
     rng = np.random.default_rng(11)
     alg = make_algebra(dims)
     omega = random_faithful_state(rng, alg)
-    basis = [alg.from_vec(col) for col in orthonormal_basis(alg, omega).T]
+    basis = [AlgebraElement(alg, col) for col in orthonormal_basis(alg, omega).T]
     gram = np.array([[omega(a.adjoint() * b) for b in basis] for a in basis])
     assert np.max(np.abs(gram - np.eye(alg.dim))) <= 1e-9
 
@@ -239,7 +254,7 @@ def test_sigma_exchange_relation(dims):
     for _ in range(50):
         x = _random_element(rng, alg)
         y = _random_element(rng, alg)
-        sx = alg.from_vec(sigma @ x.to_vec())
+        sx = AlgebraElement(alg, sigma @ x.to_vec())
         gap = abs(omega(x * y) - omega(y * sx))
         assert gap <= 1e-9 * max(1.0, x.norm() * y.norm())
 
@@ -373,7 +388,7 @@ def test_multiply_and_norm_kernels_match_elements(dims, batch, seed):
     norms = column_element_norms(alg, x.reshape(-1, alg.dim).T).reshape(batch)
     assert prod.shape == xshape
     for idx in np.ndindex(*batch):
-        xe, ye = alg.from_vec(x[idx]), alg.from_vec(y[idx[1:]])
+        xe, ye = AlgebraElement(alg, x[idx]), AlgebraElement(alg, y[idx[1:]])
         assert np.max(np.abs(prod[idx] - (xe * ye).to_vec())) <= 1e-12
         oracle = max(np.linalg.norm(b, 2) for b in xe.blocks)
         assert abs(norms[idx] - xe.norm()) <= 1e-12
@@ -389,7 +404,7 @@ def test_non_finite_coordinate_norms(bad, dims, data):
     alg = make_algebra(dims)
     vec = np.ones(alg.dim, dtype=complex)
     vec[data.draw(st.integers(min_value=0, max_value=alg.dim - 1))] = bad
-    assert np.array_equal(alg.from_vec(vec).norm(), abs(bad), equal_nan=True)
+    assert np.array_equal(AlgebraElement(alg, vec).norm(), abs(bad), equal_nan=True)
     twice = np.column_stack([np.zeros(alg.dim), vec])
     assert np.array_equal(max_image_defect(alg, twice), abs(bad), equal_nan=True)
     assert np.array_equal(max_image_defect(alg, twice[:, ::-1]), abs(bad), equal_nan=True)

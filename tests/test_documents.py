@@ -1,10 +1,16 @@
 """JSON document parsing and serialization for every object kind."""
 
+import contextlib
+import io
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfam import (
     DocumentParseError,
@@ -14,6 +20,7 @@ from qfam import (
     all_maps_family,
     classical_semigroup_algebra,
     group_table,
+    left_zero_table,
     make_algebra,
     map_monoid_table,
     nonclassical_magic_4x4,
@@ -25,9 +32,19 @@ from qfam import (
     sign_conjugation_family,
     trace_state,
 )
+from qfam.cli import main
 from qfam.documents import parse_algebra, parse_element
 from qfam.morphisms import StarMorphism
 from qfam.representations import MagicUnitary
+from qfam.suites import (
+    random_algebra,
+    random_faithful_state,
+    random_family,
+    random_label,
+    random_magic_unitary,
+    random_source_algebra,
+    random_unital_hom,
+)
 
 
 def test_algebra_round_trip():
@@ -99,9 +116,7 @@ def test_magic_unitary_round_trip():
     back = parse_spec_document(serialize(u))
     assert isinstance(back, MagicUnitary)
     assert back.algebra == u.algebra
-    for row_a, row_b in zip(back.entries, u.entries):
-        for a, b in zip(row_a, row_b):
-            assert np.array_equal(a.to_vec(), b.to_vec())
+    assert np.array_equal(back.entries, u.entries)
 
 
 def test_classical_table_family_shorthand():
@@ -292,3 +307,91 @@ def test_non_finite_and_boolean_entries_rejected(tmp_path, field, value):
     file.write_text(json.dumps(doc))
     with pytest.raises(DocumentParseError, match=re.escape(path)):
         parse_spec_file(file)
+
+
+# The command that reads each kind of document; check-invariant reads a
+# family document before the functional one. An element document has no
+# command of its own, so its parse error, which every command turns into
+# exit code 2, is checked directly.
+_READERS = {
+    "morphism": "verify-hom",
+    "family": "check-podles",
+    "semigroup": "check-coassoc",
+    "semigroup-with-counit": "check-coassoc",
+    "functional": "check-invariant",
+    "magic_unitary": "check-magic",
+}
+
+
+def _random_document(kind: str, rng: np.random.Generator) -> dict:
+    if kind == "morphism":
+        obj = random_unital_hom(rng, random_source_algebra(rng), random_algebra(rng))
+    elif kind == "family":
+        source = random_source_algebra(rng)
+        obj = random_family(rng, source, source, random_label(rng))
+    elif kind.startswith("semigroup"):
+        n = int(rng.integers(2, 5))
+        counit = kind == "semigroup-with-counit"
+        obj = classical_semigroup_algebra((group_table if counit else left_zero_table)(n))
+        assert (obj.counit is not None) == counit
+    elif kind in ("functional", "element"):
+        obj = random_faithful_state(rng, random_algebra(rng))
+        obj = obj if kind == "functional" else obj.density
+    else:
+        obj = random_magic_unitary(rng, int(rng.integers(1, 4)))
+    return serialize(obj)
+
+
+def _complex_entries(doc, keys=()):
+    """Key paths of the [re, im] pairs of a serialized document."""
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _complex_entries(v, keys + (k,))
+    elif isinstance(doc, list):
+        if len(doc) == 2 and all(isinstance(x, float) for x in doc):
+            yield keys
+        else:
+            for i, v in enumerate(doc):
+                yield from _complex_entries(v, keys + (i,))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(_READERS) + ["element"]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), True, False]),
+    st.data(),
+)
+def test_a_bad_entry_anywhere_exits_2_with_its_path(kind, seed, value, data):
+    """NaN, Infinity, -Infinity, true or false at a random entry of a random
+    document of each kind, in place of the [re, im] pair or of one of its
+    parts, is refused with exit code 2 and that entry's path, never run."""
+    doc = _random_document(kind, np.random.default_rng(seed))
+    keys = data.draw(st.sampled_from(list(_complex_entries(doc))))
+    part = data.draw(st.sampled_from([None, 0, 1]))
+    target = doc
+    for k in keys[:-1]:
+        target = target[k]
+    if part is None:
+        target[keys[-1]] = value
+    else:
+        target[keys[-1]][part] = value
+    path = kind.split("-")[0] + "".join(
+        f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "doc.json"
+        file.write_text(json.dumps(doc))
+        if kind == "element":
+            with pytest.raises(DocumentParseError, match=re.escape(f"{path}: ")):
+                parse_spec_file(file, kind="element")
+            return
+        inputs = [str(file)]
+        if kind == "functional":
+            inputs.insert(0, str(Path(tmp) / "family.json"))
+            save_document(sign_conjugation_family(), inputs[0])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main([_READERS[kind], "--format", "structured", *inputs])
+    assert rc == 2
+    assert json.loads(out.getvalue())["error"].startswith(f"{path}: ")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qfam import (
+    AlgebraElement,
     Character,
     IncompatibleAlgebraError,
     InvalidCharacterError,
@@ -90,7 +91,7 @@ def test_conjugation_fixed_points_are_diagonal():
     assert fixed.dimension == 2
     assert not fixed.ergodic
     for col in fixed.basis.T:
-        (x,) = fam.source.from_vec(col).blocks
+        (x,) = AlgebraElement(fam.source, col).blocks
         off_diag = np.abs(x - np.diag(np.diag(x))).max()
         assert off_diag <= 1e-9
 
@@ -215,7 +216,7 @@ def test_partial_functionals_match_einsum_references(seed):
     diff = np.einsum("iab,i->ab", slices, omega.covector)
     diff -= np.einsum("a,b->ab", label.identity().to_vec(), omega.covector)
     want = max(
-        max(np.linalg.norm(block, 2) for block in label.from_vec(col).blocks)
+        max(np.linalg.norm(block, 2) for block in AlgebraElement(label, col).blocks)
         for col in diff.T
     )
     got = invariance_defects(fam, omega).defect
@@ -244,7 +245,7 @@ def test_uniform_state_invariant_under_wang_action():
     assert report.defect <= 1e-12
     assert report.generators.shape == (fam.label.dim, fam.source.dim)
     for col in report.generators.T:
-        assert fam.label.from_vec(col).norm() <= 1e-12
+        assert AlgebraElement(fam.label, col).norm() <= 1e-12
 
 
 def test_uniform_state_not_invariant_for_all_maps():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qfam import (
+    AlgebraElement,
     DegenerateStateError,
     IncompatibleAlgebraError,
     LinearFunctional,
@@ -130,7 +131,7 @@ def test_translation_grid_is_a_representation(translation_magic):
         rep = Representation(u.algebra, u.entries)
         sg = classical_semigroup_algebra(group_table(n))
         assert representation_defect(rep, sg) == 0.0
-        assert matrix_isometry_defect(u.entries) == 0.0
+        assert matrix_isometry_defect(u) == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -145,7 +146,7 @@ def test_translation_span_is_dense(n):
     for i in range(n):
         fixed = layout.elem(alg.basis_element(i), ident)
         for j in range(n):
-            dj = layout.product.from_vec(sg.comultiplication.matrix[:, j])
+            dj = AlgebraElement(layout.product, sg.comultiplication.matrix[:, j])
             cols.append((fixed * dj).to_vec())
     span = np.column_stack(cols)
     for c, k, l in itertools.product(range(n), repeat=3):
@@ -163,7 +164,7 @@ def test_tensor_of_representations(translation_magic):
     assert prod.size == 9
     sg = classical_semigroup_algebra(group_table(3))
     assert representation_defect(prod, sg) <= 1e-9
-    assert matrix_isometry_defect(prod.entries) <= 1e-9
+    assert matrix_isometry_defect(prod) <= 1e-9
 
 
 def test_tensor_representations_checks_algebra(translation_magic):

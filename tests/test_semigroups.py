@@ -332,8 +332,9 @@ def test_dense_lift_over_the_cap_is_refused(monkeypatch, tmp_path, capsys):
     assert main(["check-coassoc", str(doc)]) == 2
     assert "cap" in capsys.readouterr().err
     # order 11 fits under the lowered cap and order 12 does not, counting
-    # three lift arrays and the index arrays of two lifts:
-    # 48 * 11^4 + 48 * (11^2 + 11^3) <= 2^20 < 48 * 12^4 + 48 * (12^2 + 12^3)
+    # three lift arrays, a split table, the index arrays of two lifts and
+    # 16 KiB: with c(d) = 48 d^4 + 16 d^3 + 48 (d^2 + d^3) + 2^14,
+    # c(11) = 810,144 <= 2^20 < c(12) = 1,129,216
     assert coassociativity_defect(classical_semigroup_algebra(group_table(11))) == 0.0
     with pytest.raises(ResourceLimitError):
         coassociativity_defect(classical_semigroup_algebra(group_table(12)))
@@ -365,6 +366,31 @@ def test_largest_admitted_lift_peaks_within_the_cap(monkeypatch):
             finally:
                 tracemalloc.stop()
             assert peak <= 2**20, (order, call, peak)
+
+
+@pytest.mark.parametrize("order", range(4, 12))
+@pytest.mark.parametrize(
+    "check",
+    [lambda fam, sg: coassociativity_defect(sg), action_defect],
+    ids=["coassociativity", "action"],
+)
+def test_lift_cap_counts_a_first_calls_peak(monkeypatch, check, order):
+    """With the cap one byte below the traced peak of a first call, on
+    layouts not yet built, the same call is refused: the count of
+    _require_lift_fits bounds the peak."""
+    sg = classical_semigroup_algebra(group_table(order))
+    family = classical_family(group_table(order))  # the group acting on itself
+    tensor_layout.cache_clear()
+    tracemalloc.start()
+    try:
+        assert check(family, sg) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(qfam.morphisms, "LIFT_BYTES_CAP", peak - 1)
+    tensor_layout.cache_clear()
+    with pytest.raises(ResourceLimitError):
+        check(family, sg)
 
 
 def test_coassociativity_of_order_40_fits_the_default_cap(tmp_path, capsys):
