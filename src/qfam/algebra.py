@@ -74,7 +74,7 @@ class FdCStarAlgebra:
         if len(dims) == 0:
             raise InvalidDimensionError("an algebra needs at least one block")
         for n in dims:
-            if not isinstance(n, (int, np.integer)) or n < 1:
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
                 raise InvalidDimensionError(
                     f"block dimension {n!r} is not a positive integer"
                 )
@@ -368,16 +368,16 @@ class LinearFunctional:
         herm, least, trace_gap, _, _ = self._density_measures()
         return within(herm, tol) and within(-least, tol) and within(trace_gap, tol)
 
-    def is_faithful(self, floor: float = FAITHFULNESS_FLOOR) -> bool:
+    def is_faithful(self) -> bool:
         """Hermitian density whose blocks have minimum eigenvalue at or
-        above the floor."""
+        above FAITHFULNESS_FLOOR."""
         herm, least, _, _, _ = self._density_measures()
-        return within(herm, DEFAULT_TOL) and within(floor - least, 0.0)
+        return within(herm, DEFAULT_TOL) and within(FAITHFULNESS_FLOOR - least, 0.0)
 
-    def is_trace(self, tol: float = DEFAULT_TOL) -> bool:
+    def is_trace(self) -> bool:
         """Every density block is a nonnegative scalar multiple of the identity."""
         _, _, _, outside, spread = self._density_measures()
-        return within(outside, tol) and within(spread, tol)
+        return within(outside, DEFAULT_TOL) and within(spread, DEFAULT_TOL)
 
     def __repr__(self) -> str:
         return f"LinearFunctional({self.algebra!r})"
@@ -468,39 +468,31 @@ def _bilinear_table(algebra: FdCStarAlgebra, omega: LinearFunctional) -> np.ndar
     return cov[idx]
 
 
-def orthonormal_basis(
-    algebra: FdCStarAlgebra,
-    omega: LinearFunctional,
-    floor: float = FAITHFULNESS_FLOOR,
-) -> np.ndarray:
-    """Gram-Schmidt of the canonical basis for the inner product omega(x* y),
-    as a (dim, dim) matrix whose columns are the basis elements.
+def orthonormal_basis(omega: LinearFunctional) -> np.ndarray:
+    """Gram-Schmidt of the canonical basis of omega.algebra for the inner
+    product omega(x* y), as a (dim, dim) matrix of basis columns.
 
     With G = L L^* the Cholesky factorization of the Gram matrix, the result
     is inv(L^*): the one upper-triangular B with positive diagonal and
     B^* G B = I, which is what Gram-Schmidt in canonical order produces.
     Raises DegenerateStateError when the Gram matrix is not finite or has
-    an eigenvalue below the faithfulness floor.
+    an eigenvalue below FAITHFULNESS_FLOOR.
     """
-    if omega.algebra != algebra:
-        raise IncompatibleAlgebraError("functional lives over a different algebra")
+    algebra = omega.algebra
     gram = _bilinear_table(algebra, omega)[adjoint_permutation(algebra), :]
     if not np.isfinite(gram).all():
         raise DegenerateStateError("Gram matrix has a non-finite entry")
     gram = (gram + gram.conj().T) / 2
     min_eig = float(np.linalg.eigvalsh(gram).min())
-    if min_eig < floor:
+    if min_eig < FAITHFULNESS_FLOOR:
         raise DegenerateStateError(
-            f"Gram matrix minimum eigenvalue {min_eig:.3e} is below {floor:g}"
+            f"Gram matrix minimum eigenvalue {min_eig:.3e} is below "
+            f"{FAITHFULNESS_FLOOR:g}"
         )
     return np.linalg.inv(np.linalg.cholesky(gram).conj().T)
 
 
-def sigma_map(
-    algebra: FdCStarAlgebra,
-    omega: LinearFunctional,
-    floor: float = FAITHFULNESS_FLOOR,
-) -> np.ndarray:
+def sigma_map(omega: LinearFunctional) -> np.ndarray:
     """Matrix, over the canonical basis, of the map sigma with
     omega(x y) = omega(y sigma(x)) for all x and y.
 
@@ -509,11 +501,9 @@ def sigma_map(
     on a commutative algebra. Solved as a linear system over the canonical
     basis; a non-faithful omega raises DegenerateStateError.
     """
-    if omega.algebra != algebra:
-        raise IncompatibleAlgebraError("functional lives over a different algebra")
-    if not omega.is_faithful(floor):
+    if not omega.is_faithful():
         raise DegenerateStateError("the exchange map needs a faithful functional")
-    table = _bilinear_table(algebra, omega)
+    table = _bilinear_table(omega.algebra, omega)
     try:
         return np.linalg.solve(table, table.T)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above

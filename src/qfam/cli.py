@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from .algebra import DEFAULT_TOL
 from .documents import parse_spec_file, serialize
 from .errors import PreconditionError, QfamError
 from .families import commutation_defect, compose_families, invariance_defects
@@ -288,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--tol", type=float, default=1e-9, help="defect tolerance (default 1e-9)"
+        "--tol", type=float, default=DEFAULT_TOL,
+        help="defect tolerance (default 1e-9)",
     )
     common.add_argument(
         "--seed", type=int, default=0, help="seed for randomized suites (default 0)"

@@ -280,7 +280,7 @@ def parse_spec_document(doc: Any, kind: str | None = None):
     """Parse an in-memory document into the typed object it describes."""
     if kind is None:
         kind = _infer_kind(doc)
-    if kind not in _PARSERS:
+    if not isinstance(kind, str) or kind not in _PARSERS:
         raise DocumentParseError(
             f"unknown kind {kind!r}; expected one of {sorted(_PARSERS)}"
         )

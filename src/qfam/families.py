@@ -19,13 +19,11 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
-    DEFAULT_TOL,
     AlgebraElement,
     FdCStarAlgebra,
     LinearFunctional,
     TensorLayout,
     max_image_defect,
-    orthonormal_basis,
     tensor_layout,
 )
 from .errors import (
@@ -95,19 +93,14 @@ def make_family(
     target_factor: FdCStarAlgebra,
     label: FdCStarAlgebra,
     morphism,
-    tol: float = DEFAULT_TOL,
 ) -> QuantumFamily:
     """Build a family from a morphism or raw matrix, verifying the hom laws."""
-    layout = tensor_layout(target_factor, label)
-    if isinstance(morphism, StarMorphism):
-        if morphism.domain != source or morphism.codomain != layout.product:
-            raise IncompatibleAlgebraError(
-                "morphism does not map the source into target_factor (x) label"
-            )
-        phi = morphism
-    else:
-        phi = StarMorphism(source, layout.product, np.asarray(morphism, dtype=complex))
-    return QuantumFamily(source, target_factor, label, require_star_hom(phi, tol))
+    if not isinstance(morphism, StarMorphism):
+        product = tensor_layout(target_factor, label).product
+        morphism = StarMorphism(source, product, np.asarray(morphism, dtype=complex))
+    family = QuantumFamily(source, target_factor, label, morphism)
+    require_star_hom(morphism)
+    return family
 
 
 def singleton_family(phi: StarMorphism) -> QuantumFamily:
@@ -187,9 +180,11 @@ def triviality_defect(family: QuantumFamily) -> float:
 class InvarianceReport:
     """Worst defect of the invariance equation, plus the generators.
 
-    generators is a (dim label, k) coordinate matrix whose column l is
-    (omega (x) id) Psi(m_l) - omega(m_l) I, one per column m_l of the
-    generator basis; invariance of omega means every generator vanishes.
+    generators is a (dim label, dim source) coordinate matrix whose column j
+    is (omega (x) id) Psi(e_j) - omega(e_j) I for the j-th canonical matrix
+    unit e_j; invariance of omega means every generator vanishes. The
+    generators are linear in e_j, so generators @ basis expands them over
+    the columns of any coordinate matrix basis of the source.
     """
 
     defect: float
@@ -197,16 +192,12 @@ class InvarianceReport:
 
 
 def invariance_defects(
-    family: QuantumFamily,
-    omega: LinearFunctional,
-    basis: np.ndarray | None = None,
+    family: QuantumFamily, omega: LinearFunctional
 ) -> InvarianceReport:
     """Check (omega (x) id) Psi(m) = omega(m) 1 for a self-map family.
 
-    The defect is always measured over the canonical basis. Generators are
-    expanded over the columns of basis (a coordinate matrix over the
-    source) when one is passed, over the omega-orthonormal basis when omega
-    is faithful, and over the canonical basis otherwise.
+    The defect and the generators are taken over the canonical basis, for
+    any functional omega; no faithfulness is needed.
     """
     _require_self_map(family, "invariance")
     if omega.algebra != family.source:
@@ -215,12 +206,7 @@ def invariance_defects(
     partial = lift(omega_map, family.label, family.morphism.matrix)
     # column j: the generator of the j-th matrix unit
     diff = partial - family.label.identity().to_vec()[:, None] * omega.covector
-    defect = max_image_defect(family.label, diff)
-    if basis is None and omega.is_faithful():
-        basis = orthonormal_basis(family.source, omega)
-    if basis is not None:  # generators are linear in m
-        diff = diff @ basis
-    return InvarianceReport(defect=defect, generators=diff)
+    return InvarianceReport(max_image_defect(family.label, diff), diff)
 
 
 def action_coefficients(family: QuantumFamily, basis: np.ndarray) -> np.ndarray:

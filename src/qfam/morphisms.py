@@ -139,9 +139,9 @@ def _defect_report(phi: StarMorphism) -> dict[str, float]:
     return {"mult_defect": mult, "star_defect": star, "unit_defect": unit}
 
 
-def require_star_hom(phi: StarMorphism, tol: float = DEFAULT_TOL) -> StarMorphism:
+def require_star_hom(phi: StarMorphism) -> StarMorphism:
     """Return phi if it verifies as a unital *-homomorphism, else raise."""
-    if not phi.is_star_hom(tol):
+    if not phi.is_star_hom():
         raise NotAHomomorphismError(
             "map fails the homomorphism checks: "
             + ", ".join(f"{k}={v:.3e}" for k, v in phi.defect_report.items())
@@ -254,11 +254,9 @@ class Character(StarMorphism):
         return LinearFunctional.from_values(self.domain, self.matrix.reshape(-1))
 
     @classmethod
-    def from_functional(
-        cls, functional: LinearFunctional, tol: float = DEFAULT_TOL
-    ) -> "Character":
+    def from_functional(cls, functional: LinearFunctional) -> "Character":
         chi = cls(functional.algebra, functional.covector.reshape(1, -1))
-        if not chi.is_star_hom(tol):
+        if not chi.is_star_hom():
             raise InvalidCharacterError(
                 "functional is not multiplicative and unital: "
                 + ", ".join(f"{k}={v:.3e}" for k, v in chi.defect_report.items())

@@ -182,14 +182,14 @@ def projection_family_check(entries: Sequence[AlgebraElement]) -> tuple[float, f
     return sum_defect, _worst(alg, multiply(alg, p[a], p[b]))
 
 
-def wang_family(u: MagicUnitary, tol: float = DEFAULT_TOL) -> QuantumFamily:
+def wang_family(u: MagicUnitary) -> QuantumFamily:
     """The family on functions over n points defined by an n x n magic unitary.
 
     The j-th point indicator maps to sum_i (indicator i) (x) u[i][j]. The
     magic relations make this a unital *-homomorphism; the grid is checked
     first and rejected with NotMagicError when it fails.
     """
-    report = magic_unitary_check(u, tol)
+    report = magic_unitary_check(u)
     if not report.passed:
         raise NotMagicError(
             "grid is not a magic unitary: "
@@ -274,7 +274,7 @@ def action_matrix(
         raise IncompatibleAlgebraError("functional lives over a different algebra")
     if not (omega.is_state() and omega.is_faithful()):
         raise DegenerateStateError("needs a faithful state on the source algebra")
-    basis = orthonormal_basis(family.source, omega)
+    basis = orthonormal_basis(omega)
     coeffs = action_coefficients(family, basis)
     param = family.label
     rep = Representation(param, coeffs)
@@ -316,15 +316,12 @@ class ModularReport:
 
 
 def modular_report(
-    family: QuantumFamily,
-    omega: LinearFunctional,
-    tol: float = DEFAULT_TOL,
-    require_invariant: bool = True,
+    family: QuantumFamily, omega: LinearFunctional, tol: float = DEFAULT_TOL
 ) -> ModularReport:
     """Check the modular compatibility identity of an invariant state.
 
-    Raises PreconditionError when omega is not a faithful state or (unless
-    require_invariant is switched off) not invariant under the family.
+    Raises PreconditionError when omega is not a faithful state or when its
+    invariance defect exceeds max(tol, 1e-8).
     """
     if not family.is_self_map:
         raise IncompatibleAlgebraError("modular check needs a self-map family")
@@ -334,15 +331,14 @@ def modular_report(
         raise PreconditionError("hypothesis violated: omega is not a state")
     if not omega.is_faithful():
         raise PreconditionError("hypothesis violated: omega is not faithful")
-    basis = orthonormal_basis(family.source, omega)
-    if require_invariant:
-        inv = invariance_defects(family, omega, basis=basis)
-        if not within(inv.defect, max(tol, 1e-8)):
-            raise PreconditionError(
-                "hypothesis violated: omega is not invariant under the family "
-                f"(defect {inv.defect:.3e})"
-            )
-    sigma = sigma_map(family.source, omega)
+    basis = orthonormal_basis(omega)
+    defect, bound = invariance_defects(family, omega).defect, max(tol, 1e-8)
+    if not within(defect, bound):
+        raise PreconditionError(
+            "hypothesis violated: omega is not invariant under the family "
+            f"(defect {defect:.3e} above the bound {bound:.3e})"
+        )
+    sigma = sigma_map(omega)
     smat = np.linalg.solve(basis, sigma @ basis).T  # rows: sigma(m_i) over basis
     param = family.label
     a = action_coefficients(family, basis)  # a[p, i]

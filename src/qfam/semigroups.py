@@ -156,28 +156,23 @@ def cancellation_rank(sg: QuantumSemigroup, side: str = "left") -> CancellationR
 
 
 def coideal_defect(
-    family: QuantumFamily,
-    sg: QuantumSemigroup,
-    omega: LinearFunctional,
-    basis: np.ndarray | None = None,
+    family: QuantumFamily, sg: QuantumSemigroup, omega: LinearFunctional
 ) -> float:
     """Worst defect of Delta(X_l) = sum_p X_p (x) a[p, l] + 1 (x) X_l.
 
-    X_l = (omega (x) id) Psi(m_l) - omega(m_l) 1 are the invariance
-    generators of omega for the family, and a[p, l] the coefficients of the
-    family over the basis, a coordinate matrix with one column m_l per
-    element (the canonical basis np.eye(dim) by default). When the action
-    equation holds, the identity holds for every basis; its defect measures
-    how far the generators are from spanning a right coideal.
+    X_l = (omega (x) id) Psi(e_l) - omega(e_l) 1 are the invariance
+    generators of omega for the family and a[p, l] the coefficients of the
+    family, both over the canonical basis e_l. When the action equation
+    holds, the identity holds over every basis, since both sides are linear
+    in the basis; its defect measures how far the generators are from
+    spanning a right coideal.
     """
     if family.label != sg.algebra:
         raise IncompatibleAlgebraError(
             "family label algebra differs from the semigroup algebra"
         )
-    if basis is None:
-        basis = np.eye(family.source.dim)
-    xmat = invariance_defects(family, omega, basis=basis).generators  # (dA, l)
-    coeffs = action_coefficients(family, basis)  # (k, l, coordinate)
+    xmat = invariance_defects(family, omega).generators  # (dA, l)
+    coeffs = action_coefficients(family, np.eye(family.source.dim))  # (k, l, coord)
     layout = tensor_layout(sg.algebra, sg.algebra)
     lhs = sg.comultiplication.matrix @ xmat  # (dA^2, l)
     ivec = sg.algebra.identity().to_vec()

@@ -225,7 +225,7 @@ def test_check_modular_hypothesis_violation(tmp_path, capsys):
     _assert_hypothesis_violation(
         capsys, ["check-modular", fdoc, odoc], "hypotheses",
         "hypothesis violated: omega is not invariant under the family "
-        "(defect 5.000e-01)",
+        "(defect 5.000e-01 above the bound 1.000e-08)",
     )
 
 

@@ -177,6 +177,14 @@ def test_unknown_kind_rejected():
         parse_spec_document({"blocks": [1]}, kind="widget")
 
 
+@pytest.mark.parametrize(
+    "kind", [[], {"kind": "algebra"}, 3], ids=["list", "dict", "number"]
+)
+def test_a_kind_that_is_not_a_string_is_unknown(kind):
+    with pytest.raises(DocumentParseError, match="unknown kind"):
+        parse_spec_document({"kind": kind, "blocks": [2]})
+
+
 def test_uninferrable_document_rejected():
     with pytest.raises(DocumentParseError, match="infer"):
         parse_spec_document({"something": 1})

@@ -29,6 +29,7 @@ from qfam import (
     make_algebra,
     make_family,
     map_monoid_table,
+    orthonormal_basis,
     permutation_magic_unitary,
     set_map_morphism,
     sign_conjugation_family,
@@ -45,6 +46,7 @@ from qfam.suites import (
     haar_unitary,
     random_algebra,
     random_family,
+    random_faithful_state,
     random_label,
     random_source_algebra,
 )
@@ -246,6 +248,26 @@ def test_uniform_state_invariant_under_wang_action():
     assert report.generators.shape == (fam.label.dim, fam.source.dim)
     for col in report.generators.T:
         assert AlgebraElement(fam.label, col).norm() <= 1e-12
+
+
+def test_generators_expand_over_any_basis_by_a_matrix_product():
+    """generators @ basis is (omega (x) id) Psi(m) - omega(m) 1, column by
+    column, for each m of the omega-orthonormal basis; omega is faithful and
+    not invariant, so the generators do not vanish."""
+    rng = np.random.default_rng(7)
+    fam = conjugation_family([haar_unitary(rng, 2) for _ in range(3)])
+    omega = random_faithful_state(rng, fam.source)
+    basis = orthonormal_basis(omega)
+    ident = fam.label.identity().to_vec()
+    columns = []
+    for m in basis.T:
+        x = AlgebraElement(fam.source, m)
+        image = fam.layout.split(fam(x).to_vec())  # (source, label)
+        columns.append(omega.covector @ image - omega(x) * ident)
+    want = np.stack(columns, axis=1)
+    got = invariance_defects(fam, omega).generators @ basis
+    assert np.max(np.abs(want)) > 0.1
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_uniform_state_not_invariant_for_all_maps():

@@ -1,6 +1,7 @@
 """Magic unitaries, representation grids, action matrices, modular checks."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -298,12 +299,14 @@ def test_modular_precondition_refuses_a_nan_family():
         modular_report(broken, trace_state(fam.source))
 
 
-def test_modular_invariance_check_can_be_waived():
+@pytest.mark.parametrize("tol, bound", [((), "1.000e-08"), ((1e-3,), "1.000e-03")])
+def test_modular_invariance_message_prints_the_bound(tol, bound):
+    """The invariance hypothesis holds omega to max(tol, 1e-8) and the
+    message names that bound."""
     fam = all_maps_family(2)
-    report = modular_report(
-        fam, trace_state(fam.source), require_invariant=False
-    )
-    assert np.isfinite(report.identity_defect)
+    want = re.escape(f"(defect 5.000e-01 above the bound {bound})")
+    with pytest.raises(PreconditionError, match=want):
+        modular_report(fam, trace_state(fam.source), *tol)
 
 
 def test_podles_rank_conjugation_is_full():
