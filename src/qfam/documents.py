@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
@@ -60,11 +61,6 @@ def _as_complex(value: Any, path: str) -> complex:
     raise _fail(path, f"expected a finite number or [re, im] pair, got {value!r}")
 
 
-def _pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def _fields(doc: Any, path: str, *names: str) -> list:
     """The named fields of an object document, each required."""
     if not isinstance(doc, dict):
@@ -75,31 +71,62 @@ def _fields(doc: Any, path: str, *names: str) -> list:
     return [doc[name] for name in names]
 
 
+def _array_matrix(data: list) -> np.ndarray | None:
+    """The matrix of a list of rows of [re, im] pairs, or of rows of plain
+    numbers, read as one array; None for any other form and for any matrix
+    with a bad entry, which the entry-by-entry reader then refuses."""
+    if not all(isinstance(row, list) for row in data):
+        return None
+    leaves = set(map(type, chain.from_iterable(data)))
+    pairs = leaves == {list}
+    if pairs:
+        leaves = set(map(type, chain.from_iterable(chain.from_iterable(data))))
+    if not leaves <= {int, float}:  # type(), not isinstance: bool is refused
+        return None
+    try:
+        arr = np.array(data, dtype=float)
+    except (ValueError, OverflowError):  # ragged, or an int too large for a float
+        return None
+    if arr.shape[2:] != ((2,) if pairs else ()) or not np.isfinite(arr).all():
+        return None
+    return arr.view(complex)[..., 0] if pairs else arr.astype(complex)
+
+
 def _parse_matrix(
     data: Any, path: str, shape: tuple[int, int] | None = None
 ) -> np.ndarray:
     """A nonempty matrix of finite complex entries, of the given shape if
-    one is given."""
+    one is given.
+
+    A matrix of [re, im] pairs or of plain numbers is converted as one
+    array; any other form, and any matrix that conversion refuses, is read
+    entry by entry, which raises with the path of the first bad entry.
+    Both ways give the same bits for the same entries.
+    """
     if not isinstance(data, list) or not data:
         raise _fail(path, "expected a nonempty list of rows")
-    rows = []
-    width = None
-    for r, row in enumerate(data):
-        if not isinstance(row, list):
-            raise _fail(f"{path}[{r}]", "expected a list of entries")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise _fail(f"{path}[{r}]", f"row has {len(row)} entries, expected {width}")
-        rows.append([_as_complex(v, f"{path}[{r}][{c}]") for c, v in enumerate(row)])
-    matrix = np.array(rows, dtype=complex)
+    matrix = _array_matrix(data)
+    if matrix is None:
+        rows = []
+        width = None
+        for r, row in enumerate(data):
+            if not isinstance(row, list):
+                raise _fail(f"{path}[{r}]", "expected a list of entries")
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise _fail(f"{path}[{r}]", f"row has {len(row)} entries, expected {width}")
+            rows.append([_as_complex(v, f"{path}[{r}][{c}]") for c, v in enumerate(row)])
+        matrix = np.array(rows, dtype=complex)
     if shape is not None and matrix.shape != shape:
         raise _fail(path, f"shape {matrix.shape} does not match {shape}")
     return matrix
 
 
 def _matrix_doc(mat: np.ndarray) -> list[list[list[float]]]:
-    return [[_pair(v) for v in row] for row in mat]
+    """The [re, im] pair lists of a matrix, converted as one array."""
+    mat = np.ascontiguousarray(mat, dtype=complex)
+    return mat.view(float).reshape(*mat.shape, 2).tolist()
 
 
 # -- per-kind loaders -------------------------------------------------------

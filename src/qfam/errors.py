@@ -14,7 +14,8 @@ class IncompatibleAlgebraError(QfamError):
 
 
 class InvalidMatrixError(QfamError):
-    """A matrix does not have the shape its role requires."""
+    """A matrix does not have the shape its role requires, or has a
+    non-finite entry where a finite one is needed."""
 
 
 class DegenerateStateError(QfamError):

@@ -33,7 +33,7 @@ from qfam import (
     trace_state,
 )
 from qfam.cli import main
-from qfam.documents import parse_algebra, parse_element
+from qfam.documents import _array_matrix, _parse_matrix, parse_algebra, parse_element
 from qfam.morphisms import StarMorphism
 from qfam.representations import MagicUnitary
 from qfam.suites import (
@@ -218,6 +218,56 @@ def test_bad_entry_values_rejected():
         parse_algebra({"blocks": [0]})
 
 
+# finite JSON numbers, with the edge cases of a float conversion drawn often:
+# signed zeros, subnormals, the largest finite floats, integers near 2**53
+# (where float rounding starts) and integers beyond 64 bits
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+]
+_JSON_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_EDGE_FLOATS),
+    st.integers(2**53 - 3, 2**53 + 3),
+    st.integers(-(2**53) - 3, -(2**53) + 3),
+    st.integers(-(2**80), 2**80),
+)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same shape and same real and imaginary parts, signed zeros included."""
+    pa, pb = (np.ascontiguousarray(m, dtype=complex).view(float) for m in (a, b))
+    return (
+        a.shape == b.shape
+        and np.array_equal(pa, pb)
+        and np.array_equal(np.signbit(pa), np.signbit(pb))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_matrices_convert_bit_for_bit_as_one_array(rows, cols, data):
+    """A JSON matrix of [re, im] pairs, or of plain numbers, parses to the
+    bits complex() gives entry by entry, and serializes to the pairs
+    written entry by entry."""
+    numbers = st.lists(_JSON_NUMBERS, min_size=rows * cols, max_size=rows * cols)
+    entries = [[x, y] for x, y in zip(data.draw(numbers), data.draw(numbers))]
+    pairs = json.loads(json.dumps([entries[i * cols : (i + 1) * cols] for i in range(rows)]))
+    assert _array_matrix(pairs) is not None
+    matrix = _parse_matrix(pairs, "m")
+    expected = np.array([[complex(x, y) for x, y in row] for row in pairs])
+    assert _same_bits(matrix, expected)
+
+    morphism = StarMorphism(make_algebra([1] * cols), make_algebra([1] * rows), matrix)
+    by_entry = [[[z.real, z.imag] for z in map(complex, row)] for row in expected]
+    assert json.dumps(serialize(morphism)["matrix"]) == json.dumps(by_entry)
+
+    plain = [[x for x, _ in row] for row in pairs]
+    assert _array_matrix(plain) is not None
+    expected = np.array([[complex(x) for x in row] for row in plain])
+    assert _same_bits(_parse_matrix(plain, "m"), expected)
+
+
 def test_family_shape_mismatch_rejected():
     doc = {
         "kind": "family",
@@ -302,19 +352,23 @@ def _bad_entry_documents():
 
 
 @pytest.mark.parametrize(
-    "value", [float("nan"), float("inf"), True, [1, float("nan")]],
-    ids=["NaN", "Infinity", "true", "pair-NaN"],
+    "value",
+    [float("nan"), float("inf"), True, [1, float("nan")]]
+    + ["1.0", 10**400, None, [1.0, 2.0, 3.0]],
+    ids=["NaN", "Infinity", "true", "pair-NaN", "string", "huge-int", "null", "triple"],
 )
 @pytest.mark.parametrize("field", sorted(_bad_entry_documents()))
 def test_non_finite_and_boolean_entries_rejected(tmp_path, field, value):
-    """Written as JSON (NaN, Infinity, true), every matrix-bearing field
-    refuses the entry and names its path."""
-    doc, put, path = _bad_entry_documents()[field]
-    put(doc, value)
-    file = tmp_path / "doc.json"
-    file.write_text(json.dumps(doc))
-    with pytest.raises(DocumentParseError, match=re.escape(path)):
-        parse_spec_file(file)
+    """Written as JSON (NaN, Infinity, true, a string, an integer too large
+    for a float, null, a triple), in place of an entry or of its real part,
+    every matrix-bearing field refuses the entry and names its path."""
+    for entry in (value, [value, 0.0]):
+        doc, put, path = _bad_entry_documents()[field]
+        put(doc, entry)
+        file = tmp_path / "doc.json"
+        file.write_text(json.dumps(doc))
+        with pytest.raises(DocumentParseError, match=re.escape(path)):
+            parse_spec_file(file)
 
 
 @pytest.mark.parametrize("change", ["extra-row", "short-rows"])

@@ -1,10 +1,23 @@
 """The one numerical rank policy: singular values cut at RANK_CUT * s_max."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfam import (
+    InvalidMatrixError,
+    QuantumFamily,
+    QuantumSemigroup,
+    all_maps_family,
+    cancellation_rank,
+    classical_semigroup_algebra,
+    fixed_point_space,
+    group_table,
+    podles_rank,
+)
 from qfam.linalg import RANK_CUT, nullspace, numeric_rank
+from qfam.morphisms import StarMorphism
 from qfam.suites import haar_unitary
 
 # singular values relative to the largest: clearly kept, just above and
@@ -36,3 +49,40 @@ def test_rank_and_nullity_share_the_cut(rows, cols, levels, scale, seed):
     rank = numeric_rank(mat)
     assert rank == np.count_nonzero(s >= RANK_CUT * scale)
     assert rank + nullspace(mat).shape[1] == cols
+
+
+def _with_nan(morphism: StarMorphism) -> StarMorphism:
+    matrix = morphism.matrix.copy()
+    matrix[0, 0] = np.nan
+    return StarMorphism(morphism.domain, morphism.codomain, matrix)
+
+
+def _nan_family() -> QuantumFamily:
+    fam = all_maps_family(2)
+    morphism = _with_nan(fam.morphism)
+    return QuantumFamily(fam.source, fam.target_factor, fam.label, morphism)
+
+
+def _nan_semigroup() -> QuantumSemigroup:
+    sg = classical_semigroup_algebra(group_table(3))
+    return QuantumSemigroup(sg.algebra, _with_nan(sg.comultiplication), sg.counit)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: numeric_rank(np.array([[1.0, 0.0], [0.0, np.nan]])),
+        lambda: nullspace(np.array([[1.0, 0.0], [0.0, np.nan]])),
+        lambda: fixed_point_space(_nan_family()),
+        lambda: podles_rank(_nan_family()),
+        lambda: cancellation_rank(_nan_semigroup()),
+    ],
+    ids=[
+        "numeric_rank", "nullspace", "fixed_point_space", "podles_rank", "cancellation_rank"
+    ],
+)
+def test_a_nan_entry_is_refused_before_the_svd(call):
+    """The SVD does not converge on a NaN; the rank policy refuses it with
+    a qfam error instead of numpy's LinAlgError."""
+    with pytest.raises(InvalidMatrixError, match="non-finite entry"):
+        call()
