@@ -277,13 +277,19 @@ def _infer_kind(doc: Any) -> str:
     if "morphism" in doc or {"source", "target_factor", "label"} <= doc.keys():
         return "family"
     if "classical_table" in doc:
-        # a square associative table reads as a semigroup, anything else as
-        # the classical-family shorthand; pass kind= to override
+        # a square associative table of integers reads as a semigroup,
+        # anything else as the classical-family shorthand, whose parser
+        # refuses a non-integer entry; pass kind= to override
         tables = doc["classical_table"]
         if (
             isinstance(tables, list)
             and tables
             and all(isinstance(t, list) and len(t) == len(tables) for t in tables)
+            and all(
+                isinstance(v, int) and not isinstance(v, bool)
+                for t in tables
+                for v in t
+            )
         ):
             from .semigroups import table_is_associative
 

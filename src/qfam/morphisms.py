@@ -42,9 +42,13 @@ from .errors import (
 # Cap on n for enumerating all n^n self-maps of an n-point set.
 SET_MAP_CAP = 6
 
-# Cap on the bytes two tensor lifts hold at their peak, as counted by
-# _require_lift_fits; 2^30 admits coassociativity on cyclic groups of order
-# up to 68.
+# Cap on the bytes a defect subtracting two tensor lifts holds at its peak.
+# Monomial maps (at most one nonzero entry per row, all finite) into a
+# commutative tensor product take the index path of lift_monomial, counted
+# by _require_monomial_fits at 144 bytes per row of the result: 2^30 admits
+# coassociativity on cyclic groups of order up to 195. Other maps take
+# dense lifts, counted by _require_lift_fits: 2^30 admits coassociativity
+# with a non-monomial comultiplication over up to 68 coordinates.
 LIFT_BYTES_CAP = 2**30
 
 # Above this many complex entries the multiplicativity check is chunked.
@@ -93,6 +97,25 @@ class StarMorphism:
         lifts, compositions) cost nothing until someone asks.
         """
         return _defect_report(self)
+
+    @cached_property
+    def monomial(self) -> "MonomialForm | None":
+        """The matrix as (cols, coefs) when each row has at most one nonzero
+        entry and every entry is finite: row r holds coefs[r] in column
+        cols[r], and a zero row has cols[r] = -1 and coefs[r] = 0. None when
+        a row has two nonzero entries or an entry is NaN or infinite."""
+        nonzero = self.matrix != 0  # NaN and inf count as nonzero
+        if nonzero.sum(axis=1).max(initial=0) > 1:
+            return None
+        cols = nonzero.argmax(axis=1)
+        del nonzero
+        coefs = self.matrix[np.arange(len(cols)), cols]
+        if not np.isfinite(coefs).all():
+            return None
+        cols[coefs == 0] = -1
+        cols.setflags(write=False)
+        coefs.setflags(write=False)
+        return cols, coefs
 
     @cached_property
     def scale(self) -> float:
@@ -220,6 +243,95 @@ def lift(phi: LiftFactor, psi: LiftFactor, columns: np.ndarray) -> np.ndarray:
         table = psi.matrix @ table  # one matmul per row of phi's image
     out[pout] = table
     return out
+
+
+# (cols, coefs) of a matrix with at most one nonzero entry per row; see
+# StarMorphism.monomial.
+MonomialForm = tuple[np.ndarray, np.ndarray]
+
+
+def _monomial_factor(factor: LiftFactor) -> MonomialForm:
+    if isinstance(factor, FdCStarAlgebra):
+        return np.arange(factor.dim), np.ones(factor.dim)
+    if factor.monomial is None:
+        raise InvalidMatrixError(
+            f"{factor!r} has a row with two nonzero entries or a non-finite entry"
+        )
+    return factor.monomial
+
+
+def _require_monomial_fits(cod1: FdCStarAlgebra, cod2: FdCStarAlgebra) -> None:
+    """Refuse a monomial lift into cod1 (x) cod2, of R rows, when a defect
+    subtracting two such lifts would exceed the cap at its peak: 144 bytes
+    a row and 16 KiB of Python objects. A row costs both forms (24 bytes
+    each); the temporaries of the second lift's gather or of the reducer's
+    row differences (up to 48 bytes); and the
+    index arrays both lifts cache for their codomain layouts, which a first
+    call builds (pair_index, block offsets and block sizes: 24 bytes each).
+    """
+    rows = cod1.dim * cod2.dim
+    nbytes = (2 * 24 + 48 + 2 * 24) * rows + 2**14
+    if nbytes > LIFT_BYTES_CAP:
+        raise ResourceLimitError(
+            f"a monomial lift of {rows} rows needs {nbytes / 2**20:.0f} MiB, "
+            f"over the cap of {LIFT_BYTES_CAP / 2**20:.0f} MiB"
+        )
+
+
+def lift_monomial(phi: LiftFactor, psi: LiftFactor, form: MonomialForm) -> MonomialForm:
+    """The monomial form of lift(phi, psi, M), for M of monomial form
+    `form` and phi, psi monomial maps or algebras (their identities).
+
+    Row pout[a, b] of the lift is phi[a, i] psi[b, j] times row pin[i, j] of
+    M, where i and j are the only nonzero columns of row a of phi and row b
+    of psi. So the lift is one gather through the domain layout's pair_index
+    and one scatter through the codomain layout's, in O(rows): no zero entry
+    is multiplied.
+    """
+    (dom1, cod1), (dom2, cod2) = _ends(phi), _ends(psi)
+    cols, coefs = form
+    if cols.shape != (dom1.dim * dom2.dim,):
+        raise InvalidMatrixError(
+            f"a monomial form of {cols.shape} rows is not over {dom1} (x) {dom2}"
+        )
+    _require_monomial_fits(cod1, cod2)
+    (i, u), (j, v) = _monomial_factor(phi), _monomial_factor(psi)
+    # the index arrays first, so their build temporaries are freed before
+    # the forms exist
+    pin = tensor_layout(dom1, dom2).pair_index
+    pout = tensor_layout(cod1, cod2).pair_index
+    src = pin[i[:, None], j]  # a zero row's -1 picks some row; its u or v is 0
+    out_cols = np.empty(pout.size, dtype=np.intp)
+    out_cols[pout] = cols[src]
+    vals = coefs[src]
+    del src
+    with np.errstate(over="ignore", invalid="ignore"):  # as in a dense lift
+        vals *= u[:, None]
+        vals *= v
+    out_coefs = np.empty(pout.size, dtype=complex)
+    out_coefs[pout] = vals
+    del vals
+    out_cols[out_coefs == 0] = -1
+    return out_cols, out_coefs
+
+
+def monomial_defect(first: MonomialForm, second: MonomialForm) -> float:
+    """The largest |entry| of A - B, for A and B of monomial forms first and
+    second; NaN when a coefficient is NaN. In a codomain whose blocks are
+    all 1 x 1 a column's norm is its largest |entry|, so this is
+    max_image_defect(codomain, A - B).
+
+    A row of A - B is a - b in one column where it keeps its column, and a
+    and -b in two columns where it moves.
+    """
+    (c1, v1), (c2, v2) = first, second
+    moved = c1 != c2
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN defect
+        entries = v1 - v2
+    entries[moved] = v1[moved]  # and -v2[moved] in another column
+    worst = np.abs(entries).max(initial=0.0)
+    del entries
+    return float(np.maximum(worst, np.abs(v2[moved]).max(initial=0.0)))
 
 
 def tensor_morphisms(phi: StarMorphism, psi: StarMorphism) -> StarMorphism:

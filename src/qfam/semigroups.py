@@ -30,9 +30,12 @@ from .errors import (
 from .families import QuantumFamily, action_coefficients, invariance_defects
 from .morphisms import (
     Character,
+    LiftFactor,
     StarMorphism,
     functions_algebra,
     lift,
+    lift_monomial,
+    monomial_defect,
     scalar_algebra,
 )
 
@@ -63,12 +66,30 @@ class QuantumSemigroup:
         return f"QuantumSemigroup({self.algebra!r})"
 
 
+def _lift_difference_defect(
+    cube: FdCStarAlgebra,
+    first: tuple[StarMorphism, LiftFactor],
+    second: tuple[LiftFactor, LiftFactor],
+) -> float:
+    """Worst norm over the columns of lift(*first, M) - lift(*second, M) in
+    cube, M the matrix of first[0]: by index arithmetic when cube is
+    commutative and every map among the operands has a monomial form,
+    through dense lifts otherwise."""
+    source = first[0]
+    maps = [x for x in (*first, *second) if isinstance(x, StarMorphism)]
+    if cube.dim == len(cube.block_dims) and all(m.monomial is not None for m in maps):
+        ours = lift_monomial(*first, source.monomial)
+        return monomial_defect(ours, lift_monomial(*second, source.monomial))
+    diff = lift(*first, source.matrix)
+    diff -= lift(*second, source.matrix)
+    return max_image_defect(cube, diff)
+
+
 def coassociativity_defect(sg: QuantumSemigroup) -> float:
     """Worst norm of ((Delta (x) id) - (id (x) Delta)) Delta on the basis."""
-    delta = sg.comultiplication
-    diff = lift(delta, sg.algebra, delta.matrix)
-    diff -= lift(sg.algebra, delta, delta.matrix)
-    return max_image_defect(tensor_layout(delta.codomain, sg.algebra).product, diff)
+    delta, alg = sg.comultiplication, sg.algebra
+    cube = tensor_layout(delta.codomain, alg).product
+    return _lift_difference_defect(cube, (delta, alg), (alg, delta))
 
 
 def counit_defect(sg: QuantumSemigroup) -> float:
@@ -92,9 +113,10 @@ def action_defect(family: QuantumFamily, sg: QuantumSemigroup) -> float:
     if not family.is_self_map:
         raise IncompatibleAlgebraError("the action equation needs a self-map family")
     psi = family.morphism
-    diff = lift(psi, sg.algebra, psi.matrix)
-    diff -= lift(family.source, sg.comultiplication, psi.matrix)
-    return max_image_defect(tensor_layout(psi.codomain, sg.algebra).product, diff)
+    cube = tensor_layout(psi.codomain, sg.algebra).product
+    return _lift_difference_defect(
+        cube, (psi, sg.algebra), (family.source, sg.comultiplication)
+    )
 
 
 def qs_morphism_defect(

@@ -152,6 +152,15 @@ def test_classical_table_nonsquare_is_a_family():
     assert fam.source.dim == 3
 
 
+@pytest.mark.parametrize("table", [[["a"]], [[None, 1], [1, 1]]])
+def test_square_classical_table_with_a_non_integer_entry_is_refused(table):
+    """Kind inference guesses a semigroup only for a square table of
+    integers; the family reading then refuses the bad entry with its path,
+    where subtracting 1 from it used to raise TypeError."""
+    with pytest.raises(DocumentParseError, match=r"classical_table\[0\]"):
+        parse_spec_document({"classical_table": table})
+
+
 def test_classical_table_rejects_zero_based_entries():
     with pytest.raises(DocumentParseError, match="1-based"):
         parse_spec_document({"kind": "family", "classical_table": [[0, 1]]})

@@ -1,0 +1,203 @@
+"""Monomial forms of structure maps and the index path of the lift defects."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qfam.semigroups
+from qfam import (
+    InvalidMatrixError,
+    QuantumFamily,
+    QuantumSemigroup,
+    action_defect,
+    classical_semigroup_algebra,
+    coassociativity_defect,
+    conjugation_family,
+    functions_algebra,
+    group_table,
+    lift,
+    make_algebra,
+    max_image_defect,
+    tensor_layout,
+)
+from qfam.algebra import within
+from qfam.morphisms import StarMorphism, lift_monomial, set_map_morphism
+
+
+def _densify(form, ncols):
+    cols, coefs = form
+    out = np.zeros((len(cols), ncols), dtype=complex)
+    rows = np.flatnonzero(cols >= 0)
+    out[rows, cols[rows]] = coefs[rows]
+    return out
+
+
+def _random_monomial(rng, nrows, ncols, zero_share, phases):
+    """A matrix with at most one nonzero entry per row: each row is zero
+    with probability zero_share, otherwise 1, or a unimodular phase when
+    phases, in a random column."""
+    mat = np.zeros((nrows, ncols), dtype=complex)
+    live = np.flatnonzero(rng.random(nrows) >= zero_share)
+    values = np.exp(2j * np.pi * rng.random(len(live))) if phases else 1.0
+    mat[live, rng.integers(0, ncols, len(live))] = values
+    return mat
+
+
+def _no_dense_lift(*args):
+    raise AssertionError("a dense lift ran for monomial operands")
+
+
+def _no_index_lift(*args):
+    raise AssertionError("the index path ran for a non-monomial operand")
+
+
+def test_monomial_form_of_a_set_map():
+    phi = set_map_morphism([2, 0, 0])
+    cols, coefs = phi.monomial
+    assert cols.tolist() == [2, 0, 0]
+    assert coefs.tolist() == [1, 1, 1]
+    assert not cols.flags.writeable and not coefs.flags.writeable
+
+
+def test_monomial_form_marks_zero_rows():
+    alg = functions_algebra(3)
+    mat = np.array([[0, 0, 0], [0, -1j, 0], [0, 0, 0]])
+    cols, coefs = StarMorphism(alg, alg, mat).monomial
+    assert cols.tolist() == [-1, 1, -1]
+    assert coefs.tolist() == [0, -1j, 0]
+
+
+@pytest.mark.parametrize(
+    "row", [[1, 1, 0], [1e-300, 0, 1], [np.nan, 0, 0], [np.inf, 0, 0], [np.nan, 1, 0]]
+)
+def test_no_monomial_form_for_two_nonzero_or_non_finite_entries(row):
+    alg = functions_algebra(3)
+    mat = np.eye(3, dtype=complex)
+    mat[1] = row
+    assert StarMorphism(alg, alg, mat).monomial is None
+
+
+block_dims = st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(block_dims, min_size=4, max_size=4), st.integers(1, 3), st.integers(0))
+def test_lift_monomial_densifies_to_lift(dims, ncols, seed):
+    """The index twin of lift gives the monomial form of the dense lift,
+    with an algebra factor standing for its identity."""
+    rng = np.random.default_rng(seed)
+    a1, a2, b1, b2 = (make_algebra(d) for d in dims)
+    phi = StarMorphism(a1, b1, _random_monomial(rng, b1.dim, a1.dim, 0.3, True))
+    psi = StarMorphism(a2, b2, _random_monomial(rng, b2.dim, a2.dim, 0.3, True))
+    columns = StarMorphism(
+        make_algebra([1] * ncols),
+        tensor_layout(a1, a2).product,
+        _random_monomial(rng, a1.dim * a2.dim, ncols, 0.3, True),
+    )
+    for left, right in ((phi, psi), (phi, a2), (a1, psi), (a1, a2)):
+        got = lift_monomial(left, right, columns.monomial)
+        want = lift(left, right, columns.matrix)
+        assert np.allclose(_densify(got, ncols), want, rtol=0, atol=1e-14)
+    with pytest.raises(InvalidMatrixError):
+        lift_monomial(phi, psi, tuple(x[1:] for x in columns.monomial))
+    dense = StarMorphism(a1, b1, np.ones((b1.dim, a1.dim)))
+    if a1.dim > 1:
+        with pytest.raises(InvalidMatrixError):
+            lift_monomial(dense, psi, columns.monomial)
+
+
+def _dense_coassociativity(sg):
+    delta, alg = sg.comultiplication, sg.algebra
+    cube = tensor_layout(delta.codomain, alg).product
+    return max_image_defect(
+        cube, lift(delta, alg, delta.matrix) - lift(alg, delta, delta.matrix)
+    )
+
+
+def _dense_action(family, sg):
+    psi, alg = family.morphism, sg.algebra
+    cube = tensor_layout(psi.codomain, alg).product
+    diff = lift(psi, alg, psi.matrix)
+    diff -= lift(family.source, sg.comultiplication, psi.matrix)
+    return max_image_defect(cube, diff)
+
+
+def _by_path(index, check, *args):
+    """check(*args) with the path it must not take patched to fail."""
+    stub = ("lift", _no_dense_lift) if index else ("lift_monomial", _no_index_lift)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qfam.semigroups, *stub)
+        return check(*args)
+
+
+def _commutative(alg):
+    return alg.dim == len(alg.block_dims)
+
+
+any_dims = st.one_of(st.integers(1, 4).map(lambda n: [1] * n), block_dims)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    any_dims, any_dims, st.sampled_from([0.0, 0.2, 0.6]), st.booleans(), st.integers(0)
+)
+def test_index_path_agrees_with_dense_lifts(dims, src_dims, zero_share, phases, seed):
+    """On random monomial comultiplications, with unimodular phases and zero
+    rows, mostly non-associative, and on the action equation of a random
+    monomial family over them, the defects agree with the dense lifts to
+    1e-13. A commutative cube takes the index path, any other the dense
+    lifts."""
+    rng = np.random.default_rng(seed)
+    alg, src = make_algebra(dims), make_algebra(src_dims)
+    square = tensor_layout(alg, alg).product
+    mat = _random_monomial(rng, square.dim, alg.dim, zero_share, phases)
+    sg = QuantumSemigroup(alg, StarMorphism(alg, square, mat))
+    target = tensor_layout(src, alg).product
+    mat = _random_monomial(rng, target.dim, src.dim, zero_share, phases)
+    family = QuantumFamily(src, src, alg, StarMorphism(src, target, mat))
+    fast = (
+        _by_path(_commutative(alg), coassociativity_defect, sg),
+        _by_path(_commutative(target), action_defect, family, sg),
+    )
+    slow = _dense_coassociativity(sg), _dense_action(family, sg)
+    assert np.allclose(fast, slow, rtol=0, atol=1e-13), (fast, slow)
+
+
+def _phase_representation(dim, order, broken):
+    """Z_order acting on M_dim by conjugation with diag(p)^t, p a vector of
+    order-th roots of unity; broken multiplies one phase of u_1 by e^{0.3i}."""
+    p = np.exp(2j * np.pi * np.arange(1, dim + 1) / order)
+    unitaries = [np.diag(p**t) for t in range(order)]
+    if broken:
+        unitaries[1] = unitaries[1] @ np.diag(np.r_[np.exp(0.3j), np.ones(dim - 1)])
+    return conjugation_family(unitaries)
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["intact", "broken"])
+def test_diagonal_phase_representation_takes_dense_lifts(broken):
+    """A diagonal-phase conjugation family of M_3 is monomial, but its
+    action codomain has 3 x 3 blocks, so it takes the dense lifts; the
+    verdict holds intact and fails broken."""
+    sg = classical_semigroup_algebra(group_table(5))
+    family = _phase_representation(3, 5, broken)
+    assert family.morphism.monomial is not None
+    cube = tensor_layout(family.morphism.codomain, sg.algebra).product
+    assert max(cube.block_dims) == 3
+    defect = _by_path(False, action_defect, family, sg)
+    assert abs(defect - _dense_action(family, sg)) <= 1e-13
+    assert within(defect, 1e-12) is not broken
+    if broken:
+        assert defect > 0.1
+
+
+def test_a_nan_comultiplication_takes_the_dense_path_and_fails():
+    sg = classical_semigroup_algebra(group_table(4))
+    mat = np.array(sg.comultiplication.matrix)
+    mat[5, 1] = np.nan
+    delta = StarMorphism(sg.algebra, sg.comultiplication.codomain, mat)
+    bad = QuantumSemigroup(sg.algebra, delta)
+    assert bad.comultiplication.monomial is None
+    defect = _by_path(False, coassociativity_defect, bad)
+    assert np.isnan(defect)
+    assert not within(defect, 1e-12)
