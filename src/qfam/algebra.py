@@ -47,7 +47,7 @@ from .errors import (
     IncompatibleAlgebraError,
     InvalidDimensionError,
 )
-from .linalg import numeric_rank
+from .linalg import BlockRank, block_rank
 
 DEFAULT_TOL = 1e-9
 FAITHFULNESS_FLOOR = 1e-12
@@ -70,7 +70,12 @@ class FdCStarAlgebra:
     block_dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(self.block_dims)
+        dims = self.block_dims
+        # a tuple of plain ints (product algebras have d^2 or d^3 blocks) is
+        # checked in one pass; any other input entry by entry
+        if type(dims) is tuple and set(map(type, dims)) == {int} and min(dims) >= 1:
+            return
+        dims = tuple(dims)
         if len(dims) == 0:
             raise InvalidDimensionError("an algebra needs at least one block")
         for n in dims:
@@ -81,14 +86,21 @@ class FdCStarAlgebra:
         object.__setattr__(self, "block_dims", tuple(int(n) for n in dims))
 
     @cached_property
+    def _dims(self) -> np.ndarray:
+        """The block sizes as a read-only intp array."""
+        out = np.array(self.block_dims, dtype=np.intp)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def dim(self) -> int:
         """Total linear dimension, the sum of the squared block sizes."""
-        return int(sum(n * n for n in self.block_dims))
+        return int(np.dot(self._dims, self._dims))
 
     @cached_property
     def _offsets(self) -> np.ndarray:
         """First coordinate of each block."""
-        sizes = np.array(self.block_dims, dtype=np.intp) ** 2
+        sizes = self._dims**2
         out = np.cumsum(sizes) - sizes
         out.setflags(write=False)
         return out
@@ -101,7 +113,7 @@ class FdCStarAlgebra:
     def size_groups(self) -> tuple[tuple[int, np.ndarray], ...]:
         """(n, idx) per distinct block size n, where idx[b, r, s] is the
         coordinate of entry (r, s) of the b-th block of size n."""
-        dims = np.array(self.block_dims)
+        dims = self._dims
         return tuple(
             (n, self._offsets[dims == n, None, None] + np.arange(n * n).reshape(n, n))
             for n in dict.fromkeys(self.block_dims)
@@ -114,7 +126,7 @@ class FdCStarAlgebra:
     def basis_labels(self) -> np.ndarray:
         """(block, row, col) of each canonical matrix unit, one row each, in
         lex order; a read-only (dim, 3) array."""
-        dims = np.array(self.block_dims, dtype=np.intp)
+        dims = self._dims
         block = np.repeat(np.arange(len(dims)), dims * dims)
         local = np.arange(self.dim) - self._offsets[block]
         n = dims[block]
@@ -253,13 +265,6 @@ def adjoint_coords(algebra: FdCStarAlgebra, x: np.ndarray) -> np.ndarray:
     """Coordinates of the adjoints x* of a coordinate array (last axis the
     canonical basis)."""
     return x[..., adjoint_permutation(algebra)].conj()
-
-
-def span_rank(algebra: FdCStarAlgebra, xs: np.ndarray, ys: np.ndarray) -> int:
-    """Numeric rank of the span of all products x * y, for x a row of xs
-    and y a row of ys (coordinate rows)."""
-    products = multiply(algebra, xs[:, None, :], ys[None, :, :])
-    return numeric_rank(products.reshape(-1, algebra.dim))
 
 
 def column_element_norms(algebra: FdCStarAlgebra, matrix: np.ndarray) -> np.ndarray:
@@ -406,8 +411,8 @@ class TensorLayout:
 
     @cached_property
     def product(self) -> FdCStarAlgebra:
-        dims = [n * m for n in self.left.block_dims for m in self.right.block_dims]
-        return FdCStarAlgebra(tuple(dims))
+        dims = np.outer(self.left._dims, self.right._dims)
+        return FdCStarAlgebra(tuple(dims.ravel().tolist()))
 
     @cached_property
     def pair_index(self) -> np.ndarray:
@@ -415,8 +420,8 @@ class TensorLayout:
         # (block, row, col) of e_i down the rows, of f_j along the columns
         k, r, s = self.left.basis_labels.T[:, :, None]
         l, rho, sig = self.right.basis_labels.T[:, None, :]
-        n = np.array(self.left.block_dims)[k]
-        m = np.array(self.right.block_dims)[l]
+        n = self.left._dims[k]
+        m = self.right._dims[l]
         off = self.product._offsets[k * len(self.right.block_dims) + l]
         out = off + (r * m + rho) * (n * m) + s * m + sig
         out.setflags(write=False)
@@ -448,10 +453,31 @@ class TensorLayout:
         ident = self.right.identity().to_vec()
         return self.combine(np.eye(self.left.dim)[:, :, None] * ident)
 
-    def right_units(self) -> np.ndarray:
-        """Coordinate rows of 1 (x) f_j, f_j the right factor's basis."""
-        ident = self.left.identity().to_vec()
-        return self.combine(ident[None, :, None] * np.eye(self.right.dim)[:, None, :])
+
+def module_span_rank(layout: TensorLayout, rows: np.ndarray, side: str) -> BlockRank:
+    """Numeric rank of the span of the products (e_i (x) 1) y (side "left")
+    or y (1 (x) f_i) (side "right"), over the basis e_i of the left factor
+    or f_i of the right one and the coordinate rows y of rows.
+
+    The span is a module over the factor's blocks. Read each y as a table
+    T[a, c] over the left and right factor bases. On the left, block b
+    (size n) contributes n copies of the matrix M_b with rows (y, r),
+    columns (s, c) and entries T[(b, r, s), c]: E_qr (x) 1 moves row r of
+    that slice to row q. On the right the roles of the factors swap and
+    each block's row and column indices swap with them. So the span's
+    singular values are the union of those of the M_b, each n times.
+    """
+    if side == "right":
+        factor, pairs, axes = layout.right, layout.pair_index.T, (0, 2, 1)
+    else:
+        factor, pairs, axes = layout.left, layout.pair_index, (0, 1, 2)
+    y = np.arange(len(rows))[None, :, None, None, None]
+    groups = []
+    for n, idx in factor.size_groups:
+        # stack[b, y, r, s, c] = T_y[(b, r, s), c]
+        stack = rows[y, pairs[idx.transpose(axes)][:, None]]
+        groups.append((n, stack.reshape(len(idx), len(rows) * n, -1)))
+    return block_rank(groups)
 
 
 @lru_cache(maxsize=None)

@@ -25,10 +25,10 @@ from .algebra import (
     adjoint_coords,
     make_algebra,
     max_image_defect,
+    module_span_rank,
     multiply,
     orthonormal_basis,
     sigma_map,
-    span_rank,
     tensor_layout,
     within,
 )
@@ -359,11 +359,15 @@ def modular_report(
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Rank of the span Psi(b)(1 (x) a) inside the product algebra."""
+    """Rank of the span Psi(b)(1 (x) a) inside the product algebra, and
+    its margins: the smallest kept and the largest dropped singular value
+    over the largest (see linalg.BlockRank)."""
 
     rank: int
     total: int
     full: bool
+    smallest_kept: float
+    largest_dropped: float
 
 
 def podles_rank(family: QuantumFamily) -> DensityReport:
@@ -371,9 +375,17 @@ def podles_rank(family: QuantumFamily) -> DensityReport:
 
     A full span is the nondegeneracy condition for the family viewed as an
     action: the orbit of the source under the family, localized by the
-    label algebra, fills the whole product.
+    label algebra, fills the whole product. The span is a right module
+    over 1 (x) label, so its rank is summed over the label's blocks
+    (algebra.module_span_rank).
     """
     layout = family.layout
-    rank = span_rank(layout.product, family.morphism.matrix.T, layout.right_units())
+    found = module_span_rank(layout, family.morphism.matrix.T, "right")
     total = layout.product.dim
-    return DensityReport(rank=rank, total=total, full=rank == total)
+    return DensityReport(
+        rank=found.rank,
+        total=total,
+        full=found.rank == total,
+        smallest_kept=found.smallest_kept,
+        largest_dropped=found.largest_dropped,
+    )

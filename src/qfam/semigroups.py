@@ -18,7 +18,7 @@ from .algebra import (
     FdCStarAlgebra,
     LinearFunctional,
     max_image_defect,
-    span_rank,
+    module_span_rank,
     tensor_layout,
 )
 from .errors import (
@@ -149,18 +149,25 @@ def convolve(
 
 @dataclass(frozen=True)
 class CancellationReport:
-    """Numeric rank of one cancellation span, and whether it is full."""
+    """Numeric rank of one cancellation span, whether it is full, and its
+    margins: the smallest kept and the largest dropped singular value over
+    the largest (see linalg.BlockRank)."""
 
     side: str
     rank: int
     full: bool
+    smallest_kept: float
+    largest_dropped: float
 
 
 def cancellation_rank(sg: QuantumSemigroup, side: str = "left") -> CancellationReport:
     """Rank of the left span (e_i (x) 1) Delta(e_j) or the right span
     Delta(e_i) (1 (x) e_j) inside the tensor square.
 
-    A full span (rank equal to dim squared) is the quantum form of the
+    The left span is a left module over A (x) 1 and the right span a right
+    module over 1 (x) A, so the rank is summed block by block under one
+    global cut (algebra.module_span_rank), not read off one dim^2 x dim^2
+    SVD. A full span (rank equal to dim squared) is the quantum form of the
     corresponding cancellation law; on the algebra of functions on a finite
     semigroup it holds exactly when all translations on that side are
     injective.
@@ -168,13 +175,15 @@ def cancellation_rank(sg: QuantumSemigroup, side: str = "left") -> CancellationR
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     alg = sg.algebra
-    layout = tensor_layout(alg, alg)
     deltas = sg.comultiplication.matrix.T  # rows Delta(e_j)
-    if side == "left":
-        rank = span_rank(layout.product, layout.left_units(), deltas)
-    else:
-        rank = span_rank(layout.product, deltas, layout.right_units())
-    return CancellationReport(side=side, rank=rank, full=rank == alg.dim**2)
+    found = module_span_rank(tensor_layout(alg, alg), deltas, side)
+    return CancellationReport(
+        side=side,
+        rank=found.rank,
+        full=found.rank == alg.dim**2,
+        smallest_kept=found.smallest_kept,
+        largest_dropped=found.largest_dropped,
+    )
 
 
 def coideal_defect(

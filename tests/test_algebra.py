@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qfam import (
     AlgebraElement,
     DegenerateStateError,
+    FdCStarAlgebra,
     IncompatibleAlgebraError,
     InvalidDimensionError,
     LinearFunctional,
@@ -44,6 +45,30 @@ def test_dimension_is_sum_of_squares(dims):
 def test_invalid_block_dims_rejected(dims):
     with pytest.raises(InvalidDimensionError):
         make_algebra(dims)
+
+
+@pytest.mark.parametrize(
+    "dims", [(), (0,), (2, -1), (1.5,), (True, 2), (2, False), [1, 0]]
+)
+def test_invalid_block_dims_rejected_by_the_constructor(dims):
+    """The one-pass check of a tuple of ints refuses what the entry-by-entry
+    check refuses: a bool is not a block size, nor is 0."""
+    with pytest.raises(InvalidDimensionError):
+        FdCStarAlgebra(dims)
+
+
+def test_numpy_block_dims_become_plain_ints():
+    alg = FdCStarAlgebra((np.int64(2), 1))
+    assert alg == make_algebra([2, 1]) and alg.dim == 5
+    assert [type(n) for n in alg.block_dims] == [int, int]
+
+
+@given(block_dims, block_dims)
+def test_product_blocks_are_the_pairwise_products(left, right):
+    product = tensor_layout(make_algebra(left), make_algebra(right)).product
+    assert product.block_dims == tuple(n * m for n in left for m in right)
+    assert [type(n) for n in product.block_dims] == [int] * len(product.block_dims)
+    assert product.dim == make_algebra(left).dim * make_algebra(right).dim
 
 
 def test_basis_is_lex_ordered_matrix_units():
