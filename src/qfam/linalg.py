@@ -75,7 +75,11 @@ def block_rank(groups: Iterable[tuple[int, np.ndarray]]) -> BlockRank:
 
 def numeric_rank(mat: np.ndarray) -> int:
     """Rank of a matrix with singular values cut at RANK_CUT times the largest."""
-    return block_rank([(1, np.asarray(mat)[None])]).rank
+    mat = np.asarray(mat)
+    if mat.size == 0:
+        return 0
+    _require_finite(mat)
+    return _rank_of(np.linalg.svd(mat, compute_uv=False))
 
 
 def nullspace(mat: np.ndarray) -> np.ndarray:

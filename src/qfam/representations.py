@@ -361,13 +361,14 @@ def modular_report(
 class DensityReport:
     """Rank of the span Psi(b)(1 (x) a) inside the product algebra, and
     its margins: the smallest kept and the largest dropped singular value
-    over the largest (see linalg.BlockRank)."""
+    over the largest (see linalg.BlockRank); a report built without them
+    reads 0.0 for both."""
 
     rank: int
     total: int
     full: bool
-    smallest_kept: float
-    largest_dropped: float
+    smallest_kept: float = 0.0
+    largest_dropped: float = 0.0
 
 
 def podles_rank(family: QuantumFamily) -> DensityReport:

@@ -151,13 +151,14 @@ def convolve(
 class CancellationReport:
     """Numeric rank of one cancellation span, whether it is full, and its
     margins: the smallest kept and the largest dropped singular value over
-    the largest (see linalg.BlockRank)."""
+    the largest (see linalg.BlockRank); a report built without them reads
+    0.0 for both."""
 
     side: str
     rank: int
     full: bool
-    smallest_kept: float
-    largest_dropped: float
+    smallest_kept: float = 0.0
+    largest_dropped: float = 0.0
 
 
 def cancellation_rank(sg: QuantumSemigroup, side: str = "left") -> CancellationReport:
