@@ -82,6 +82,11 @@ def _strict(value):
     return value
 
 
+def _json_line(doc) -> str:
+    """doc as one line of strict, compact JSON."""
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False)
+
+
 def emit_report(report: CheckReport, fmt: str) -> str:
     """Render a report: text for eyes, structured JSON for scripts."""
     if fmt == "structured":
@@ -105,7 +110,7 @@ def emit_report(report: CheckReport, fmt: str) -> str:
             ],
         }
         doc.update(report.extras)
-        return json.dumps(_strict(doc), indent=2, allow_nan=False)
+        return _json_line(_strict(doc))
     lines = [f"{report.command}: " + (" ".join(report.inputs) or "(no inputs)")]
     width = max((len(c.name) for c in report.checks), default=0)
     for c in report.checks:
@@ -334,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     except (QfamError, OSError, ValueError, KeyError) as exc:
         if args.fmt == "structured":
             error = {"schema_version": SCHEMA_VERSION, "command": args.command}
-            print(json.dumps(error | {"status": "error", "error": str(exc)}, indent=2))
+            print(_json_line(error | {"status": "error", "error": str(exc)}))
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,11 @@ dispatches on it, or on the field shape when absent. Classical shorthand:
 a family document may give "classical_table", a list of 1-based lookup
 tables expanded into the diagonal classical family, and a semigroup
 document may give a square 1-based multiplication table under the same
-key. Saving and reloading a document reproduces the object bit-for-bit.
+key. serialize writes a family or semigroup in that form exactly when
+classical_family or classical_semigroup_algebra rebuilds it bit for bit
+from its table, and every other object in its dense fields, so saving and
+reloading a document reproduces the object bit-for-bit. Documents are
+written as one line of compact JSON.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .algebra import (
     AlgebraElement,
     FdCStarAlgebra,
     LinearFunctional,
+    TensorLayout,
     make_algebra,
     tensor_layout,
 )
@@ -31,7 +36,11 @@ from .errors import DocumentParseError, InvalidDimensionError, QfamError
 from .families import QuantumFamily, classical_family
 from .morphisms import Character, StarMorphism
 from .representations import MagicUnitary
-from .semigroups import QuantumSemigroup, classical_semigroup_algebra
+from .semigroups import (
+    QuantumSemigroup,
+    classical_semigroup_algebra,
+    table_is_associative,
+)
 
 
 def _fail(path: str, message: str) -> DocumentParseError:
@@ -291,8 +300,6 @@ def _infer_kind(doc: Any) -> str:
                 for v in t
             )
         ):
-            from .semigroups import table_is_associative
-
             zero_based = [[v - 1 for v in row] for row in tables]
             if table_is_associative(zero_based):
                 return "semigroup"
@@ -337,6 +344,54 @@ def parse_spec_file(path, kind: str | None = None):
 # -- serialization ----------------------------------------------------------
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """The complex arrays a and b hold the same bits (so -0.0 is not 0.0)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _column_table(phi: StarMorphism, layout: TensorLayout) -> np.ndarray:
+    """For each row of phi's matrix, the column of its first nonzero entry
+    (0 for a zero row), arranged as a (dim left, dim right) table by
+    layout, the tensor product phi maps into."""
+    return (phi.matrix != 0).argmax(axis=1)[layout.pair_index]
+
+
+def _is_commutative(algebra: FdCStarAlgebra) -> bool:
+    return algebra.dim == len(algebra.block_dims)
+
+
+def _semigroup_table(sg: QuantumSemigroup) -> np.ndarray | None:
+    """The 0-based multiplication table from which classical_semigroup_algebra
+    rebuilds sg bit for bit, Delta and counit; None when there is none."""
+    if not _is_commutative(sg.algebra):
+        return None
+    delta = sg.comultiplication
+    table = _column_table(delta, tensor_layout(sg.algebra, sg.algebra))
+    if not table_is_associative(table):
+        return None
+    rebuilt = classical_semigroup_algebra(table)
+    if not _same_bits(rebuilt.comultiplication.matrix, delta.matrix):
+        return None
+    ours, theirs = sg.counit, rebuilt.counit
+    if ours is None or theirs is None:
+        return table if ours is theirs else None
+    return table if _same_bits(ours.matrix, theirs.matrix) else None
+
+
+def _family_tables(family: QuantumFamily) -> np.ndarray | None:
+    """The 0-based lookup tables, one per row, from which classical_family
+    rebuilds the family bit for bit; None when there are none."""
+    if not (
+        family.is_self_map
+        and _is_commutative(family.source)
+        and _is_commutative(family.label)
+    ):
+        return None
+    tables = _column_table(family.morphism, family.layout).T
+    rebuilt = classical_family(tables)
+    return tables if _same_bits(rebuilt.morphism.matrix, family.morphism.matrix) else None
+
+
 def serialize(obj) -> dict:
     """Document form of a supported object, with its "kind" recorded."""
     if isinstance(obj, FdCStarAlgebra):
@@ -354,6 +409,9 @@ def serialize(obj) -> dict:
             "density": {"blocks": [_matrix_doc(b) for b in obj.density.blocks]},
         }
     if isinstance(obj, QuantumFamily):
+        tables = _family_tables(obj)
+        if tables is not None:
+            return {"kind": "family", "classical_table": (tables + 1).tolist()}
         return {
             "kind": "family",
             "source": {"blocks": list(obj.source.block_dims)},
@@ -362,6 +420,9 @@ def serialize(obj) -> dict:
             "morphism": _matrix_doc(obj.morphism.matrix),
         }
     if isinstance(obj, QuantumSemigroup):
+        table = _semigroup_table(obj)
+        if table is not None:
+            return {"kind": "semigroup", "classical_table": (table + 1).tolist()}
         doc = {
             "kind": "semigroup",
             "algebra": {"blocks": list(obj.algebra.block_dims)},
@@ -393,5 +454,5 @@ def serialize(obj) -> dict:
 
 
 def save_document(obj, path) -> None:
-    """Serialize an object and write it as JSON."""
-    Path(path).write_text(json.dumps(serialize(obj), indent=2) + "\n")
+    """Serialize an object and write it as one line of compact JSON."""
+    Path(path).write_text(json.dumps(serialize(obj), separators=(",", ":")) + "\n")

@@ -384,6 +384,23 @@ def test_non_finite_or_boolean_documents_exit_2(tmp_path, capsys, command):
     assert _strict_json(out)["status"] == "error"
 
 
+def test_a_cyclic_group_of_order_90_is_saved_as_its_table(tmp_path, capsys):
+    """save_document writes the semigroup of the cyclic group of order 90 as
+    its multiplication table, one line under 64 KiB (30.7 MB as an indented
+    delta_matrix), which check-coassoc reads back to defect 0 and reports
+    on one line of strict JSON."""
+    doc = _write(tmp_path, "cyclic-90.json", classical_semigroup_algebra(group_table(90)))
+    text = (tmp_path / "cyclic-90.json").read_text()
+    assert len(text.encode()) < 64 * 1024
+    assert text.index("\n") == len(text) - 1
+    assert "classical_table" in json.loads(text)
+    code, out, err = _run(capsys, ["check-coassoc", "--format", "structured", doc])
+    assert (code, err) == (0, "")
+    assert out.index("\n") == len(out) - 1
+    (check,) = _strict_json(out)["checks"]
+    assert (check["name"], check["defect"]) == ("coassociativity", 0.0)
+
+
 def test_non_finite_tolerance_rejected(capsys, tmp_path):
     doc = _write(tmp_path, "phi.json", set_map_morphism([0, 1]))
     for tol in ("nan", "inf"):

@@ -9,16 +9,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfam import (
+    Character,
     DocumentParseError,
     LinearFunctional,
     QuantumFamily,
     QuantumSemigroup,
     all_maps_family,
+    classical_family,
     classical_semigroup_algebra,
+    functions_algebra,
     group_table,
     left_zero_table,
     make_algebra,
@@ -30,10 +33,19 @@ from qfam import (
     serialize,
     set_map_morphism,
     sign_conjugation_family,
+    table_identity,
+    table_is_associative,
+    tensor_layout,
     trace_state,
 )
 from qfam.cli import main
-from qfam.documents import _array_matrix, _parse_matrix, parse_algebra, parse_element
+from qfam.documents import (
+    _array_matrix,
+    _matrix_doc,
+    _parse_matrix,
+    parse_algebra,
+    parse_element,
+)
 from qfam.morphisms import StarMorphism
 from qfam.representations import MagicUnitary
 from qfam.suites import (
@@ -317,10 +329,23 @@ def test_parse_spec_file_errors(tmp_path):
         parse_spec_file(bad)
 
 
+def _dense_semigroup(sg: QuantumSemigroup) -> dict:
+    """The document of sg in its dense fields, algebra, delta_matrix and
+    counit, which serialize writes only for a semigroup with no table."""
+    doc = {
+        "kind": "semigroup",
+        "algebra": {"blocks": list(sg.algebra.block_dims)},
+        "delta_matrix": _matrix_doc(sg.comultiplication.matrix),
+    }
+    if sg.counit is not None:
+        doc["counit"] = _matrix_doc(sg.counit.matrix)
+    return doc
+
+
 def _bad_entry_documents():
     """(document, setter, path of the entry it sets) per matrix-bearing field."""
     table, _ = map_monoid_table(2)
-    sg = serialize(classical_semigroup_algebra(table))
+    sg = _dense_semigroup(classical_semigroup_algebra(table))
 
     def at(*keys):
         def put(doc, value):
@@ -416,7 +441,7 @@ _REQUIRED_FIELDS = {
 )
 def test_a_missing_field_is_named(kind, field):
     table, _ = map_monoid_table(2)
-    doc = serialize({
+    obj = {
         "algebra": make_algebra([1, 2]),
         "element": make_algebra([2]).identity(),
         "functional": trace_state(make_algebra([2])),
@@ -424,7 +449,8 @@ def test_a_missing_field_is_named(kind, field):
         "family": sign_conjugation_family(),
         "semigroup": classical_semigroup_algebra(table),
         "magic_unitary": nonclassical_magic_4x4(0.7),
-    }[kind])
+    }[kind]
+    doc = _dense_semigroup(obj) if kind == "semigroup" else serialize(obj)
     del doc[field]
     with pytest.raises(DocumentParseError, match=re.escape(f'{kind}: missing "{field}"')):
         parse_spec_document(doc, kind=kind)
@@ -455,6 +481,7 @@ def _random_document(kind: str, rng: np.random.Generator) -> dict:
         counit = kind == "semigroup-with-counit"
         obj = classical_semigroup_algebra((group_table if counit else left_zero_table)(n))
         assert (obj.counit is not None) == counit
+        return _dense_semigroup(obj)
     elif kind in ("functional", "element"):
         obj = random_faithful_state(rng, random_algebra(rng))
         obj = obj if kind == "functional" else obj.density
@@ -516,3 +543,183 @@ def test_a_bad_entry_anywhere_exits_2_with_its_path(kind, seed, value, data):
             rc = main([_READERS[kind], "--format", "structured", *inputs])
     assert rc == 2
     assert json.loads(out.getvalue())["error"].startswith(f"{path}: ")
+
+
+# -- classical semigroups and families as tables -----------------------------
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _reread(doc: dict):
+    """The object a document describes, read back through JSON text."""
+    return parse_spec_document(json.loads(json.dumps(doc)))
+
+
+def _assert_same_semigroup(back, sg):
+    assert isinstance(back, QuantumSemigroup)
+    assert back.algebra == sg.algebra
+    assert _same_bits(back.comultiplication.matrix, sg.comultiplication.matrix)
+    assert (back.counit is None) == (sg.counit is None)
+    if sg.counit is not None:
+        assert _same_bits(back.counit.matrix, sg.counit.matrix)
+
+
+def _assert_same_family(back, fam):
+    assert isinstance(back, QuantumFamily)
+    assert (back.source, back.target_factor, back.label) == (
+        fam.source, fam.target_factor, fam.label
+    )
+    assert _same_bits(back.morphism.matrix, fam.morphism.matrix)
+
+
+_ASSOCIATIVE_TABLES = {
+    "cyclic": group_table,
+    "left-zero": left_zero_table,
+    "right-zero": lambda n: np.transpose(left_zero_table(n)),
+    "min": lambda n: np.minimum.outer(np.arange(n), np.arange(n)),
+    "null": lambda n: np.zeros((n, n), dtype=int),
+    "map-monoid-2": lambda n: map_monoid_table(2)[0],
+}
+
+
+@st.composite
+def associative_tables(draw) -> np.ndarray:
+    """A table of the list above, or the direct product of two, with an
+    identity adjoined or not, relabelled by a random permutation."""
+
+    def base():
+        name = draw(st.sampled_from(sorted(_ASSOCIATIVE_TABLES)))
+        return np.asarray(_ASSOCIATIVE_TABLES[name](draw(st.integers(1, 4))))
+
+    table = base()
+    if draw(st.booleans()):
+        other = base()
+        n, m = len(table), len(other)
+        table = (table[:, None, :, None] * m + other[None, :, None, :]).reshape(n * m, n * m)
+    if draw(st.booleans()):
+        e = len(table)
+        grown = np.empty((e + 1, e + 1), dtype=int)
+        grown[:e, :e] = table
+        grown[e, :] = grown[:, e] = np.arange(e + 1)
+        table = grown
+    perm = np.array(draw(st.permutations(range(len(table)))))
+    relabelled = np.empty_like(table)
+    relabelled[np.ix_(perm, perm)] = perm[table]
+    return relabelled
+
+
+@settings(max_examples=60, deadline=None)
+@given(associative_tables())
+def test_a_classical_semigroup_is_written_as_its_table(table):
+    """With or without an identity, and so a counit, the semigroup of an
+    associative table is written as that table, 1-based, and reads back
+    with the same bits in its comultiplication and counit; so does its
+    document in dense fields."""
+    assert table_is_associative(table)
+    sg = classical_semigroup_algebra(table)
+    doc = serialize(sg)
+    assert doc == {"kind": "semigroup", "classical_table": (table + 1).tolist()}
+    _assert_same_semigroup(_reread(doc), sg)
+    _assert_same_semigroup(_reread(_dense_semigroup(sg)), sg)
+
+
+_LOOKUP_TABLES = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=1, max_size=6
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LOOKUP_TABLES)
+def test_a_classical_family_is_written_as_its_tables(tables):
+    fam = classical_family(tables)
+    doc = serialize(fam)
+    assert doc == {
+        "kind": "family",
+        "classical_table": [[v + 1 for v in t] for t in tables],
+    }
+    _assert_same_family(_reread(doc), fam)
+
+
+def _semigroup(alg, delta: np.ndarray, counit: Character | None = None):
+    square = tensor_layout(alg, alg).product
+    return QuantumSemigroup(alg, StarMorphism(alg, square, delta), counit)
+
+
+def _assert_dense_semigroup_round_trip(sg):
+    doc = serialize(sg)
+    assert "classical_table" not in doc
+    assert {"algebra", "delta_matrix"} <= doc.keys()
+    assert ("counit" in doc) == (sg.counit is not None)
+    _assert_same_semigroup(_reread(doc), sg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(associative_tables(), st.sampled_from([-1.0, 0.0]), st.data())
+def test_a_coefficient_other_than_1_keeps_the_dense_fields(table, value, data):
+    """A comultiplication with one coefficient -1, or with a zero row, is no
+    classical semigroup's: it is written in its dense fields."""
+    sg = classical_semigroup_algebra(table)
+    delta = sg.comultiplication.matrix.copy()
+    row = data.draw(st.integers(0, len(delta) - 1))
+    delta[row, delta[row].nonzero()[0]] = value
+    _assert_dense_semigroup_round_trip(_semigroup(sg.algebra, delta, sg.counit))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                       min_size=n, max_size=n)
+))
+def test_a_non_associative_table_keeps_the_dense_fields(rows):
+    """The coproduct of a non-associative table, given straight to
+    QuantumSemigroup, has no table classical_semigroup_algebra accepts."""
+    table = np.array(rows)
+    assume(not table_is_associative(table))
+    alg = functions_algebra(len(table))
+    delta = np.zeros((len(table) ** 2, len(table)), dtype=complex)
+    delta[tensor_layout(alg, alg).pair_index, table] = 1.0
+    _assert_dense_semigroup_round_trip(_semigroup(alg, delta))
+
+
+@settings(max_examples=40, deadline=None)
+@given(associative_tables(), st.data())
+def test_a_counit_other_than_the_tables_keeps_the_dense_fields(table, data):
+    """A counit at a point that is not the table's identity, or no counit
+    on a table with an identity, is not the counit the table rebuilds."""
+    n, e = len(table), table_identity(table)
+    point = data.draw(st.sampled_from([p for p in [*range(n), None] if p != e]))
+    sg = classical_semigroup_algebra(table)
+    counit = None
+    if point is not None:
+        row = np.zeros((1, n), dtype=complex)
+        row[0, point] = 1.0
+        counit = Character(sg.algebra, row)
+    _assert_dense_semigroup_round_trip(
+        _semigroup(sg.algebra, sg.comultiplication.matrix, counit)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.data())
+def test_a_family_into_another_target_keeps_the_dense_fields(n, m, count, data):
+    """Pullbacks along maps from m points to n != m points form a classical
+    family whose target factor differs from its source: it has no lookup
+    tables of self-maps."""
+    assume(n != m)
+    maps = data.draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=m, max_size=m),
+        min_size=count, max_size=count,
+    ))
+    source, target, label = functions_algebra(n), functions_algebra(m), functions_algebra(count)
+    layout = tensor_layout(target, label)
+    mat = np.zeros((layout.product.dim, n), dtype=complex)
+    mat[layout.pair_index, np.array(maps).T] = 1.0
+    fam = QuantumFamily(source, target, label, StarMorphism(source, layout.product, mat))
+    doc = serialize(fam)
+    assert "classical_table" not in doc
+    assert {"source", "target_factor", "label", "morphism"} <= doc.keys()
+    _assert_same_family(_reread(doc), fam)
