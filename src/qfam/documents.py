@@ -379,8 +379,9 @@ def _semigroup_table(sg: QuantumSemigroup) -> np.ndarray | None:
 
 
 def _family_tables(family: QuantumFamily) -> np.ndarray | None:
-    """The 0-based lookup tables, one per row, from which classical_family
-    rebuilds the family bit for bit; None when there are none."""
+    """The 0-based lookup tables, one per point of the label, from which
+    classical_family rebuilds the family bit for bit; None when there are
+    none."""
     if not (
         family.is_self_map
         and _is_commutative(family.source)
