@@ -267,35 +267,54 @@ def adjoint_coords(algebra: FdCStarAlgebra, x: np.ndarray) -> np.ndarray:
     return x[..., adjoint_permutation(algebra)].conj()
 
 
-def column_element_norms(algebra: FdCStarAlgebra, matrix: np.ndarray) -> np.ndarray:
+def column_element_norms(
+    algebra: FdCStarAlgebra, matrix: np.ndarray, floor: float | np.ndarray = 0.0
+) -> np.ndarray:
     """Operator norm of the element encoded by each column of matrix.
 
     A column with a NaN coordinate has norm NaN; one with an infinite
     coordinate and no NaN has norm inf.
+
+    floor (a scalar, or one value per column) prunes the SVDs: on an n x n
+    block max|entry| <= norm <= n max|entry|, so a block whose max|entry|
+    is below floor (1 - 1e-12) / n cannot reach the floor. It counts as its
+    max|entry|, a lower bound of its norm (exact on a zero block). Every
+    norm at or above its column's floor is therefore the SVD value itself;
+    a column below its floor may read less than its norm. Non-finite blocks
+    are never pruned.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim == 1:
         matrix = matrix.reshape(-1, 1)
+    # the slack keeps a block whose SVD rounds up to the floor
+    cut = np.asarray(floor, dtype=float)[..., None] * (1 - 1e-12)  # against (column, block)
     out = np.zeros(matrix.shape[1])
     for n, idx in algebra.size_groups:
-        sub = np.moveaxis(matrix[idx], -1, 0)  # (column, block, n, n)
-        if n == 1:
-            vals = np.abs(sub[..., 0, 0])
-        elif np.isfinite(sub).all():
-            vals = np.linalg.svd(sub, compute_uv=False)[..., 0]
-        else:
-            finite = np.isfinite(sub).all(axis=(-2, -1))
-            vals = np.where(np.isnan(sub).any(axis=(-2, -1)), np.nan, np.inf)
-            vals[finite] = np.linalg.svd(sub[finite], compute_uv=False)[:, 0]
+        sub = matrix[idx]  # (block, n, n, column)
+        with np.errstate(over="ignore"):  # |z| past the float range is inf
+            vals = np.abs(sub).max(axis=(1, 2)).T  # (column, block) max|entry|
+        if n > 1:
+            finite = np.isfinite(vals)
+            if not finite.all():  # |inf + NaN i| is inf, but NaN wins
+                vals[np.isnan(sub).any(axis=(1, 2)).T] = np.nan
+            decompose = finite & ~(vals < cut / n)
+            if decompose.any():
+                picked = sub.transpose(3, 0, 1, 2)[decompose]
+                vals[decompose] = np.linalg.svd(picked, compute_uv=False)[:, 0]
         np.maximum(out, vals.max(axis=1), out=out)
     return out
 
 
 def max_image_defect(codomain: FdCStarAlgebra, matrix_diff: np.ndarray) -> float:
     """Worst operator norm over the columns of a matrix of element
-    differences; NaN when any column's norm is NaN."""
-    norms = column_element_norms(codomain, matrix_diff)
-    return float(norms.max()) if norms.size else 0.0
+    differences; NaN when any column's norm is NaN. The largest |entry| is
+    a lower bound of the answer, so it prunes the SVDs as floor."""
+    matrix_diff = np.asarray(matrix_diff, dtype=complex)
+    if not matrix_diff.size:
+        return 0.0
+    with np.errstate(over="ignore"):
+        floor = np.abs(matrix_diff).max()
+    return float(column_element_norms(codomain, matrix_diff, floor).max())
 
 
 @lru_cache(maxsize=None)

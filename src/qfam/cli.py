@@ -22,6 +22,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -287,6 +288,7 @@ def _run(args) -> CheckReport:
     return report
 
 
+@cache  # built once per process: set-up costs far more than a parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfam",

@@ -32,7 +32,12 @@ from .algebra import (
     make_algebra,
     tensor_layout,
 )
-from .errors import DocumentParseError, InvalidDimensionError, QfamError
+from .errors import (
+    DocumentParseError,
+    InvalidDimensionError,
+    InvalidMatrixError,
+    QfamError,
+)
 from .families import QuantumFamily, classical_family
 from .morphisms import Character, StarMorphism
 from .representations import MagicUnitary
@@ -455,5 +460,14 @@ def serialize(obj) -> dict:
 
 
 def save_document(obj, path) -> None:
-    """Serialize an object and write it as one line of compact JSON."""
-    Path(path).write_text(json.dumps(serialize(obj), separators=(",", ":")) + "\n")
+    """Serialize an object and write it as one line of compact JSON.
+
+    An object with a NaN or infinite entry has no JSON form: it raises
+    InvalidMatrixError before the file is opened.
+    """
+    doc = serialize(obj)
+    try:
+        text = json.dumps(doc, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise InvalidMatrixError(f"cannot save a non-finite entry as JSON: {exc}") from exc
+    Path(path).write_text(text + "\n")

@@ -139,27 +139,35 @@ def _defect_report(phi: StarMorphism) -> dict[str, float]:
     dom, cod, mat = phi.domain, phi.codomain, phi.matrix
     d = dom.dim
 
-    unit = max_image_defect(cod, mat @ dom.identity().to_vec() - cod.identity().to_vec())
-
-    star_diff = mat[:, adjoint_permutation(dom)] - np.conj(mat[adjoint_permutation(cod), :])
-    star = max_image_defect(cod, star_diff)
-
     # phi(e_i)phi(e_j) - phi(e_i e_j), in chunks of at most _DEFECT_CHUNK entries.
     tidx = multiplication_table(dom)
     # Row d of padded is 0; the table's -1 entries (zero products) pick it.
     padded = np.concatenate([mat, np.zeros((cod.dim, 1))], axis=1).T
     images = padded[:d]
-    norms = np.zeros(d * d)
     step = max(1, _DEFECT_CHUNK // max(1, d * cod.dim))
-    for lo in range(0, d, step):
+
+    def mult_chunk(lo: int) -> np.ndarray:
         hi = min(d, lo + step)
         # huge entries overflow to inf or NaN here; within() fails those
         with np.errstate(over="ignore", invalid="ignore"):
             prod = multiply(cod, images[lo:hi, None, :], images)
-            diff = (prod - padded[tidx[lo:hi]]).reshape(-1, cod.dim)
-        norms[lo * d : hi * d] = column_element_norms(cod, diff.T)
-    mult = float(norms.max())
-    return {"mult_defect": mult, "star_defect": star, "unit_defect": unit}
+            return (prod - padded[tidx[lo:hi]]).reshape(-1, cod.dim).T
+
+    # one norm call over the unit column, the star columns and the first
+    # chunk, each part pruned at its own largest |entry|
+    unit_diff = mat @ dom.identity().to_vec() - cod.identity().to_vec()
+    star_diff = mat[:, adjoint_permutation(dom)] - np.conj(mat[adjoint_permutation(cod), :])
+    columns = np.column_stack([unit_diff, star_diff, mult_chunk(0)])
+    with np.errstate(over="ignore"):
+        peaks = np.abs(columns).max(axis=0)
+    parts = [1, d, columns.shape[1] - d - 1]
+    floors = np.repeat(np.maximum.reduceat(peaks, [0, 1, d + 1]), parts)
+    norms = column_element_norms(cod, columns, floors)
+    unit, star = norms[0], norms[1 : d + 1].max()
+    mult = norms[d + 1 :].max()
+    for lo in range(step, d, step):
+        mult = np.maximum(mult, max_image_defect(cod, mult_chunk(lo)))
+    return {"mult_defect": float(mult), "star_defect": float(star), "unit_defect": float(unit)}
 
 
 def require_star_hom(phi: StarMorphism) -> StarMorphism:

@@ -172,18 +172,18 @@ def random_unital_hom(
         fills.append(fill)
     unitaries = [haar_unitary(rng, m) for m in codomain.block_dims]
     slices = domain.block_slices()
-    mat = np.empty((codomain.dim, domain.dim), dtype=complex)
+    mat = np.zeros((codomain.dim, domain.dim), dtype=complex)
     for (row, m), fill, u in zip(codomain.block_slices(), fills, unitaries):
-        # 0/1 placement of the domain blocks down the diagonal of this block
-        place = np.zeros((m * m, domain.dim))
+        # domain block k sits at rows and columns pos..pos+n of this block,
+        # so E_rs goes to u E_(pos+r)(pos+s) u*, entry (i, j) v[i, r] conj v[j, s];
+        # a domain block placed twice sends E_rs to the sum of both tiles
         pos = 0
         for k in fill:
             off, n = slices[k]
-            r, s = np.divmod(np.arange(n * n), n)
-            place[(pos + r) * m + pos + s, off + np.arange(n * n)] = 1.0
+            v = u[:, pos : pos + n]
+            tile = np.einsum("ir,js->ijrs", v, v.conj()).reshape(m * m, n * n)
+            mat[row : row + m * m, off : off + n * n] += tile
             pos += n
-        # vec(u y u*) = (u (x) conj u) vec(y) in row-major coordinates
-        mat[row : row + m * m] = np.kron(u, u.conj()) @ place
     return StarMorphism(domain, codomain, mat)
 
 

@@ -1,5 +1,7 @@
 """Block algebras, elements, functionals, tensor layouts, exchange maps."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -434,7 +436,9 @@ def test_multiply_and_norm_kernels_match_elements(dims, batch, seed):
 @given(block_dims, st.data())
 def test_non_finite_coordinate_norms(bad, dims, data):
     """A NaN coordinate gives a NaN norm and an infinite one an infinite
-    norm, and the worst defect over columns keeps either in any order."""
+    norm, and the worst defect over columns keeps either in any order, also
+    beside a column whose entries set a floor that prunes every finite block
+    of the bad column."""
     alg = make_algebra(dims)
     vec = np.ones(alg.dim, dtype=complex)
     vec[data.draw(st.integers(min_value=0, max_value=alg.dim - 1))] = bad
@@ -442,3 +446,125 @@ def test_non_finite_coordinate_norms(bad, dims, data):
     twice = np.column_stack([np.zeros(alg.dim), vec])
     assert np.array_equal(max_image_defect(alg, twice), abs(bad), equal_nan=True)
     assert np.array_equal(max_image_defect(alg, twice[:, ::-1]), abs(bad), equal_nan=True)
+    tiny = np.where(np.isfinite(vec), 1e-300, vec)
+    pruned = np.column_stack([np.full(alg.dim, 1e300), tiny])
+    for order in (pruned, pruned[:, ::-1]):
+        assert np.array_equal(max_image_defect(alg, order), abs(bad), equal_nan=True)
+    norms = column_element_norms(alg, pruned, 1e300)
+    assert np.array_equal(norms[1], abs(bad), equal_nan=True)
+
+
+def test_nan_wins_over_inf_in_one_entry():
+    """|inf + NaN i| is inf, but a block holding that entry has norm NaN."""
+    alg = make_algebra([1, 2])
+    vec = np.array([5.0, 1.0, complex(np.inf, np.nan), 0.0, 1.0])
+    assert np.isnan(AlgebraElement(alg, vec).norm())
+    assert np.isnan(max_image_defect(alg, np.column_stack([vec, 7 * np.ones(5)])))
+
+
+def _unpruned_max(algebra, matrix):
+    """The largest operator norm over the columns without pruning: one SVD
+    per block, |z| on a 1 x 1 block."""
+    worst = 0.0
+    for column in matrix.T:
+        for block in algebra.block_views(column):
+            if block.shape == (1, 1):
+                worst = max(worst, np.abs(block[0, 0]))
+            else:
+                worst = max(worst, np.linalg.svd(block, compute_uv=False)[0])
+    return worst
+
+
+def _phases(rng, n):
+    return np.exp(2j * np.pi * rng.random(n))
+
+
+def _test_block(rng, kind, n):
+    """One n x n block of the given kind, before scaling."""
+    if kind == "zero":
+        return np.zeros((n, n), dtype=complex)
+    if kind == "rank-one":  # equal |entries| a: norm n a, the bound's equality case
+        return np.outer(_phases(rng, n), _phases(rng, n).conj())
+    if kind == "one-entry":
+        out = np.zeros((n, n), dtype=complex)
+        out[rng.integers(n), rng.integers(n)] = _phases(rng, 1)[0]
+        return out
+    return rng.standard_normal((n, n, 2)) @ [1, 1j]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(0),
+    st.data(),
+)
+def test_pruned_reduction_is_the_unpruned_maximum(dims, ncols, seed, data):
+    """max_image_defect, pruned at the largest |entry|, equals the maximum
+    of one SVD per block bit for bit, over zero columns and blocks, rank-one
+    blocks of equal |entries| (norm n max|entry|) and entries near 1e300 and
+    near 1e-300, and raises no RuntimeWarning."""
+    alg = make_algebra(dims)
+    rng = np.random.default_rng(seed)
+    kinds = st.sampled_from(["zero", "rank-one", "one-entry", "gaussian"])
+    scales = st.sampled_from([0.0, 1.0, 3.0, 1e300, 1e-300])
+    matrix = np.zeros((alg.dim, ncols), dtype=complex)
+    for j in range(ncols):
+        scale = data.draw(scales)
+        for off, n in alg.block_slices():
+            matrix[off : off + n * n, j] = scale * _test_block(rng, data.draw(kinds), n).ravel()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = max_image_defect(alg, matrix)
+        for j in range(ncols):
+            assert max_image_defect(alg, matrix[:, j]) == _unpruned_max(alg, matrix[:, j : j + 1])
+    assert got == _unpruned_max(alg, matrix)
+
+
+def test_a_block_whose_svd_rounds_above_its_bound_is_decomposed():
+    """A rank-one 2 x 2 block of equal |entries| a has norm 2a; where its SVD
+    rounds above 2a, a 1 x 1 block between the two sets the floor above the
+    bound 2a, and the block's own SVD value is still the maximum."""
+    alg = make_algebra([1, 2])
+    rng = np.random.default_rng(0)
+    seen = 0
+    for _ in range(2000):
+        block = np.outer(_phases(rng, 2), _phases(rng, 2).conj())
+        top = np.linalg.svd(block, compute_uv=False)[0]
+        floor = np.nextafter(2 * np.abs(block).max(), np.inf)
+        if floor < top:
+            seen += 1
+            assert max_image_defect(alg, np.concatenate([[floor], block.ravel()])) == top
+    assert seen > 0
+
+
+def test_a_block_at_its_pruning_bound_is_decomposed():
+    """The SVD is skipped only below floor (1 - 1e-12) / n; a block whose
+    largest |entry| is exactly that value is decomposed."""
+    alg = make_algebra([2])
+    block = np.array([[1.0, 1.0], [1.0, -1.0]])  # max|entry| 1, norm sqrt 2
+    floor = 2 / (1 - 1e-12)
+    while floor * (1 - 1e-12) / 2 < 1.0:
+        floor = np.nextafter(floor, np.inf)
+    while floor * (1 - 1e-12) / 2 > 1.0:
+        floor = np.nextafter(floor, 0.0)
+    assert floor * (1 - 1e-12) / 2 == 1.0
+    (norm,) = column_element_norms(alg, block.ravel(), floor)
+    assert norm == np.linalg.svd(block, compute_uv=False)[0]
+    (below,) = column_element_norms(alg, block.ravel(), np.nextafter(floor, np.inf))
+    assert below == 1.0
+
+
+def test_entries_near_the_float_range_prune_without_overflow():
+    """The bound is compared as floor / n, not as n max|entry|, so a 2 x 2
+    block holding 1.7e308 beside a 3 x 3 block of tiny entries raises no
+    overflow warning and keeps its value."""
+    alg = make_algebra([2, 3])
+    column = np.zeros(alg.dim, dtype=complex)
+    column[0] = 1.7e308
+    column[5] = 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert max_image_defect(alg, column) == 1.7e308
+        norms = column_element_norms(alg, np.column_stack([column, column / 4]), [1.7e308, 0.0])
+    assert norms.tolist() == [1.7e308, 1.7e308 / 4]

@@ -407,3 +407,19 @@ def test_non_finite_tolerance_rejected(capsys, tmp_path):
         code, _, err = _run(capsys, ["verify-hom", "--tol", tol, doc])
         assert code == 2
         assert "tol" in err
+
+
+def test_calls_in_one_process_share_no_state(tmp_path, capsys):
+    """main builds its parser once per process; an option given to one call
+    does not carry over to the next."""
+    doc = _write(tmp_path, "phi.json", set_map_morphism([1, 0]))
+    code, out, _ = _run(capsys, ["verify-hom", "--tol", "1e-3", "--format", "structured", doc])
+    assert code == 0
+    assert {c["threshold"] for c in _strict_json(out)["checks"]} == {1e-3}
+    code, out, _ = _run(capsys, ["verify-hom", "--format", "structured", doc])
+    assert code == 0
+    assert {c["threshold"] for c in _strict_json(out)["checks"]} == {1e-9}
+    code, out, _ = _run(capsys, ["verify-hom", doc])
+    assert code == 0
+    assert out.startswith("verify-hom: ")
+    assert "(limit 1e-09)" in out

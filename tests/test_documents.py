@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from qfam import (
     Character,
     DocumentParseError,
+    InvalidMatrixError,
     LinearFunctional,
     QuantumFamily,
     QuantumSemigroup,
@@ -318,6 +319,23 @@ def test_file_round_trip(tmp_path):
     # the file itself is plain JSON
     raw = json.loads(path.read_text())
     assert raw["kind"] == "family"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_entry_is_refused_before_the_file_is_opened(tmp_path, bad):
+    """JSON has no NaN or Infinity, so save_document refuses the object and
+    leaves a file already at the path as it was."""
+    alg = functions_algebra(2)
+    phi = StarMorphism(alg, alg, np.array([[1.0, 0.0], [0.0, bad]]))
+    path = tmp_path / "phi.json"
+    save_document(set_map_morphism([1, 0]), path)
+    before = path.read_bytes()
+    with pytest.raises(InvalidMatrixError, match="non-finite"):
+        save_document(phi, path)
+    assert path.read_bytes() == before
+    with pytest.raises(InvalidMatrixError):
+        save_document(phi, tmp_path / "new.json")
+    assert not (tmp_path / "new.json").exists()
 
 
 def test_parse_spec_file_errors(tmp_path):

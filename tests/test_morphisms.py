@@ -28,7 +28,10 @@ from qfam import (
     tensor_morphisms,
     trace_state,
 )
+from qfam import morphisms
+from qfam.algebra import adjoint_permutation, max_image_defect, multiplication_table, multiply
 from qfam.morphisms import StarMorphism
+from qfam.suites import haar_unitary, random_unital_hom
 
 
 def _random_element(rng, algebra):
@@ -256,3 +259,128 @@ def test_trace_is_not_a_character_on_full_blocks():
 def test_no_characters_on_a_full_matrix_block():
     assert characters_of(make_algebra([2])) == []
     assert len(characters_of(make_algebra([2, 1, 1]))) == 2
+
+
+def _defects_part_by_part(phi):
+    """The three hom defects as separate max_image_defect calls, with the
+    mult columns phi(e_i) phi(e_j) - phi(e_i e_j) from one broadcast
+    multiply (rows of padded: phi(e_i), then 0 for the zero products)."""
+    dom, cod, mat = phi.domain, phi.codomain, phi.matrix
+    unit = mat @ dom.identity().to_vec() - cod.identity().to_vec()
+    star = mat[:, adjoint_permutation(dom)] - mat[adjoint_permutation(cod)].conj()
+    padded = np.concatenate([mat, np.zeros((cod.dim, 1))], axis=1).T
+    images = padded[:-1]
+    prod = multiply(cod, images[:, None, :], images)
+    mult = (prod - padded[multiplication_table(dom)]).reshape(-1, cod.dim).T
+    return {
+        "mult_defect": max_image_defect(cod, mult),
+        "star_defect": max_image_defect(cod, star),
+        "unit_defect": max_image_defect(cod, unit),
+    }
+
+
+hom_dims = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3)
+noise_scales = st.sampled_from([0.0, 1e-6, 1.0, 1e3])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    hom_dims,
+    hom_dims,
+    st.integers(0),
+    st.booleans(),
+    st.booleans(),
+    noise_scales,
+    noise_scales,
+    st.booleans(),
+)
+def test_the_defect_report_is_each_part_on_its_own(
+    dom_dims, cod_dims, seed, unital, twisted, on_diagonal, off_diagonal, chunked
+):
+    """The one norm call of _defect_report, each part pruned at its own
+    largest |entry|, gives every defect bit for bit as max_image_defect of
+    that part alone, also when the mult part is split over several chunks.
+
+    The maps are a *-homomorphism, unital or not (one codomain block left
+    out), optionally twisted by x -> S x S^-1 with S not unitary (still
+    multiplicative, no longer *-preserving), plus noise scaled separately on
+    the images of the diagonal and the off-diagonal matrix units, so any one
+    part can be the largest."""
+    rng = np.random.default_rng(seed)
+    dom, cod = make_algebra([1] + dom_dims), make_algebra(cod_dims)
+    mat = random_unital_hom(rng, dom, cod).matrix.copy()
+    if not unital:
+        off, n = cod.block_slices()[int(rng.integers(len(cod_dims)))]
+        mat[off : off + n * n] = 0
+    if twisted:  # vec(S x S^-1) = (S (x) S^-T) vec(x), row-major
+        for off, n in cod.block_slices():
+            twist = np.eye(n) + 0.5 * rng.standard_normal((n, n))
+            rows = slice(off, off + n * n)
+            mat[rows] = np.kron(twist, np.linalg.inv(twist).T) @ mat[rows]
+    labels = dom.basis_labels
+    scale = np.where(labels[:, 1] == labels[:, 2], on_diagonal, off_diagonal)
+    mat += scale * (rng.standard_normal((cod.dim, dom.dim, 2)) @ [1, 1j])
+    phi = StarMorphism(dom, cod, mat)
+    expect = _defects_part_by_part(phi)
+    with pytest.MonkeyPatch.context() as patch:
+        if chunked:  # one or two domain rows a chunk
+            patch.setattr(morphisms, "_DEFECT_CHUNK", int(rng.integers(1, 3)) * dom.dim * cod.dim)
+        assert morphisms._defect_report(phi) == expect
+
+
+def test_a_non_unital_projection_fails_only_the_unit_law():
+    """x -> (x, 0) from M_2 into M_2 + C is multiplicative and preserves
+    adjoints, but sends 1 to (1, 0): unit defect 1, the others 0."""
+    dom, cod = make_algebra([2]), make_algebra([2, 1])
+    mat = np.zeros((cod.dim, dom.dim))
+    mat[: dom.dim] = np.eye(dom.dim)
+    phi = StarMorphism(dom, cod, mat)
+    expect = {"mult_defect": 0.0, "star_defect": 0.0, "unit_defect": 1.0}
+    assert phi.defect_report == expect == _defects_part_by_part(phi)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(morphisms, "_DEFECT_CHUNK", 1)
+        assert morphisms._defect_report(phi) == expect
+
+
+def _kron_placement_hom(rng, domain, codomain):
+    """random_unital_hom as (u (x) conj u) times a 0/1 placement matrix,
+    drawing the same random numbers: the reference for its tiles."""
+    dims = domain.block_dims
+    fills = []
+    for m in codomain.block_dims:
+        rem, fill = m, []
+        while rem > 0:
+            options = [k for k, n in enumerate(dims) if n <= rem]
+            k = options[int(rng.integers(0, len(options)))]
+            fill.append(k)
+            rem -= dims[k]
+        fills.append(fill)
+    unitaries = [haar_unitary(rng, m) for m in codomain.block_dims]
+    slices = domain.block_slices()
+    mat = np.empty((codomain.dim, domain.dim), dtype=complex)
+    for (row, m), fill, u in zip(codomain.block_slices(), fills, unitaries):
+        place = np.zeros((m * m, domain.dim))
+        pos = 0
+        for k in fill:
+            off, n = slices[k]
+            r, s = np.divmod(np.arange(n * n), n)
+            place[(pos + r) * m + pos + s, off + np.arange(n * n)] = 1.0
+            pos += n
+        mat[row : row + m * m] = np.kron(u, u.conj()) @ place
+    return mat
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hom_dims,
+    st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=3),
+    st.integers(0),
+)
+def test_random_unital_hom_matches_the_kronecker_placement(dom_dims, cod_dims, seed):
+    """The tiles of random_unital_hom equal (u (x) conj u) times the 0/1
+    placement within 1e-15, and both leave the generator in the same state."""
+    dom, cod = make_algebra([1] + dom_dims), make_algebra(cod_dims)
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = random_unital_hom(fast, dom, cod).matrix
+    assert np.abs(got - _kron_placement_hom(slow, dom, cod)).max() <= 1e-15
+    assert fast.bit_generator.state == slow.bit_generator.state
