@@ -137,9 +137,16 @@ class FdCStarAlgebra:
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, np.zeros(self.dim))
 
-    def identity(self) -> "AlgebraElement":
+    @cached_property
+    def unit(self) -> np.ndarray:
+        """The canonical coordinates of the identity, a read-only vector."""
         labels = self.basis_labels
-        return AlgebraElement(self, labels[:, 1] == labels[:, 2])
+        out = (labels[:, 1] == labels[:, 2]).astype(complex)
+        out.setflags(write=False)
+        return out
+
+    def identity(self) -> "AlgebraElement":
+        return AlgebraElement(self, self.unit)
 
     def basis_element(self, index: int) -> "AlgebraElement":
         vec = np.zeros(self.dim)
@@ -293,10 +300,10 @@ def column_element_norms(
         sub = matrix[idx]  # (block, n, n, column)
         with np.errstate(over="ignore"):  # |z| past the float range is inf
             vals = np.abs(sub).max(axis=(1, 2)).T  # (column, block) max|entry|
+        finite = np.isfinite(vals)
+        if not finite.all():  # |inf + NaN i| is inf, but NaN wins
+            vals[np.isnan(sub).any(axis=(1, 2)).T] = np.nan
         if n > 1:
-            finite = np.isfinite(vals)
-            if not finite.all():  # |inf + NaN i| is inf, but NaN wins
-                vals[np.isnan(sub).any(axis=(1, 2)).T] = np.nan
             decompose = finite & ~(vals < cut / n)
             if decompose.any():
                 picked = sub.transpose(3, 0, 1, 2)[decompose]
@@ -469,8 +476,7 @@ class TensorLayout:
 
     def left_units(self) -> np.ndarray:
         """Coordinate rows of e_i (x) 1, e_i the left factor's basis."""
-        ident = self.right.identity().to_vec()
-        return self.combine(np.eye(self.left.dim)[:, :, None] * ident)
+        return self.combine(np.eye(self.left.dim)[:, :, None] * self.right.unit)
 
 
 def module_span_rank(layout: TensorLayout, rows: np.ndarray, side: str) -> BlockRank:

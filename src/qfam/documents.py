@@ -2,10 +2,11 @@
 families, semigroups and magic unitaries.
 
 Every complex scalar is stored as a [re, im] pair, matrices row-major over
-the canonical bases. Documents may carry a "kind" field; parse_spec_file
-dispatches on it, or on the field shape when absent. Classical shorthand:
-a family document may give "classical_table", a list of 1-based lookup
-tables expanded into the diagonal classical family, and a semigroup
+the canonical bases. A document's kind is its "kind" field, on which
+parse_spec_file dispatches; its kind argument supplies the kind of a
+document without the field and must equal the field otherwise. Classical
+shorthand: a family document may give "classical_table", a list of 1-based
+lookup tables expanded into the diagonal classical family, and a semigroup
 document may give a square 1-based multiplication table under the same
 key. serialize writes a family or semigroup in that form exactly when
 classical_family or classical_semigroup_algebra rebuilds it bit for bit
@@ -279,52 +280,20 @@ _PARSERS = {
 }
 
 
-def _infer_kind(doc: Any) -> str:
-    if not isinstance(doc, dict):
-        raise DocumentParseError("document root must be a JSON object")
-    if "kind" in doc:
-        return doc["kind"]
-    if "entries" in doc and "ambient" in doc:
-        return "magic_unitary"
-    if "delta_matrix" in doc:
-        return "semigroup"
-    if "morphism" in doc or {"source", "target_factor", "label"} <= doc.keys():
-        return "family"
-    if "classical_table" in doc:
-        # a square associative table of integers reads as a semigroup,
-        # anything else as the classical-family shorthand, whose parser
-        # refuses a non-integer entry; pass kind= to override
-        tables = doc["classical_table"]
-        if (
-            isinstance(tables, list)
-            and tables
-            and all(isinstance(t, list) and len(t) == len(tables) for t in tables)
-            and all(
-                isinstance(v, int) and not isinstance(v, bool)
-                for t in tables
-                for v in t
-            )
-        ):
-            zero_based = [[v - 1 for v in row] for row in tables]
-            if table_is_associative(zero_based):
-                return "semigroup"
-        return "family"
-    if "matrix" in doc and "domain" in doc:
-        return "morphism"
-    if "density" in doc:
-        return "functional"
-    if "blocks" in doc:
-        blocks = doc["blocks"]
-        if isinstance(blocks, list) and all(isinstance(b, int) for b in blocks):
-            return "algebra"
-        return "element"
-    raise DocumentParseError("cannot infer the document kind; add a 'kind' field")
-
-
 def parse_spec_document(doc: Any, kind: str | None = None):
-    """Parse an in-memory document into the typed object it describes."""
-    if kind is None:
-        kind = _infer_kind(doc)
+    """Parse an in-memory document into the typed object it describes.
+
+    A document's kind is its "kind" field. kind supplies it for a document
+    without that field and must equal the field when both are given.
+    """
+    if isinstance(doc, dict) and "kind" in doc:
+        if kind is not None and doc["kind"] != kind:
+            raise DocumentParseError(
+                f'document "kind" is {doc["kind"]!r}, expected {kind!r}'
+            )
+        kind = doc["kind"]
+    elif kind is None:
+        raise DocumentParseError('document has no "kind" field and no kind was given')
     if not isinstance(kind, str) or kind not in _PARSERS:
         raise DocumentParseError(
             f"unknown kind {kind!r}; expected one of {sorted(_PARSERS)}"

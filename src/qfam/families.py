@@ -103,15 +103,6 @@ def make_family(
     return family
 
 
-def singleton_family(phi: StarMorphism) -> QuantumFamily:
-    """The one-member family of a single endomorphism, labeled by scalars."""
-    label = scalar_algebra()
-    layout = tensor_layout(phi.codomain, label)
-    # the product layout with a scalar factor is coordinate-identical
-    lifted = StarMorphism(phi.domain, layout.product, phi.matrix)
-    return QuantumFamily(phi.domain, phi.codomain, label, lifted)
-
-
 def trivial_family(
     source: FdCStarAlgebra, label: FdCStarAlgebra
 ) -> QuantumFamily:
@@ -167,15 +158,6 @@ def compose_families(first: QuantumFamily, second: QuantumFamily) -> QuantumFami
     return QuantumFamily(second.source, first.target_factor, label, comp)
 
 
-def triviality_defect(family: QuantumFamily) -> float:
-    """Worst norm of Psi(b) - b (x) I over the canonical basis."""
-    _require_self_map(family, "triviality check")
-    triv = trivial_family(family.source, family.label)
-    return max_image_defect(
-        family.morphism.codomain, family.morphism.matrix - triv.morphism.matrix
-    )
-
-
 @dataclass(frozen=True)
 class InvarianceReport:
     """Worst defect of the invariance equation, plus the generators.
@@ -205,7 +187,7 @@ def invariance_defects(
     omega_map = StarMorphism(family.source, scalar_algebra(), omega.covector[None])
     partial = lift(omega_map, family.label, family.morphism.matrix)
     # column j: the generator of the j-th matrix unit
-    diff = partial - family.label.identity().to_vec()[:, None] * omega.covector
+    diff = partial - family.label.unit[:, None] * omega.covector
     return InvarianceReport(max_image_defect(family.label, diff), diff)
 
 

@@ -155,7 +155,7 @@ def _defect_report(phi: StarMorphism) -> dict[str, float]:
 
     # one norm call over the unit column, the star columns and the first
     # chunk, each part pruned at its own largest |entry|
-    unit_diff = mat @ dom.identity().to_vec() - cod.identity().to_vec()
+    unit_diff = mat @ dom.unit - cod.unit
     star_diff = mat[:, adjoint_permutation(dom)] - np.conj(mat[adjoint_permutation(cod), :])
     columns = np.column_stack([unit_diff, star_diff, mult_chunk(0)])
     with np.errstate(over="ignore"):

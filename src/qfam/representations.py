@@ -107,23 +107,8 @@ def matrix_isometry_defect(rep: Representation) -> float:
     alg, v = rep.algebra, rep.entries
     vstar = adjoint_coords(alg, v)
     gram = multiply(alg, vstar[:, :, None], v[:, None]).sum(axis=0)
-    gram[np.diag_indices(rep.size)] -= alg.identity().to_vec()
+    gram[np.diag_indices(rep.size)] -= alg.unit
     return _worst(alg, gram)
-
-
-def tensor_representations(left: Representation, right: Representation) -> Representation:
-    """Product grid with entries v[k][l] w[k'][l'], pair indices left-major.
-
-    Both factors must live over the same algebra; an isometric pair yields
-    an isometric product, and the comultiplication rule is preserved.
-    """
-    if left.algebra != right.algebra:
-        raise IncompatibleAlgebraError("factors live over different algebras")
-    alg = left.algebra
-    v, w = left.entries, right.entries
-    prod = multiply(alg, v[:, None, :, None], w[None, :, None, :])
-    size = left.size * right.size
-    return Representation(alg, prod.reshape(size, size, alg.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +133,7 @@ def magic_unitary_check(u: MagicUnitary, tol: float = DEFAULT_TOL) -> MagicRepor
     """Check entries are projections and rows and columns each sum to 1."""
     alg = u.algebra
     p = u.entries
-    ident = alg.identity().to_vec()
+    ident = alg.unit
     defects = {
         "idempotent": _worst(alg, multiply(alg, p, p) - p),
         "hermitian": _worst(alg, adjoint_coords(alg, p) - p),
@@ -178,7 +163,7 @@ def projection_family_check(entries: Sequence[AlgebraElement]) -> tuple[float, f
     alg = entries[0].algebra
     p = np.array([v.to_vec() for v in entries])
     a, b = np.nonzero(~np.eye(len(p), dtype=bool))
-    sum_defect = _worst(alg, p.sum(axis=0) - alg.identity().to_vec())
+    sum_defect = _worst(alg, p.sum(axis=0) - alg.unit)
     return sum_defect, _worst(alg, multiply(alg, p[a], p[b]))
 
 
@@ -346,7 +331,7 @@ def modular_report(
     c = np.einsum("pq,pia->qia", smat, a)
     astar = adjoint_coords(param, a)
     middle = multiply(param, c[:, :, None], astar[:, None]).sum(axis=0)
-    ident = param.identity().to_vec()
+    ident = param.unit
     left = np.einsum("it,tja->ija", np.linalg.inv(smat), middle)
     left[np.diag_indices(len(left))] -= ident
     return ModularReport(

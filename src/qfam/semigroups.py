@@ -207,10 +207,9 @@ def coideal_defect(
     coeffs = action_coefficients(family, np.eye(family.source.dim))  # (k, l, coord)
     layout = tensor_layout(sg.algebra, sg.algebra)
     lhs = sg.comultiplication.matrix @ xmat  # (dA^2, l)
-    ivec = sg.algebra.identity().to_vec()
     # rhs table over pairs (A coordinate, A coordinate) per generator.
     rhs_tables = np.einsum("ip,pla->lia", xmat, coeffs) + np.einsum(
-        "i,al->lia", ivec, xmat
+        "i,al->lia", sg.algebra.unit, xmat
     )
     return max_image_defect(layout.product, lhs - layout.combine(rhs_tables).T)
 

@@ -455,11 +455,18 @@ def test_non_finite_coordinate_norms(bad, dims, data):
 
 
 def test_nan_wins_over_inf_in_one_entry():
-    """|inf + NaN i| is inf, but a block holding that entry has norm NaN."""
+    """|inf + NaN i| is inf, but a block of any size holding that entry has
+    norm NaN, a 1 x 1 block included."""
+    bad = complex(np.inf, np.nan)
     alg = make_algebra([1, 2])
-    vec = np.array([5.0, 1.0, complex(np.inf, np.nan), 0.0, 1.0])
+    vec = np.array([5.0, 1.0, bad, 0.0, 1.0])
     assert np.isnan(AlgebraElement(alg, vec).norm())
     assert np.isnan(max_image_defect(alg, np.column_stack([vec, 7 * np.ones(5)])))
+    assert np.isnan(AlgebraElement(make_algebra([1]), np.array([bad])).norm())
+    commutative = make_algebra([1, 1, 1])
+    diff = np.array([[1.0, 7.0], [bad, 0.0], [0.0, 2.0]])
+    assert np.isnan(max_image_defect(commutative, diff))
+    assert np.isnan(max_image_defect(commutative, diff[:, ::-1]))
 
 
 def _unpruned_max(algebra, matrix):

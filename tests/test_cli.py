@@ -14,6 +14,7 @@ from qfam import (
     classical_semigroup_algebra,
     group_table,
     left_zero_table,
+    make_algebra,
     map_monoid_table,
     nonclassical_magic_4x4,
     parse_spec_document,
@@ -26,7 +27,7 @@ from qfam import (
     trace_state,
     wang_family,
 )
-from qfam.cli import main
+from qfam.cli import COMMANDS, main
 from qfam.morphisms import StarMorphism
 
 
@@ -51,8 +52,6 @@ def test_verify_hom_passes(tmp_path, capsys):
 
 
 def _transpose_morphism():
-    from qfam import make_algebra
-
     alg = make_algebra([2])
     mat = np.zeros((4, 4))
     for i, (k, r, s) in enumerate(alg.basis_labels):
@@ -423,3 +422,36 @@ def test_calls_in_one_process_share_no_state(tmp_path, capsys):
     assert code == 0
     assert out.startswith("verify-hom: ")
     assert "(limit 1e-09)" in out
+
+
+# A document of each kind that every command reading that kind parses, and
+# one declaring another kind: for a family or semigroup slot, the table
+# [[1, 1], [2, 2]] that would also read as the slot's kind.
+_SLOT_DOCUMENTS = {
+    "morphism": set_map_morphism([1, 0]),
+    "family": all_maps_family(2),
+    "semigroup": classical_semigroup_algebra(group_table(2)),
+    "functional": trace_state(make_algebra([1, 1])),
+    "magic_unitary": permutation_magic_unitary([1, 0]),
+}
+_OTHER_KIND = {"family": "semigroup", "semigroup": "family"}
+
+
+@pytest.mark.parametrize(
+    "command, slot",
+    [(name, k) for name, c in COMMANDS.items() for k in range(len(c.kinds))],
+)
+def test_a_document_of_another_kind_exits_2_in_every_slot(tmp_path, capsys, command, slot):
+    """A command refuses a document whose declared kind is not the one its
+    slot reads, even one whose fields would parse as that kind."""
+    kinds = COMMANDS[command].kinds
+    inputs = [_write(tmp_path, f"{k}-{i}.json", _SLOT_DOCUMENTS[k]) for i, k in enumerate(kinds)]
+    other = _OTHER_KIND.get(kinds[slot], "family")
+    doc = {"kind": other, "classical_table": [[1, 1], [2, 2]]}
+    if kinds[slot] not in _OTHER_KIND:
+        doc = serialize(_SLOT_DOCUMENTS[kinds[slot]]) | {"kind": other}
+    (tmp_path / "wrong.json").write_text(json.dumps(doc))
+    inputs[slot] = str(tmp_path / "wrong.json")
+    code, out, err = _run(capsys, [command, *inputs])
+    assert (code, out) == (2, "")
+    assert f"{other!r}, expected {kinds[slot]!r}" in err

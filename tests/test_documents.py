@@ -76,7 +76,7 @@ def test_element_round_trip():
 
 
 def test_element_accepts_plain_numbers_and_pairs():
-    doc = {"blocks": [[[1, [0, 2]], [0.5, [3, -4]]]]}
+    doc = {"kind": "element", "blocks": [[[1, [0, 2]], [0.5, [3, -4]]]]}
     x = parse_spec_document(doc)
     assert x.algebra == make_algebra([2])
     assert x.blocks[0][0, 1] == 2j
@@ -142,7 +142,7 @@ def test_classical_table_family_shorthand():
 
 
 def test_classical_table_semigroup_shorthand():
-    doc = {"classical_table": [[1, 2], [2, 1]]}
+    doc = {"kind": "semigroup", "classical_table": [[1, 2], [2, 1]]}
     sg = parse_spec_document(doc)
     assert isinstance(sg, QuantumSemigroup)
     want = classical_semigroup_algebra(group_table(2))
@@ -150,46 +150,38 @@ def test_classical_table_semigroup_shorthand():
 
 
 def test_classical_table_kind_override():
-    """A square associative table reads as a semigroup by default but can
-    be forced to mean a two-member family of maps."""
+    """A document without "kind" takes the kind it is read as: the same
+    square associative table is a two-member family of maps or a
+    semigroup."""
     doc = {"classical_table": [[1, 2], [2, 1]]}
     fam = parse_spec_document(doc, kind="family")
     assert isinstance(fam, QuantumFamily)
     assert fam.label.dim == 2
+    assert isinstance(parse_spec_document(doc, kind="semigroup"), QuantumSemigroup)
 
 
 def test_classical_table_nonsquare_is_a_family():
-    doc = {"classical_table": [[1, 2, 3]]}  # one table, three points
+    doc = {"kind": "family", "classical_table": [[1, 2, 3]]}  # one table, three points
     fam = parse_spec_document(doc)
     assert isinstance(fam, QuantumFamily)
     assert fam.source.dim == 3
+    doc["kind"] = "semigroup"  # a multiplication table is square
+    with pytest.raises(DocumentParseError, match=r"semigroup\.classical_table: "):
+        parse_spec_document(doc)
 
 
+@pytest.mark.parametrize("kind", ["family", "semigroup"])
 @pytest.mark.parametrize("table", [[["a"]], [[None, 1], [1, 1]]])
-def test_square_classical_table_with_a_non_integer_entry_is_refused(table):
-    """Kind inference guesses a semigroup only for a square table of
-    integers; the family reading then refuses the bad entry with its path,
-    where subtracting 1 from it used to raise TypeError."""
-    with pytest.raises(DocumentParseError, match=r"classical_table\[0\]"):
-        parse_spec_document({"classical_table": table})
+def test_square_classical_table_with_a_non_integer_entry_is_refused(table, kind):
+    """Read as either kind, a table with a non-integer entry is refused with
+    the entry's row, not by subtracting 1 from the entry."""
+    with pytest.raises(DocumentParseError, match=rf"{kind}\.classical_table\[0\]"):
+        parse_spec_document({"kind": kind, "classical_table": table})
 
 
 def test_classical_table_rejects_zero_based_entries():
     with pytest.raises(DocumentParseError, match="1-based"):
         parse_spec_document({"kind": "family", "classical_table": [[0, 1]]})
-
-
-def test_kind_inference_without_tags():
-    assert parse_spec_document({"blocks": [2, 1]}) == make_algebra([2, 1])
-    x = parse_spec_document({"blocks": [[[1.0]]]})
-    assert x.algebra == make_algebra([1])
-    sg = parse_spec_document(
-        {
-            "algebra": [1],
-            "delta_matrix": [[1]],
-        }
-    )
-    assert isinstance(sg, QuantumSemigroup)
 
 
 def test_unknown_kind_rejected():
@@ -208,10 +200,32 @@ def test_a_kind_that_is_not_a_string_is_unknown(kind):
 
 
 def test_uninferrable_document_rejected():
-    with pytest.raises(DocumentParseError, match="infer"):
-        parse_spec_document({"something": 1})
-    with pytest.raises(DocumentParseError):
-        parse_spec_document("not an object")
+    """No kind is guessed from the fields: a document without "kind", read
+    without a kind, is refused with a message naming the field."""
+    square = {"classical_table": [[1, 2], [2, 1]]}
+    for doc in [{"something": 1}, {"blocks": [2, 1]}, square, "text"]:
+        with pytest.raises(DocumentParseError, match='"kind"'):
+            parse_spec_document(doc)
+
+
+@pytest.mark.parametrize(
+    "declared, kind",
+    [
+        ("family", "semigroup"),
+        ("semigroup", "family"),
+        ("algebra", "element"),
+        ("widget", "family"),
+    ],
+)
+def test_a_declared_kind_other_than_the_one_asked_for_is_refused(declared, kind):
+    """A document's kind is the one it declares; a kind argument that
+    differs from it is refused, naming both, even when the fields would
+    parse as either."""
+    doc = {"kind": declared, "classical_table": [[1, 1], [2, 2]], "blocks": [1]}
+    with pytest.raises(DocumentParseError, match=f"{declared!r}, expected {kind!r}"):
+        parse_spec_document(doc, kind=kind)
+    if declared != "widget":
+        assert parse_spec_document(doc, kind=declared) is not None
 
 
 def test_matrix_row_errors_name_the_row():
@@ -305,7 +319,7 @@ def test_family_shape_mismatch_rejected():
 def test_magic_entries_must_be_square():
     alg_doc = [1, 1]
     cell = {"blocks": [[[1.0]], [[0.0]]]}
-    doc = {"ambient": alg_doc, "entries": [[cell, cell]]}
+    doc = {"kind": "magic_unitary", "ambient": alg_doc, "entries": [[cell, cell]]}
     with pytest.raises(DocumentParseError, match=r"entries\[0\]"):
         parse_spec_document(doc)
 
@@ -741,3 +755,21 @@ def test_a_family_into_another_target_keeps_the_dense_fields(n, m, count, data):
     assert "classical_table" not in doc
     assert {"source", "target_factor", "label", "morphism"} <= doc.keys()
     _assert_same_family(_reread(doc), fam)
+
+
+def _readme_documents() -> list[str]:
+    """The JSON documents shown in the README's Documents section, one per
+    blank-line-separated paragraph of its json code blocks."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Documents\n", 1)[1].split("\n#", 1)[0]
+    blocks = re.findall(r"```json\n(.*?)```", section, flags=re.S)
+    return [doc for block in blocks for doc in block.split("\n\n") if doc.strip()]
+
+
+def test_every_readme_document_parses_without_a_kind_argument():
+    docs = _readme_documents()
+    assert len(docs) >= 5
+    for text in docs:
+        doc = json.loads(text)
+        obj = parse_spec_document(doc)
+        assert serialize(obj)["kind"] == doc["kind"]

@@ -21,6 +21,7 @@ from qfam import (
     compose_families,
     compose_morphisms,
     convolve,
+    enumerate_set_map_tables,
     evaluate_at_character,
     factorization_defect,
     fixed_point_space,
@@ -31,16 +32,15 @@ from qfam import (
     map_monoid_table,
     orthonormal_basis,
     permutation_magic_unitary,
+    scalar_algebra,
     set_map_morphism,
     sign_conjugation_family,
-    singleton_family,
     tensor_layout,
     trace_state,
     trivial_family,
-    triviality_defect,
     wang_family,
 )
-from qfam.morphisms import StarMorphism
+from qfam.morphisms import StarMorphism, _defect_report
 from qfam.suites import (
     conjugation_family,
     haar_unitary,
@@ -70,7 +70,6 @@ def test_make_family_checks_codomain():
 
 def test_trivial_family_is_trivial():
     fam = trivial_family(make_algebra([2, 1]), functions_algebra(3))
-    assert triviality_defect(fam) == 0.0
     fixed = fixed_point_space(fam)
     assert fixed.dimension == 5
     assert not fixed.ergodic
@@ -84,7 +83,6 @@ def test_all_maps_family_is_ergodic():
     # the fixed line is spanned by the identity
     v = fixed.basis[:, 0]
     assert np.max(np.abs(v - v[0])) <= 1e-9
-    assert triviality_defect(fam) > 0.4
 
 
 def test_conjugation_fixed_points_are_diagonal():
@@ -115,14 +113,6 @@ def test_conjugation_family_sums_the_conjugated_tensors(n, count):
             for t, u in enumerate(unitaries)
         )
         assert np.allclose(fam.morphism.matrix[:, j], want, rtol=0, atol=1e-15)
-
-
-def test_singleton_family_keeps_the_matrix():
-    phi = set_map_morphism([1, 0, 1])
-    fam = singleton_family(phi)
-    assert np.array_equal(fam.morphism.matrix, phi.matrix)
-    assert fam.is_self_map
-    assert fam.label.dim == 1
 
 
 def test_classical_family_matches_all_maps():
@@ -303,20 +293,54 @@ def test_commutation_requires_shared_source():
         commutation_defect(all_maps_family(2), all_maps_family(3))
 
 
+def _scalar_labelled(phi):
+    """The one-member family of a single map, labelled by the scalars."""
+    return make_family(phi.domain, phi.codomain, scalar_algebra(), phi.matrix)
+
+
 def test_factorization_certificate():
     fam = all_maps_family(2)
     chars = characters_of(fam.label)
     chi_id = chars[1]  # the identity lookup table
-    single = singleton_family(evaluate_at_character(fam, chi_id))
+    single = _scalar_labelled(evaluate_at_character(fam, chi_id))
     assert factorization_defect(fam, chi_id, single) <= 1e-12
     # the wrong connecting character does not certify
     assert factorization_defect(fam, chars[0], single) > 0.4
 
 
+def _label_pullback(index, count):
+    """The pullback, from functions on count points to functions on
+    len(index) points, of the label map t -> index[t]."""
+    mat = np.zeros((len(index), count))
+    mat[np.arange(len(index)), index] = 1.0
+    return StarMorphism(functions_algebra(count), functions_algebra(len(index)), mat)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_classical_family_factors_through_all_maps(n, seed):
+    """The paper's universal property on classical families: a list of k <= 4
+    self-maps of n points factors through all_maps_family(n) along the
+    pullback of t -> (index of table t among all n^n tables), with defect
+    exactly 0. Sending one label to a different table gives exactly 1."""
+    rng = np.random.default_rng(seed)
+    everything = enumerate_set_map_tables(n)
+    count = int(rng.integers(1, 5))
+    tables = [tuple(t) for t in rng.integers(0, n, size=(count, n)).tolist()]
+    index = [everything.index(t) for t in tables]
+    phi, psi = all_maps_family(n), classical_family(tables)
+    assert factorization_defect(phi, _label_pullback(index, len(everything)), psi) == 0.0
+    if n > 1:
+        t = int(rng.integers(count))
+        index[t] = (index[t] + int(rng.integers(1, len(everything)))) % len(everything)
+        lam = _label_pullback(index, len(everything))
+        assert factorization_defect(phi, lam, psi) == 1.0
+
+
 def test_factorization_checks_shapes():
     fam = all_maps_family(2)
     other = all_maps_family(3)
-    single = singleton_family(set_map_morphism([0, 1, 2]))
+    single = _scalar_labelled(set_map_morphism([0, 1, 2]))
     with pytest.raises(IncompatibleAlgebraError):
         factorization_defect(fam, characters_of(fam.label)[0], single)
     with pytest.raises(IncompatibleAlgebraError):
@@ -337,3 +361,21 @@ def test_invariance_with_degenerate_functional_still_reports():
     report = invariance_defects(fam, omega)
     assert np.isfinite(report.defect)
     assert report.defect > 0.4
+
+
+def test_the_hom_and_invariance_checks_create_no_element(monkeypatch):
+    """_defect_report and invariance_defects read the unit as the algebra's
+    cached coordinate vector, so neither builds an AlgebraElement."""
+    fam = classical_family([(1, 0, 2), (2, 0, 1)])
+    omega = trace_state(fam.source)
+    made = []
+    init = AlgebraElement.__init__
+
+    def counted(self, *args):
+        made.append(type(self))
+        init(self, *args)
+
+    monkeypatch.setattr(AlgebraElement, "__init__", counted)
+    assert max(_defect_report(fam.morphism).values()) == 0.0
+    assert invariance_defects(fam, omega).defect == 0.0
+    assert made == []

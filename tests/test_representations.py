@@ -27,18 +27,19 @@ from qfam import (
     group_table,
     magic_unitary_check,
     make_algebra,
+    make_family,
     matrix_isometry_defect,
     modular_report,
+    multiply,
     nonclassical_magic_4x4,
     permutation_magic_unitary,
     podles_rank,
     projection_family_check,
     representation_defect,
+    scalar_algebra,
     set_map_morphism,
     sign_conjugation_family,
-    singleton_family,
     tensor_layout,
-    tensor_representations,
     trace_state,
     wang_family,
 )
@@ -160,10 +161,12 @@ def test_translation_span_is_dense(n):
 
 
 def test_tensor_of_representations(translation_magic):
+    """The grid with entries v[k][l] v[k'][l'], pair indices left-major, is
+    again an isometric representation."""
     u = translation_magic(3)
-    rep = Representation(u.algebra, u.entries)
-    prod = tensor_representations(rep, rep)
-    assert prod.size == 9
+    v = u.entries
+    cells = multiply(u.algebra, v[:, None, :, None], v[None, :, None, :])
+    prod = Representation(u.algebra, cells.reshape(9, 9, u.algebra.dim))
     sg = classical_semigroup_algebra(group_table(3))
     assert representation_defect(prod, sg) <= 1e-9
     assert matrix_isometry_defect(prod) <= 1e-9
@@ -199,15 +202,6 @@ def test_a_wrongly_shaped_array_is_refused(shape, error):
     assert str(from_array.value) == str(from_nested.value)
 
 
-def test_tensor_representations_checks_algebra(translation_magic):
-    u2, u3 = translation_magic(2), translation_magic(3)
-    with pytest.raises(IncompatibleAlgebraError):
-        tensor_representations(
-            Representation(u2.algebra, u2.entries),
-            Representation(u3.algebra, u3.entries),
-        )
-
-
 def test_action_matrix_of_the_translation_family(translation_magic):
     fam = wang_family(translation_magic(3))
     sg = classical_semigroup_algebra(group_table(3))
@@ -240,7 +234,7 @@ def test_action_matrix_needs_a_self_map():
     from qfam.morphisms import StarMorphism
 
     phi = StarMorphism(source, target, np.ones((2, 1)))
-    fam = singleton_family(phi)
+    fam = make_family(source, target, scalar_algebra(), phi)
     with pytest.raises(IncompatibleAlgebraError):
         action_matrix(fam, trace_state(source))
 
