@@ -25,7 +25,6 @@ from .algebra import (
     adjoint_permutation,
     column_element_norms,
     make_algebra,
-    max_image_defect,
     multiplication_table,
     multiply,
     tensor_layout,
@@ -96,7 +95,7 @@ class StarMorphism:
         Computed lazily and cached, so maps built as intermediates (tensor
         lifts, compositions) cost nothing until someone asks.
         """
-        return _defect_report(self)
+        return _defect_report([self])[0]
 
     @cached_property
     def monomial(self) -> "MonomialForm | None":
@@ -135,49 +134,74 @@ class StarMorphism:
         return f"StarMorphism({self.domain!r} -> {self.codomain!r})"
 
 
-def _defect_report(phi: StarMorphism) -> dict[str, float]:
-    dom, cod, mat = phi.domain, phi.codomain, phi.matrix
-    d = dom.dim
+def _defect_report(maps: Sequence[StarMorphism]) -> list[dict[str, float]]:
+    """The defect report of each of maps, which share one domain and one
+    codomain; a single map is a stack of one. Each part of each map is
+    pruned at its own largest |entry|, so each report is bit for bit the
+    one the map gets alone."""
+    dom, cod = maps[0].domain, maps[0].codomain
+    d, count = dom.dim, len(maps)
+    mats = np.array([phi.matrix for phi in maps])
+    # the unit and star columns as (map, column, coordinate) arrays
+    unit = (mats @ dom.unit - cod.unit)[:, None]
+    star = mats[:, :, adjoint_permutation(dom)] - np.conj(mats[:, adjoint_permutation(cod)])
+    star = star.transpose(0, 2, 1)
 
-    # phi(e_i)phi(e_j) - phi(e_i e_j), in chunks of at most _DEFECT_CHUNK entries.
+    # phi(e_i)phi(e_j) - phi(e_i e_j) in chunks of at most _DEFECT_CHUNK
+    # entries: whole maps, or rows of one map when a map does not fit
     tidx = multiplication_table(dom)
-    # Row d of padded is 0; the table's -1 entries (zero products) pick it.
-    padded = np.concatenate([mat, np.zeros((cod.dim, 1))], axis=1).T
-    images = padded[:d]
-    step = max(1, _DEFECT_CHUNK // max(1, d * cod.dim))
-
-    def mult_chunk(lo: int) -> np.ndarray:
-        hi = min(d, lo + step)
+    # Row d of each padded map is 0; the table's -1 entries (zero products) pick it.
+    padded = np.concatenate([mats, np.zeros((count, cod.dim, 1))], axis=2).transpose(0, 2, 1)
+    pairs = max(1, _DEFECT_CHUNK // max(1, d * cod.dim))  # (map, row) pairs a chunk
+    per, step = max(1, pairs // d), min(d, pairs)  # maps a chunk, and rows of a map
+    worst = np.full((count, 3), -np.inf)  # unit, star and mult defect of each map
+    for m, i in itertools.product(range(0, count, per), range(0, d, step)):
+        block, rows = slice(m, m + per), slice(i, min(d, i + step))
         # huge entries overflow to inf or NaN here; within() fails those
         with np.errstate(over="ignore", invalid="ignore"):
-            prod = multiply(cod, images[lo:hi, None, :], images)
-            return (prod - padded[tidx[lo:hi]]).reshape(-1, cod.dim).T
+            mult = multiply(cod, padded[block, rows, None], padded[block, None, :d])
+            mult -= padded[block][:, tidx[rows]]
+        here = len(mult)  # maps in this chunk
+        parts = [mult.reshape(here, -1, cod.dim)]
+        if i == 0:  # one norm call over a map's unit and star columns and its first chunk
+            parts = [unit[block], star[block]] + parts
+        # the columns part by part, map by map; an item is one map's columns of one part
+        columns = np.concatenate([part.reshape(-1, cod.dim).T for part in parts], axis=1)
+        sizes = [part.shape[1] for part in parts for _ in range(here)]
+        del mult, parts
+        starts = list(itertools.accumulate(sizes[:-1], initial=0))
+        with np.errstate(over="ignore"):
+            peaks = np.maximum.reduceat(np.abs(columns).max(axis=0), starts)
+        norms = column_element_norms(cod, columns, np.repeat(peaks, sizes))
+        items = np.maximum.reduceat(norms, starts).reshape(-1, here).T  # (map, part)
+        slots = worst[block, 3 - items.shape[1] :]
+        slots[:] = np.maximum(slots, items)
+    return [{"mult_defect": m, "star_defect": s, "unit_defect": u} for u, s, m in worst.tolist()]
 
-    # one norm call over the unit column, the star columns and the first
-    # chunk, each part pruned at its own largest |entry|
-    unit_diff = mat @ dom.unit - cod.unit
-    star_diff = mat[:, adjoint_permutation(dom)] - np.conj(mat[adjoint_permutation(cod), :])
-    columns = np.column_stack([unit_diff, star_diff, mult_chunk(0)])
-    with np.errstate(over="ignore"):
-        peaks = np.abs(columns).max(axis=0)
-    parts = [1, d, columns.shape[1] - d - 1]
-    floors = np.repeat(np.maximum.reduceat(peaks, [0, 1, d + 1]), parts)
-    norms = column_element_norms(cod, columns, floors)
-    unit, star = norms[0], norms[1 : d + 1].max()
-    mult = norms[d + 1 :].max()
-    for lo in range(step, d, step):
-        mult = np.maximum(mult, max_image_defect(cod, mult_chunk(lo)))
-    return {"mult_defect": float(mult), "star_defect": float(star), "unit_defect": float(unit)}
+
+def require_star_homs(maps: Sequence[StarMorphism]) -> Sequence[StarMorphism]:
+    """Return maps if each verifies as a unital *-homomorphism, else raise
+    for the first that fails. The reports not yet cached are computed by
+    one _defect_report per (domain, codomain) pair and cached on the maps."""
+    groups: dict[tuple[FdCStarAlgebra, FdCStarAlgebra], list[StarMorphism]] = {}
+    for phi in maps:
+        if "defect_report" not in phi.__dict__:
+            groups.setdefault((phi.domain, phi.codomain), []).append(phi)
+    for group in groups.values():
+        for phi, report in zip(group, _defect_report(group)):
+            phi.__dict__["defect_report"] = report
+    for phi in maps:
+        if not phi.is_star_hom():
+            raise NotAHomomorphismError(
+                "map fails the homomorphism checks: "
+                + ", ".join(f"{k}={v:.3e}" for k, v in phi.defect_report.items())
+            )
+    return maps
 
 
 def require_star_hom(phi: StarMorphism) -> StarMorphism:
     """Return phi if it verifies as a unital *-homomorphism, else raise."""
-    if not phi.is_star_hom():
-        raise NotAHomomorphismError(
-            "map fails the homomorphism checks: "
-            + ", ".join(f"{k}={v:.3e}" for k, v in phi.defect_report.items())
-        )
-    return phi
+    return require_star_homs([phi])[0]
 
 
 def compose_morphisms(outer: StarMorphism, inner: StarMorphism) -> StarMorphism:
@@ -337,9 +361,15 @@ def monomial_defect(first: MonomialForm, second: MonomialForm) -> float:
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN defect
         entries = v1 - v2
     entries[moved] = v1[moved]  # and -v2[moved] in another column
-    worst = np.abs(entries).max(initial=0.0)
+    worst = _largest_abs(entries)
     del entries
-    return float(np.maximum(worst, np.abs(v2[moved]).max(initial=0.0)))
+    return float(np.maximum(worst, _largest_abs(v2[moved])))
+
+
+def _largest_abs(z: np.ndarray) -> float:
+    """The largest |entry| of z; NaN when an entry has a NaN part, though
+    |inf + NaN i| is inf."""
+    return np.nan if np.isnan(z).any() else np.abs(z).max(initial=0.0)
 
 
 def tensor_morphisms(phi: StarMorphism, psi: StarMorphism) -> StarMorphism:

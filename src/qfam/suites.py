@@ -46,6 +46,7 @@ from .morphisms import (
     enumerate_set_map_tables,
     enumerate_set_maps,
     functions_algebra,
+    require_star_homs,
 )
 from .representations import (
     MagicUnitary,
@@ -113,12 +114,34 @@ def _worst(*values: float) -> float:
 # -- corpus builders --------------------------------------------------------
 
 
+def _per_shape(fn: Callable[[np.ndarray], np.ndarray], arrays: Sequence[np.ndarray]) -> list:
+    """fn applied to one stack of the arrays of each shape, read back per
+    array in input order."""
+    picks: dict[tuple[int, ...], list[int]] = {}
+    for k, a in enumerate(arrays):
+        picks.setdefault(a.shape, []).append(k)
+    out = [None] * len(arrays)
+    for ks in picks.values():
+        for k, value in zip(ks, fn(np.stack([arrays[k] for k in ks]))):
+            out[k] = value
+    return out
+
+
+def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def haar_unitaries(ginibres: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from a (k, n, n) stack of Ginibre
+    matrices: one QR over the stack, phases fixed (Mezzadri 2007)."""
+    q, r = np.linalg.qr(ginibres)
+    d = np.diagonal(r, axis1=1, axis2=2)[:, None, :]
+    return q * (d / np.abs(d))
+
+
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix, phases fixed."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return haar_unitaries(_ginibre(rng, n)[None])[0]
 
 
 def random_source_algebra(rng: np.random.Generator) -> FdCStarAlgebra:
@@ -147,13 +170,16 @@ def random_label(rng: np.random.Generator) -> FdCStarAlgebra:
     return make_algebra(list(_LABEL_SHAPES[int(rng.integers(0, len(_LABEL_SHAPES)))]))
 
 
-def random_unital_hom(
+HomDraw = tuple[FdCStarAlgebra, FdCStarAlgebra, list[list[int]], list[np.ndarray]]
+
+
+def draw_unital_hom(
     rng: np.random.Generator, domain: FdCStarAlgebra, codomain: FdCStarAlgebra
-) -> StarMorphism:
-    """Random unital *-homomorphism: block embeddings conjugated by Haar
-    unitaries. Each codomain block is tiled exactly by domain blocks, so
-    the domain must contain a block small enough to finish every tiling
-    (a 1-block always suffices)."""
+) -> HomDraw:
+    """(domain, codomain, fills, ginibres): the draws of random_unital_hom in
+    its order, fills[b] the domain blocks tiling codomain block b, then one
+    Ginibre matrix per codomain block. The domain needs a block small enough
+    to finish every tiling (a 1-block always suffices)."""
     dims = domain.block_dims
     fills: list[list[int]] = []
     for m in codomain.block_dims:
@@ -170,21 +196,54 @@ def random_unital_hom(
             fill.append(k)
             rem -= dims[k]
         fills.append(fill)
-    unitaries = [haar_unitary(rng, m) for m in codomain.block_dims]
-    slices = domain.block_slices()
-    mat = np.zeros((codomain.dim, domain.dim), dtype=complex)
-    for (row, m), fill, u in zip(codomain.block_slices(), fills, unitaries):
-        # domain block k sits at rows and columns pos..pos+n of this block,
-        # so E_rs goes to u E_(pos+r)(pos+s) u*, entry (i, j) v[i, r] conj v[j, s];
-        # a domain block placed twice sends E_rs to the sum of both tiles
-        pos = 0
-        for k in fill:
-            off, n = slices[k]
-            v = u[:, pos : pos + n]
-            tile = np.einsum("ir,js->ijrs", v, v.conj()).reshape(m * m, n * n)
-            mat[row : row + m * m, off : off + n * n] += tile
-            pos += n
-    return StarMorphism(domain, codomain, mat)
+    return domain, codomain, fills, [_ginibre(rng, m) for m in codomain.block_dims]
+
+
+def build_unital_homs(draws: Sequence[HomDraw]) -> list[StarMorphism]:
+    """The homs of draws: block embeddings conjugated by Haar unitaries,
+    with one QR per unitary size over all the draws."""
+    unitaries = iter(_per_shape(haar_unitaries, [g for draw in draws for g in draw[3]]))
+    out = []
+    for domain, codomain, fills, _ in draws:
+        slices = domain.block_slices()
+        mat = np.zeros((codomain.dim, domain.dim), dtype=complex)
+        for (row, m), fill, u in zip(codomain.block_slices(), fills, unitaries):
+            # domain block k sits at rows and columns pos..pos+n of this block,
+            # so E_rs goes to u E_(pos+r)(pos+s) u*, entry (i, j) v[i, r] conj v[j, s];
+            # a domain block placed twice sends E_rs to the sum of both tiles
+            pos = 0
+            for k in fill:
+                off, n = slices[k]
+                v = u[:, pos : pos + n]
+                tile = np.einsum("ir,js->ijrs", v, v.conj()).reshape(m * m, n * n)
+                mat[row : row + m * m, off : off + n * n] += tile
+                pos += n
+        out.append(StarMorphism(domain, codomain, mat))
+    return out
+
+
+def random_unital_hom(
+    rng: np.random.Generator, domain: FdCStarAlgebra, codomain: FdCStarAlgebra
+) -> StarMorphism:
+    """Random unital *-homomorphism: block embeddings conjugated by Haar unitaries."""
+    return build_unital_homs([draw_unital_hom(rng, domain, codomain)])[0]
+
+
+FamilyDraw = tuple[FdCStarAlgebra, FdCStarAlgebra, HomDraw]
+
+
+def draw_family(
+    rng: np.random.Generator, source: FdCStarAlgebra, target: FdCStarAlgebra, label: FdCStarAlgebra
+) -> FamilyDraw:
+    """(target, label, hom draws): the draws of random_family, in its order."""
+    return target, label, draw_unital_hom(rng, source, tensor_layout(target, label).product)
+
+
+def build_families(draws: Sequence[FamilyDraw]) -> list[QuantumFamily]:
+    """The verified families of draws: their homs built together, and
+    checked by one stacked hom check per (domain, codomain) pair."""
+    homs = require_star_homs(build_unital_homs([hom for _, _, hom in draws]))
+    return [make_family(phi.domain, c, a, phi) for (c, a, _), phi in zip(draws, homs)]
 
 
 def random_family(
@@ -194,9 +253,7 @@ def random_family(
     label: FdCStarAlgebra,
 ) -> QuantumFamily:
     """Random verified family: a random unital hom into target (x) label."""
-    product = tensor_layout(target_factor, label).product
-    phi = random_unital_hom(rng, source, product)
-    return make_family(source, target_factor, label, phi.matrix)
+    return build_families([draw_family(rng, source, target_factor, label)])[0]
 
 
 def random_faithful_state(
@@ -329,26 +386,29 @@ def invariant_corpus(
 def suite_compose_associativity(seed: int = 0) -> list[CheckOutcome]:
     """Composition of families is associative up to rounding noise."""
     rng = np.random.default_rng(seed)
-    worst_ratio = 0.0
-    worst_abs = 0.0
+    draws = []
     for _ in range(200):
         d_alg = random_algebra(rng)
         c_alg = random_source_algebra(rng)
         b_alg = random_source_algebra(rng)
         e_alg = random_source_algebra(rng)
-        f = random_family(rng, c_alg, d_alg, random_label(rng))
-        g = random_family(rng, b_alg, c_alg, random_label(rng))
-        h = random_family(rng, e_alg, b_alg, random_label(rng))
+        for src, target in ((c_alg, d_alg), (b_alg, c_alg), (e_alg, b_alg)):
+            draws.append(draw_family(rng, src, target, random_label(rng)))
+    families = build_families(draws)
+    operand_norms = _per_shape(  # np.linalg.norm(matrix, 2), one SVD call per shape
+        lambda stack: np.linalg.svd(stack, compute_uv=False).max(axis=1),
+        [fam.morphism.matrix for fam in families],
+    )
+    worst_ratio = 0.0
+    worst_abs = 0.0
+    for k in range(0, len(families), 3):
+        f, g, h = families[k : k + 3]
         left = compose_families(compose_families(f, g), h)
         right = compose_families(f, compose_families(g, h))
         defect = max_image_defect(
             left.morphism.codomain, left.morphism.matrix - right.morphism.matrix
         )
-        norms = float(
-            np.linalg.norm(f.morphism.matrix, 2)
-            * np.linalg.norm(g.morphism.matrix, 2)
-            * np.linalg.norm(h.morphism.matrix, 2)
-        )
+        norms = float(operand_norms[k] * operand_norms[k + 1] * operand_norms[k + 2])
         ratio = defect / norms if norms > 0 else (0.0 if defect == 0.0 else np.inf)
         worst_ratio = _worst(worst_ratio, ratio)
         worst_abs = _worst(worst_abs, defect)
@@ -466,16 +526,11 @@ def suite_commutant_closure(seed: int = 0) -> list[CheckOutcome]:
     """The trivial family commutes with everything; commutants are closed
     under composition; the commutation defect is order-symmetric."""
     rng = np.random.default_rng(seed)
-    worst_trivial = 0.0
+    draws, trivial = [], []
     for _ in range(50):
         src = random_source_algebra(rng)
-        fam = random_family(rng, src, src, random_label(rng))
-        triv = trivial_family(src, random_label(rng))
-        worst_trivial = _worst(
-            worst_trivial,
-            commutation_defect(triv, fam),
-            commutation_defect(fam, triv),
-        )
+        draws.append(draw_family(rng, src, src, random_label(rng)))
+        trivial.append(trivial_family(src, random_label(rng)))
 
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.diag([1.0, -1.0])
@@ -494,6 +549,19 @@ def suite_commutant_closure(seed: int = 0) -> list[CheckOutcome]:
                 for _ in range(3)
             )
         )
+    for _ in range(20):
+        src = random_source_algebra(rng)
+        draws.append(draw_family(rng, src, src, random_label(rng)))
+        draws.append(draw_family(rng, src, src, random_label(rng)))
+    families = build_families(draws)
+
+    worst_trivial = 0.0
+    for fam, triv in zip(families, trivial):
+        worst_trivial = _worst(
+            worst_trivial,
+            commutation_defect(triv, fam),
+            commutation_defect(fam, triv),
+        )
     worst_pairwise = 0.0
     worst_composed = 0.0
     for b, c, d in triples:
@@ -508,10 +576,7 @@ def suite_commutant_closure(seed: int = 0) -> list[CheckOutcome]:
         )
 
     worst_gap = 0.0
-    for _ in range(20):
-        src = random_source_algebra(rng)
-        f1 = random_family(rng, src, src, random_label(rng))
-        f2 = random_family(rng, src, src, random_label(rng))
+    for f1, f2 in zip(families[50::2], families[51::2]):
         worst_gap = _worst(
             worst_gap, abs(commutation_defect(f1, f2) - commutation_defect(f2, f1))
         )

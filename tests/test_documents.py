@@ -374,6 +374,18 @@ def _dense_semigroup(sg: QuantumSemigroup) -> dict:
     return doc
 
 
+def _dense_family(family: QuantumFamily) -> dict:
+    """The document of family in its dense fields, which serialize writes
+    only for a family with no classical_table form."""
+    return {
+        "kind": "family",
+        "source": {"blocks": list(family.source.block_dims)},
+        "target_factor": {"blocks": list(family.target_factor.block_dims)},
+        "label": {"blocks": list(family.label.block_dims)},
+        "morphism": _matrix_doc(family.morphism.matrix),
+    }
+
+
 def _bad_entry_documents():
     """(document, setter, path of the entry it sets) per matrix-bearing field."""
     table, _ = map_monoid_table(2)
@@ -507,7 +519,7 @@ def _random_document(kind: str, rng: np.random.Generator) -> dict:
         obj = random_unital_hom(rng, random_source_algebra(rng), random_algebra(rng))
     elif kind == "family":
         source = random_source_algebra(rng)
-        obj = random_family(rng, source, source, random_label(rng))
+        return _dense_family(random_family(rng, source, source, random_label(rng)))
     elif kind.startswith("semigroup"):
         n = int(rng.integers(2, 5))
         counit = kind == "semigroup-with-counit"

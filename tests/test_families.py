@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfam import (
     AlgebraElement,
@@ -40,9 +42,14 @@ from qfam import (
     trivial_family,
     wang_family,
 )
+from qfam import morphisms
 from qfam.morphisms import StarMorphism, _defect_report
 from qfam.suites import (
+    _per_shape,
+    build_families,
     conjugation_family,
+    draw_family,
+    haar_unitaries,
     haar_unitary,
     random_algebra,
     random_family,
@@ -376,6 +383,76 @@ def test_the_hom_and_invariance_checks_create_no_element(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(AlgebraElement, "__init__", counted)
-    assert max(_defect_report(fam.morphism).values()) == 0.0
+    assert max(_defect_report([fam.morphism])[0].values()) == 0.0
     assert invariance_defects(fam, omega).defect == 0.0
     assert made == []
+
+
+def _ginibre(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _one_qr_haar(ginibre):
+    """The Haar unitary of one Ginibre matrix: its own QR, phases fixed."""
+    q, r = np.linalg.qr(ginibre)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 6), st.integers(0))
+def test_the_stacked_haar_build_is_one_qr_per_draw(n, count, seed):
+    """haar_unitaries over a stack of Ginibre matrices equals, bit for bit,
+    one QR per matrix and one haar_unitary per draw of the same generator."""
+    stacked, single = np.random.default_rng(seed), np.random.default_rng(seed)
+    ginibres = np.array([_ginibre(stacked, n) for _ in range(count)])
+    built = haar_unitaries(ginibres)
+    assert built.tobytes() == np.array([_one_qr_haar(g) for g in ginibres]).tobytes()
+    assert built.tobytes() == np.array([haar_unitary(single, n) for _ in range(count)]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0), st.integers(1, 12))
+def test_the_batch_family_builder_is_consecutive_random_family_calls(seed, count):
+    """build_families over draws taken in a row gives the families that as
+    many random_family calls give from the same generator state: the same
+    algebras, matrices and defect reports, and the same next draw. It
+    checks them by one _defect_report call per (domain, codomain) pair."""
+    batch, single = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws, expected = [], []
+    for _ in range(count):
+        src = random_source_algebra(batch)
+        draws.append(draw_family(batch, src, random_algebra(batch), random_label(batch)))
+        src = random_source_algebra(single)
+        expected.append(random_family(single, src, random_algebra(single), random_label(single)))
+    stacks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            morphisms, "_defect_report", lambda maps: stacks.append(maps) or _defect_report(maps)
+        )
+        built = build_families(draws)
+    pairs = {(hom[0], hom[1]) for _, _, hom in draws}
+    assert sorted(len(s) for s in stacks) == sorted(
+        sum(hom[:2] == pair for _, _, hom in draws) for pair in pairs
+    )
+    for got, want in zip(built, expected, strict=True):
+        assert (got.source, got.target_factor, got.label) == (
+            want.source,
+            want.target_factor,
+            want.label,
+        )
+        assert got.morphism.matrix.tobytes() == want.morphism.matrix.tobytes()
+        assert got.morphism.defect_report == want.morphism.defect_report
+    assert batch.random() == single.random()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=12), st.integers(0))
+def test_one_svd_per_shape_gives_each_matrix_norm(shapes, seed):
+    """_per_shape reads a stacked SVD back per matrix in input order, so the
+    operand norms of compose-associativity, one SVD call per shape, equal
+    np.linalg.norm(m, 2) of each matrix bit for bit."""
+    rng = np.random.default_rng(seed)
+    mats = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for shape in shapes]
+    got = _per_shape(lambda stack: np.linalg.svd(stack, compute_uv=False).max(axis=1), mats)
+    assert np.array(got).tobytes() == np.array([np.linalg.norm(m, 2) for m in mats]).tobytes()

@@ -22,7 +22,7 @@ from qfam import (
     tensor_layout,
 )
 from qfam.algebra import within
-from qfam.morphisms import StarMorphism, lift_monomial, set_map_morphism
+from qfam.morphisms import StarMorphism, lift_monomial, monomial_defect, set_map_morphism
 
 
 def _densify(form, ncols):
@@ -201,3 +201,27 @@ def test_a_nan_comultiplication_takes_the_dense_path_and_fails():
     defect = _by_path(False, coassociativity_defect, bad)
     assert np.isnan(defect)
     assert not within(defect, 1e-12)
+
+
+INF_NAN = complex(float("inf"), float("nan"))
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (([0, 1], [INF_NAN, 1]), ([0, 1], [1, 1])),  # kept column, first form
+        (([0, 1], [1, 1]), ([0, 1], [INF_NAN, 1])),  # kept column, second form
+        (([1, 1], [INF_NAN, 1]), ([0, 1], [1, 1])),  # moved column, first form
+        (([1, 1], [1, 1]), ([0, 1], [INF_NAN, 1])),  # moved column, second form
+        (([1, 1], [np.inf, 1]), ([0, 1], [1, 1])),  # an infinite, not NaN, entry
+    ],
+)
+def test_a_nan_coefficient_reads_nan_as_in_max_image_defect(first, second):
+    """monomial_defect is max_image_defect of the densified difference over
+    1 x 1 blocks, also for a coefficient inf + NaN i, which reads NaN on the
+    kept-column and the moved-column branch (np.abs alone reads it inf)."""
+    first, second = [(np.array(c), np.array(v, dtype=complex)) for c, v in (first, second)]
+    cod = make_algebra([1, 1])
+    with np.errstate(invalid="ignore"):  # inf - inf in the dense difference
+        diff = _densify(first, 2) - _densify(second, 2)
+    assert repr(monomial_defect(first, second)) == repr(max_image_defect(cod, diff))

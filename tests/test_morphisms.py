@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfam import (
@@ -325,7 +325,7 @@ def test_the_defect_report_is_each_part_on_its_own(
     with pytest.MonkeyPatch.context() as patch:
         if chunked:  # one or two domain rows a chunk
             patch.setattr(morphisms, "_DEFECT_CHUNK", int(rng.integers(1, 3)) * dom.dim * cod.dim)
-        assert morphisms._defect_report(phi) == expect
+        assert morphisms._defect_report([phi]) == [expect]
 
 
 def test_a_non_unital_projection_fails_only_the_unit_law():
@@ -339,7 +339,87 @@ def test_a_non_unital_projection_fails_only_the_unit_law():
     assert phi.defect_report == expect == _defects_part_by_part(phi)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(morphisms, "_DEFECT_CHUNK", 1)
-        assert morphisms._defect_report(phi) == expect
+        assert morphisms._defect_report([phi]) == [expect]
+
+
+def _exact(reports):
+    """The reports with each defect as its repr: equal means equal bit for
+    bit for finite values, and NaN equals NaN."""
+    return [{k: repr(v) for k, v in report.items()} for report in reports]
+
+
+def _stack_member(rng, dom, cod, kind):
+    """A map from dom into cod: a random unital *-homomorphism, or one
+    broken as kind says (noise at scale 1e3, a NaN entry, one codomain
+    block zeroed so the map is not unital)."""
+    mat = random_unital_hom(rng, dom, cod).matrix.copy()
+    if kind == "noisy":
+        mat += 1e3 * (rng.standard_normal((cod.dim, dom.dim, 2)) @ [1, 1j])
+    elif kind == "nan":
+        mat[rng.integers(cod.dim), rng.integers(dom.dim)] = np.nan
+    elif kind == "non-unital":
+        off, n = cod.block_slices()[int(rng.integers(len(cod.block_dims)))]
+        mat[off : off + n * n] = 0
+    return StarMorphism(dom, cod, mat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hom_dims,
+    hom_dims,
+    st.lists(st.sampled_from(["hom", "noisy", "nan", "non-unital"]), min_size=1, max_size=5),
+    st.integers(0),
+    st.sampled_from([None, 1, 2, "two maps"]),
+)
+@example([2], [2], ["hom", "noisy"], 0, 2)  # rows 0-1, 2-3 and 4 of five
+def test_a_stacked_defect_report_is_each_maps_own(dom_dims, cod_dims, kinds, seed, rows):
+    """_defect_report over a stack of maps gives each map the report it
+    gets alone and the part-by-part reference, bit for bit: a noisy, NaN or
+    non-unital member does not move its neighbours' pruning floors, also
+    when the mult part is chunked at one or two (map, row) pairs, or at
+    2 d + 1 pairs, which is two whole maps a chunk."""
+    rng = np.random.default_rng(seed)
+    dom, cod = make_algebra([1] + dom_dims), make_algebra(cod_dims)
+    stack = [_stack_member(rng, dom, cod, kind) for kind in kinds]
+    alone = _exact(morphisms._defect_report([phi])[0] for phi in stack)
+    assert alone == _exact(_defects_part_by_part(phi) for phi in stack)
+    with pytest.MonkeyPatch.context() as patch:
+        if rows is not None:
+            pairs = 2 * dom.dim + 1 if rows == "two maps" else rows
+            patch.setattr(morphisms, "_DEFECT_CHUNK", pairs * dom.dim * cod.dim)
+        assert _exact(morphisms._defect_report(stack)) == alone
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=8), st.integers(0))
+def test_the_batch_verifier_raises_for_the_map_one_by_one_would(members, seed):
+    """require_star_homs over maps of two (domain, codomain) pairs,
+    interleaved, raises NotAHomomorphismError for the first failing map in
+    input order, as require_star_hom map by map does; when all pass it
+    returns the maps with each report cached as the map's own."""
+    rng = np.random.default_rng(seed)
+    pairs = [(make_algebra([1, 2]), make_algebra([3])), (make_algebra([1]), make_algebra([1, 2]))]
+    mats = []
+    for k, (second, broken) in enumerate(members):
+        dom, cod = pairs[second]
+        mat = random_unital_hom(rng, dom, cod).matrix
+        mats.append((dom, cod, mat * (1 + 0.1 * (k + 1)) if broken else mat))
+    expected = None
+    for dom, cod, mat in mats:
+        try:
+            require_star_hom(StarMorphism(dom, cod, mat))
+        except NotAHomomorphismError as exc:
+            expected = str(exc)
+            break
+    maps = [StarMorphism(dom, cod, mat) for dom, cod, mat in mats]
+    if expected is None:
+        assert morphisms.require_star_homs(maps) is maps
+        reports = [phi.__dict__["defect_report"] for phi in maps]
+        assert _exact(reports) == _exact(morphisms._defect_report([phi])[0] for phi in maps)
+    else:
+        with pytest.raises(NotAHomomorphismError) as raised:
+            morphisms.require_star_homs(maps)
+        assert str(raised.value) == expected
 
 
 def _kron_placement_hom(rng, domain, codomain):
