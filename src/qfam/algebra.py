@@ -1,7 +1,8 @@
 """Finite-dimensional C*-algebras as direct sums of complex matrix blocks.
 
 Everything in this package lives over an :class:`FdCStarAlgebra`, a finite
-direct sum M_{n_1} + ... + M_{n_K} of full matrix algebras. Elements are
+direct sum M_{n_1} + ... + M_{n_K} of full matrix algebras, one instance
+per block list, so that equality is identity. Elements are
 stored as canonical coordinates, functionals through density elements, and
 tensor products through explicit index maps so that every linear map has a
 reproducible matrix over the canonical basis of matrix units.
@@ -38,7 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from numbers import Number
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable
 
 import numpy as np
 
@@ -58,39 +60,58 @@ def within(defect: float, bound: float) -> bool:
     return bool(np.isfinite(defect) and np.isfinite(bound) and defect <= bound)
 
 
-@dataclass(frozen=True)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr itself, made read-only: an algebra's arrays are shared by all."""
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class FdCStarAlgebra:
     """A finite direct sum of full matrix algebras, given by its block sizes.
 
-    Two instances compare equal iff they have the same block dimension list,
-    so the tensor product of algebras built along different routes is the
-    same algebra whenever the flattened dimensions agree.
+    There is one instance per block list, so equality and hashing are
+    identity, and tensor products built along different routes are one
+    object with one set of cached arrays. block_dims is read-only.
     """
 
     block_dims: tuple[int, ...]
+    _interned = {}  # block tuple -> its one instance
 
-    def __post_init__(self) -> None:
-        dims = self.block_dims
-        # a tuple of plain ints (product algebras have d^2 or d^3 blocks) is
-        # checked in one pass; any other input entry by entry
-        if type(dims) is tuple and set(map(type, dims)) == {int} and min(dims) >= 1:
-            return
-        dims = tuple(dims)
-        if len(dims) == 0:
-            raise InvalidDimensionError("an algebra needs at least one block")
-        for n in dims:
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    def __new__(cls, block_dims: Iterable[int]) -> "FdCStarAlgebra":
+        dims = block_dims
+        # one pass for a tuple of plain ints (a product's d^2 or d^3 blocks),
+        # else entry by entry; before the lookup, as (True,) hashes like (1,)
+        if not (type(dims) is tuple and set(map(type, dims)) == {int} and min(dims) >= 1):
+            dims = tuple(dims)
+            if len(dims) == 0:
+                raise InvalidDimensionError("an algebra needs at least one block")
+            for n in dims:
+                if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+                    raise InvalidDimensionError(
+                        f"block dimension {n!r} is not a positive integer"
+                    )
+            dims = tuple(int(n) for n in dims)
+        algebra = cls._interned.get(dims)
+        if algebra is None:
+            # in Python ints; blocks x max^2 bounds the sum, taken only near the limit
+            limit = np.iinfo(np.intp).max
+            if len(dims) * max(dims) ** 2 > limit and sum(map(mul, dims, dims)) > limit:
                 raise InvalidDimensionError(
-                    f"block dimension {n!r} is not a positive integer"
+                    f"blocks up to {max(dims)} give a total dimension above {limit}"
                 )
-        object.__setattr__(self, "block_dims", tuple(int(n) for n in dims))
+            algebra = super().__new__(cls)
+            object.__setattr__(algebra, "block_dims", dims)
+            cls._interned[dims] = algebra
+        return algebra
+
+    def __reduce__(self):
+        return FdCStarAlgebra, (self.block_dims,)
 
     @cached_property
     def _dims(self) -> np.ndarray:
         """The block sizes as a read-only intp array."""
-        out = np.array(self.block_dims, dtype=np.intp)
-        out.setflags(write=False)
-        return out
+        return _read_only(np.array(self.block_dims, dtype=np.intp))
 
     @cached_property
     def dim(self) -> int:
@@ -98,12 +119,15 @@ class FdCStarAlgebra:
         return int(np.dot(self._dims, self._dims))
 
     @cached_property
+    def is_commutative(self) -> bool:
+        """Every block is 1 x 1: the algebra of functions on dim points."""
+        return self.dim == len(self.block_dims)
+
+    @cached_property
     def _offsets(self) -> np.ndarray:
         """First coordinate of each block."""
         sizes = self._dims**2
-        out = np.cumsum(sizes) - sizes
-        out.setflags(write=False)
-        return out
+        return _read_only(np.cumsum(sizes) - sizes)
 
     def block_slices(self) -> tuple[tuple[int, int], ...]:
         """(offset, size) of the coordinate range of each block."""
@@ -112,12 +136,12 @@ class FdCStarAlgebra:
     @cached_property
     def size_groups(self) -> tuple[tuple[int, np.ndarray], ...]:
         """(n, idx) per distinct block size n, where idx[b, r, s] is the
-        coordinate of entry (r, s) of the b-th block of size n."""
-        dims = self._dims
-        return tuple(
-            (n, self._offsets[dims == n, None, None] + np.arange(n * n).reshape(n, n))
-            for n in dict.fromkeys(self.block_dims)
-        )
+        coordinate of entry (r, s) of the b-th block of size n (read-only)."""
+        dims, groups = self._dims, []
+        for n in dict.fromkeys(self.block_dims):
+            idx = self._offsets[dims == n, None, None] + np.arange(n * n).reshape(n, n)
+            groups.append((n, _read_only(idx)))
+        return tuple(groups)
 
     def basis_index(self, block: int, row: int, col: int) -> int:
         return int(self._offsets[block]) + row * self.block_dims[block] + col
@@ -130,9 +154,7 @@ class FdCStarAlgebra:
         block = np.repeat(np.arange(len(dims)), dims * dims)
         local = np.arange(self.dim) - self._offsets[block]
         n = dims[block]
-        out = np.stack([block, local // n, local % n], axis=1)
-        out.setflags(write=False)
-        return out
+        return _read_only(np.stack([block, local // n, local % n], axis=1))
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, np.zeros(self.dim))
@@ -141,9 +163,7 @@ class FdCStarAlgebra:
     def unit(self) -> np.ndarray:
         """The canonical coordinates of the identity, a read-only vector."""
         labels = self.basis_labels
-        out = (labels[:, 1] == labels[:, 2]).astype(complex)
-        out.setflags(write=False)
-        return out
+        return _read_only((labels[:, 1] == labels[:, 2]).astype(complex))
 
     def identity(self) -> "AlgebraElement":
         return AlgebraElement(self, self.unit)
@@ -176,9 +196,7 @@ class FdCStarAlgebra:
         return f"FdCStarAlgebra({list(self.block_dims)})"
 
 
-def make_algebra(block_dims: Sequence[int]) -> FdCStarAlgebra:
-    """Build the direct sum of full matrix algebras with the given sizes."""
-    return FdCStarAlgebra(tuple(block_dims))
+make_algebra = FdCStarAlgebra
 
 
 class AlgebraElement:
@@ -197,9 +215,8 @@ class AlgebraElement:
             raise IncompatibleAlgebraError(
                 f"coordinates of shape {vec.shape} do not match dimension {algebra.dim}"
             )
-        vec.setflags(write=False)
         self.algebra = algebra
-        self._vec = vec
+        self._vec = _read_only(vec)
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
@@ -330,8 +347,7 @@ def multiplication_table(algebra: FdCStarAlgebra) -> np.ndarray:
     table = np.full((algebra.dim, algebra.dim), -1, dtype=np.intp)
     for _, idx in algebra.size_groups:  # E_rs E_st = E_rt inside each block
         table[idx[:, :, :, None], idx[:, None, :, :]] = idx[:, :, None, :]
-    table.setflags(write=False)
-    return table
+    return _read_only(table)
 
 
 @lru_cache(maxsize=None)
@@ -340,8 +356,7 @@ def adjoint_permutation(algebra: FdCStarAlgebra) -> np.ndarray:
     perm = np.empty(algebra.dim, dtype=np.intp)
     for _, idx in algebra.size_groups:  # E_rs^* = E_sr
         perm[idx] = idx.transpose(0, 2, 1)
-    perm.setflags(write=False)
-    return perm
+    return _read_only(perm)
 
 
 class LinearFunctional:
@@ -356,8 +371,7 @@ class LinearFunctional:
         self.density = density
         # read-only values on the canonical basis: omega(E_rs) = rho[s, r],
         # the density's transpose, a permutation of its coordinates
-        self.covector = density.to_vec()[adjoint_permutation(algebra)]
-        self.covector.setflags(write=False)
+        self.covector = _read_only(density.to_vec()[adjoint_permutation(algebra)])
 
     def __call__(self, x: AlgebraElement) -> complex:
         if x.algebra != self.algebra:
@@ -449,9 +463,7 @@ class TensorLayout:
         n = self.left._dims[k]
         m = self.right._dims[l]
         off = self.product._offsets[k * len(self.right.block_dims) + l]
-        out = off + (r * m + rho) * (n * m) + s * m + sig
-        out.setflags(write=False)
-        return out
+        return _read_only(off + (r * m + rho) * (n * m) + s * m + sig)
 
     def elem(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         """The element x (x) y of the product algebra."""

@@ -150,9 +150,7 @@ def _matrix_doc(mat: np.ndarray) -> list[list[list[float]]]:
 def parse_algebra(doc: Any, path: str = "algebra") -> FdCStarAlgebra:
     if isinstance(doc, dict):
         (doc,) = _fields(doc, path, "blocks")
-    if not isinstance(doc, list) or not all(
-        isinstance(n, int) and not isinstance(n, bool) for n in doc
-    ):
+    if not isinstance(doc, list):
         raise _fail(f"{path}.blocks", "expected a list of positive integers")
     try:
         return make_algebra(doc)
@@ -330,14 +328,10 @@ def _column_table(phi: StarMorphism, layout: TensorLayout) -> np.ndarray:
     return (phi.matrix != 0).argmax(axis=1)[layout.pair_index]
 
 
-def _is_commutative(algebra: FdCStarAlgebra) -> bool:
-    return algebra.dim == len(algebra.block_dims)
-
-
 def _semigroup_table(sg: QuantumSemigroup) -> np.ndarray | None:
     """The 0-based multiplication table from which classical_semigroup_algebra
     rebuilds sg bit for bit, Delta and counit; None when there is none."""
-    if not _is_commutative(sg.algebra):
+    if not sg.algebra.is_commutative:
         return None
     delta = sg.comultiplication
     table = _column_table(delta, tensor_layout(sg.algebra, sg.algebra))
@@ -358,8 +352,8 @@ def _family_tables(family: QuantumFamily) -> np.ndarray | None:
     none."""
     if not (
         family.is_self_map
-        and _is_commutative(family.source)
-        and _is_commutative(family.label)
+        and family.source.is_commutative
+        and family.label.is_commutative
     ):
         return None
     tables = _column_table(family.morphism, family.layout).T

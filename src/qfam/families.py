@@ -53,12 +53,11 @@ class QuantumFamily:
     morphism: StarMorphism
 
     def __post_init__(self) -> None:
-        expected = tensor_layout(self.target_factor, self.label).product
         if self.morphism.domain != self.source:
             raise IncompatibleAlgebraError(
                 "morphism domain differs from the declared source"
             )
-        if self.morphism.codomain != expected:
+        if self.morphism.codomain != self.layout.product:
             raise IncompatibleAlgebraError(
                 "morphism codomain differs from target_factor (x) label"
             )
@@ -71,6 +70,12 @@ class QuantumFamily:
     def is_self_map(self) -> bool:
         return self.source == self.target_factor
 
+    def require_self_map(self, what: str) -> None:
+        if not self.is_self_map:
+            raise IncompatibleAlgebraError(
+                f"{what} needs a self-map family (source = target factor)"
+            )
+
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         return self.morphism(x)
 
@@ -78,13 +83,6 @@ class QuantumFamily:
         return (
             f"QuantumFamily({self.source!r} -> "
             f"{self.target_factor!r} x {self.label!r})"
-        )
-
-
-def _require_self_map(family: QuantumFamily, what: str) -> None:
-    if not family.is_self_map:
-        raise IncompatibleAlgebraError(
-            f"{what} needs a self-map family (source = target factor)"
         )
 
 
@@ -181,7 +179,7 @@ def invariance_defects(
     The defect and the generators are taken over the canonical basis, for
     any functional omega; no faithfulness is needed.
     """
-    _require_self_map(family, "invariance")
+    family.require_self_map("invariance")
     if omega.algebra != family.source:
         raise IncompatibleAlgebraError("functional lives over a different algebra")
     omega_map = StarMorphism(family.source, scalar_algebra(), omega.covector[None])
@@ -199,7 +197,7 @@ def action_coefficients(family: QuantumFamily, basis: np.ndarray) -> np.ndarray:
     one); the result has shape (d, d, dim label) with axes (k, l, label
     coordinate).
     """
-    _require_self_map(family, "coefficient expansion")
+    family.require_self_map("coefficient expansion")
     layout = family.layout
     basis = np.asarray(basis)
     if basis.shape != (family.source.dim, family.source.dim) or numeric_rank(
@@ -219,8 +217,8 @@ def commutation_defect(first: QuantumFamily, second: QuantumFamily) -> float:
     basis. The defect is symmetric in its arguments up to numerical noise
     because the swap is isometric.
     """
-    _require_self_map(first, "commutation")
-    _require_self_map(second, "commutation")
+    first.require_self_map("commutation")
+    second.require_self_map("commutation")
     if first.source != second.source:
         raise IncompatibleAlgebraError("families act on different algebras")
     left = compose_families(first, second)
@@ -246,7 +244,7 @@ class FixedPointSpace:
 
 def fixed_point_space(family: QuantumFamily) -> FixedPointSpace:
     """Solve Psi(x) = x (x) I; ergodic means only multiples of the identity."""
-    _require_self_map(family, "fixed points")
+    family.require_self_map("fixed points")
     triv = trivial_family(family.source, family.label)
     null = nullspace(family.morphism.matrix - triv.morphism.matrix)
     dimension = null.shape[1]

@@ -12,7 +12,7 @@ unless asked.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -54,10 +54,9 @@ LIFT_BYTES_CAP = 2**30
 _DEFECT_CHUNK = 4_000_000
 
 
-@lru_cache(maxsize=None)
 def scalar_algebra() -> FdCStarAlgebra:
     """The complex numbers as a one-block algebra of size 1."""
-    return make_algebra([1])
+    return make_algebra((1,))
 
 
 class StarMorphism:

@@ -253,8 +253,7 @@ def action_matrix(
     sg: QuantumSemigroup | None = None,
 ) -> ActionMatrixReport:
     """Coefficient matrix of a self-map family over an omega-ON basis."""
-    if not family.is_self_map:
-        raise IncompatibleAlgebraError("coefficient matrix needs a self-map family")
+    family.require_self_map("coefficient matrix")
     if omega.algebra != family.source:
         raise IncompatibleAlgebraError("functional lives over a different algebra")
     if not (omega.is_state() and omega.is_faithful()):
@@ -308,8 +307,7 @@ def modular_report(
     Raises PreconditionError when omega is not a faithful state or when its
     invariance defect exceeds max(tol, 1e-8).
     """
-    if not family.is_self_map:
-        raise IncompatibleAlgebraError("modular check needs a self-map family")
+    family.require_self_map("modular check")
     if omega.algebra != family.source:
         raise IncompatibleAlgebraError("functional lives over a different algebra")
     if not omega.is_state():

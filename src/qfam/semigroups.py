@@ -77,7 +77,7 @@ def _lift_difference_defect(
     through dense lifts otherwise."""
     source = first[0]
     maps = [x for x in (*first, *second) if isinstance(x, StarMorphism)]
-    if cube.dim == len(cube.block_dims) and all(m.monomial is not None for m in maps):
+    if cube.is_commutative and all(m.monomial is not None for m in maps):
         ours = lift_monomial(*first, source.monomial)
         return monomial_defect(ours, lift_monomial(*second, source.monomial))
     diff = lift(*first, source.matrix)
@@ -110,8 +110,7 @@ def action_defect(family: QuantumFamily, sg: QuantumSemigroup) -> float:
         raise IncompatibleAlgebraError(
             "family label algebra differs from the semigroup algebra"
         )
-    if not family.is_self_map:
-        raise IncompatibleAlgebraError("the action equation needs a self-map family")
+    family.require_self_map("action equation")
     psi = family.morphism
     cube = tensor_layout(psi.codomain, sg.algebra).product
     return _lift_difference_defect(

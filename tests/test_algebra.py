@@ -1,5 +1,8 @@
 """Block algebras, elements, functionals, tensor layouts, exchange maps."""
 
+import copy
+import gc
+import pickle
 import warnings
 
 import numpy as np
@@ -14,6 +17,7 @@ from qfam import (
     IncompatibleAlgebraError,
     InvalidDimensionError,
     LinearFunctional,
+    all_maps_family,
     make_algebra,
     max_image_defect,
     multiply,
@@ -23,7 +27,7 @@ from qfam import (
     trace_state,
 )
 from qfam.algebra import adjoint_permutation, column_element_norms, multiplication_table
-from qfam.suites import random_faithful_state
+from qfam.suites import random_faithful_state, run_all
 
 block_dims = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3)
 
@@ -50,19 +54,95 @@ def test_invalid_block_dims_rejected(dims):
 
 
 @pytest.mark.parametrize(
-    "dims", [(), (0,), (2, -1), (1.5,), (True, 2), (2, False), [1, 0]]
+    "dims",
+    [(), (0,), (2, -1), (1.5,), (True, 2), (2, False), [1, 0], (True,), (1.0,), [2.0, 1]],
 )
 def test_invalid_block_dims_rejected_by_the_constructor(dims):
     """The one-pass check of a tuple of ints refuses what the entry-by-entry
-    check refuses: a bool is not a block size, nor is 0."""
+    check refuses: a bool is not a block size, nor is 0. Both run before the
+    lookup of the shared instance, so an input that equals and hashes like
+    an existing valid list, (True,) or (1.0,) like (1,), is refused too."""
+    make_algebra([1])
+    make_algebra([2, 1])
     with pytest.raises(InvalidDimensionError):
         FdCStarAlgebra(dims)
 
 
 def test_numpy_block_dims_become_plain_ints():
+    """A list, a tuple, numpy integers and a numpy array of one block list
+    all give the one shared instance."""
     alg = FdCStarAlgebra((np.int64(2), 1))
-    assert alg == make_algebra([2, 1]) and alg.dim == 5
-    assert [type(n) for n in alg.block_dims] == [int, int]
+    assert alg.dim == 5 and [type(n) for n in alg.block_dims] == [int, int]
+    for dims in ([2, 1], (2, 1), [np.int64(2), np.int32(1)], np.array([2, 1])):
+        assert make_algebra(dims) is alg and FdCStarAlgebra(dims) is alg
+
+
+@pytest.mark.parametrize(
+    "dims, refused",
+    [
+        ((2**70,), True),
+        ((3037000500,), True),  # its square wraps an int64 to a negative dimension
+        ((3037000499,), False),  # the largest single block whose square fits
+        ((3037000499, 1), False),  # over the cheap bound, within the exact sum
+        ((3037000499, 3037000499), True),
+    ],
+)
+def test_a_total_dimension_past_the_index_range_is_refused(dims, refused):
+    limit = np.iinfo(np.intp).max
+    if not refused:
+        assert FdCStarAlgebra(dims).dim == sum(n * n for n in dims) <= limit
+        return
+    with pytest.raises(InvalidDimensionError, match=f"above {limit}"):
+        FdCStarAlgebra(dims)
+
+
+def test_a_product_past_the_index_range_is_refused():
+    big = make_algebra([10**6])
+    with pytest.raises(InvalidDimensionError, match="blocks up to 1000000000000 "):
+        tensor_layout(big, big).product
+
+
+def test_block_dims_are_read_only():
+    alg = make_algebra([2, 1])
+    with pytest.raises(AttributeError):
+        alg.block_dims = (3,)
+    with pytest.raises(AttributeError):
+        del alg.block_dims
+    assert make_algebra([2, 1]).block_dims == (2, 1)
+
+
+@given(block_dims, block_dims, block_dims)
+def test_the_two_routes_to_a_triple_product_give_one_algebra(a, b, c):
+    a, b, c = make_algebra(a), make_algebra(b), make_algebra(c)
+    left = tensor_layout(tensor_layout(a, b).product, c).product
+    right = tensor_layout(a, tensor_layout(b, c).product).product
+    assert left is right
+
+
+def test_copies_and_pickles_return_the_shared_algebra():
+    """copy, deepcopy and pickle rebuild an algebra, or an object holding
+    one, through the constructor: the copy holds the shared instance, whose
+    cached arrays stay the same read-only arrays."""
+    fam = all_maps_family(2)
+    alg = fam.source
+    cached = [alg._dims, alg._offsets, alg.basis_labels, alg.unit]
+    cached += [idx for _, idx in alg.size_groups]
+    clones = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+    for clone in clones:
+        assert clone(alg) is alg
+        again = clone(fam)
+        assert again.source is alg and again.label is fam.label
+        assert np.array_equal(again.morphism.matrix, fam.morphism.matrix)
+    now = [alg._dims, alg._offsets, alg.basis_labels, alg.unit]
+    now += [idx for _, idx in alg.size_groups]
+    assert all(x is y and not x.flags.writeable for x, y in zip(now, cached))
+
+
+def test_a_suite_run_leaves_one_algebra_per_block_list():
+    run_all(seed=1)
+    gc.collect()
+    algebras = [x for x in gc.get_objects() if isinstance(x, FdCStarAlgebra)]
+    assert len(algebras) == len({a.block_dims for a in algebras}) > 100
 
 
 @given(block_dims, block_dims)

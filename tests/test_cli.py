@@ -1,6 +1,7 @@
 """End-to-end command line checks: exit codes, formats, determinism."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -309,6 +310,38 @@ def test_malformed_document_is_an_input_error(tmp_path, capsys):
     code, _, err = _run(capsys, ["verify-hom", str(bad)])
     assert code == 2
     assert "codomain" in err
+
+
+_ONE = [[[1.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "command, doc, largest",
+    [
+        ("verify-hom", {"kind": "morphism", "domain": {"blocks": [2**70]},
+                        "codomain": {"blocks": [1]}, "matrix": _ONE}, 2**70),
+        ("verify-hom", {"kind": "morphism", "domain": {"blocks": [3037000500]},
+                        "codomain": {"blocks": [1]}, "matrix": _ONE}, 3037000500),
+        ("check-coassoc", {"kind": "semigroup", "algebra": {"blocks": [10**6]},
+                           "delta_matrix": _ONE}, 10**12),
+    ],
+)
+def test_an_algebra_past_the_index_range_is_an_input_error(
+    capsys, tmp_path, command, doc, largest
+):
+    """A total dimension past the largest array index, of a document's
+    algebra or of its tensor square, exits 2 with a message; the only
+    numbers printed are the largest block and the limit, so no dimension
+    that wrapped around in int64 arithmetic reaches the output."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    for fmt in ("text", "structured"):
+        code, out, err = _run(capsys, [command, "--format", fmt, str(path)])
+        assert code == 2
+        message = err if fmt == "text" else json.loads(out)["error"]
+        assert "total dimension above" in message
+        numbers = {int(x) for x in re.findall(r"-?\d+", message)}
+        assert numbers == {largest, np.iinfo(np.intp).max}
 
 
 def test_nonpositive_tolerance_rejected(capsys, tmp_path):
