@@ -299,34 +299,49 @@ def column_element_norms(
     A column with a NaN coordinate has norm NaN; one with an infinite
     coordinate and no NaN has norm inf.
 
-    floor (a scalar, or one value per column) prunes the SVDs: on an n x n
-    block max|entry| <= norm <= n max|entry|, so a block whose max|entry|
-    is below floor (1 - 1e-12) / n cannot reach the floor. It counts as its
-    max|entry|, a lower bound of its norm (exact on a zero block). Every
-    norm at or above its column's floor is therefore the SVD value itself;
-    a column below its floor may read less than its norm. Non-finite blocks
-    are never pruned.
+    floor (a scalar, or one value per column) prunes the SVDs as in
+    block_norms: every norm at or above its column's floor is the SVD value
+    itself; a column below its floor may read less than its norm.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim == 1:
         matrix = matrix.reshape(-1, 1)
-    # the slack keeps a block whose SVD rounds up to the floor
-    cut = np.asarray(floor, dtype=float)[..., None] * (1 - 1e-12)  # against (column, block)
+    floor = np.asarray(floor, dtype=float)[..., None]  # against (column, block)
     out = np.zeros(matrix.shape[1])
-    for n, idx in algebra.size_groups:
-        sub = matrix[idx]  # (block, n, n, column)
-        with np.errstate(over="ignore"):  # |z| past the float range is inf
-            vals = np.abs(sub).max(axis=(1, 2)).T  # (column, block) max|entry|
-        finite = np.isfinite(vals)
-        if not finite.all():  # |inf + NaN i| is inf, but NaN wins
-            vals[np.isnan(sub).any(axis=(1, 2)).T] = np.nan
-        if n > 1:
-            decompose = finite & ~(vals < cut / n)
-            if decompose.any():
-                picked = sub.transpose(3, 0, 1, 2)[decompose]
-                vals[decompose] = np.linalg.svd(picked, compute_uv=False)[:, 0]
-        np.maximum(out, vals.max(axis=1), out=out)
+    for _, idx in algebra.size_groups:
+        blocks = matrix[idx].transpose(3, 0, 1, 2)  # (column, block, n, n)
+        np.maximum(out, block_norms(blocks, floor).max(axis=1), out=out)
     return out
+
+
+def block_norms(blocks: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Operator norms of a (..., P, n, n) stack of blocks; NaN for a block
+    with a NaN entry, else inf for one with an infinite entry. A row of P
+    blocks is pruned at its floor (broadcast against (..., 1)) raised to its
+    largest max|entry|: as max|entry| <= norm <= Frobenius norm, a zero
+    block or one whose Frobenius norm is below floor (1 - 1e-12) is not
+    decomposed and reads its max|entry|. So a norm at or above the floor is
+    the SVD value itself, and so is the largest norm of a row."""
+    n = blocks.shape[-1]
+    with np.errstate(over="ignore"):  # |z| and |z|^2 past the float range are inf
+        mags = np.abs(blocks)
+        vals = mags.max(axis=(-2, -1))
+        if n > 1:
+            mags *= mags  # in place, so the peak stays that of |z|
+            frobenius = np.sqrt(mags.sum(axis=(-2, -1)))
+    del mags
+    finite = np.isfinite(vals)
+    if not finite.all():  # |inf + NaN i| is inf, but NaN wins
+        vals[np.isnan(blocks).any(axis=(-2, -1))] = np.nan
+    if n > 1:
+        # the slack keeps a block whose SVD rounds up to the floor; squares
+        # below 1e-300 lose bits, so a block below 1e-150 is held to n max|entry|
+        cut = np.fmax(floor, vals.max(axis=-1, keepdims=True)) * (1 - 1e-12)
+        below = np.where(vals < 1e-150, vals < cut / n, frobenius < cut)
+        decompose = finite & (vals > 0) & ~below
+        if decompose.any():
+            vals[decompose] = np.linalg.svd(blocks[decompose], compute_uv=False)[:, 0]
+    return vals
 
 
 def max_image_defect(codomain: FdCStarAlgebra, matrix_diff: np.ndarray) -> float:
@@ -448,6 +463,9 @@ class TensorLayout:
 
     left: FdCStarAlgebra
     right: FdCStarAlgebra
+
+    def __reduce__(self):  # the one cached layout, with its read-only arrays
+        return tensor_layout, (self.left, self.right)
 
     @cached_property
     def product(self) -> FdCStarAlgebra:

@@ -111,7 +111,10 @@ def emit_report(report: CheckReport, fmt: str) -> str:
             ],
         }
         doc.update(report.extras)
-        return _json_line(_strict(doc))
+        try:
+            return _json_line(doc)
+        except ValueError:  # a NaN or inf; only then rebuild the report with nulls
+            return _json_line(_strict(doc))
     lines = [f"{report.command}: " + (" ".join(report.inputs) or "(no inputs)")]
     width = max((len(c.name) for c in report.checks), default=0)
     for c in report.checks:

@@ -158,6 +158,14 @@ def parse_algebra(doc: Any, path: str = "algebra") -> FdCStarAlgebra:
         raise _fail(f"{path}.blocks", str(exc)) from exc
 
 
+def _product(left: FdCStarAlgebra, right: FdCStarAlgebra, path: str, what: str) -> FdCStarAlgebra:
+    """left (x) right; a product past the index range is refused at path."""
+    try:
+        return tensor_layout(left, right).product
+    except InvalidDimensionError as exc:
+        raise _fail(path, f"{what}: {exc}") from exc
+
+
 def parse_element(
     doc: Any, algebra: FdCStarAlgebra | None = None, path: str = "element"
 ) -> AlgebraElement:
@@ -232,7 +240,7 @@ def parse_family(doc: Any, path: str = "family") -> QuantumFamily:
     source = parse_algebra(source, f"{path}.source")
     target = parse_algebra(target, f"{path}.target_factor")
     label = parse_algebra(label, f"{path}.label")
-    product = tensor_layout(target, label).product
+    product = _product(target, label, f"{path}.label.blocks", "target_factor (x) label")
     matrix = _parse_matrix(matrix, f"{path}.morphism", (product.dim, source.dim))
     return QuantumFamily(source, target, label, StarMorphism(source, product, matrix))
 
@@ -242,7 +250,7 @@ def parse_semigroup(doc: Any, path: str = "semigroup") -> QuantumSemigroup:
         return _parse_classical(doc, path, classical_semigroup_algebra)
     algebra, delta = _fields(doc, path, "algebra", "delta_matrix")
     algebra = parse_algebra(algebra, f"{path}.algebra")
-    square = tensor_layout(algebra, algebra).product
+    square = _product(algebra, algebra, f"{path}.algebra.blocks", "algebra (x) algebra")
     delta = _parse_matrix(delta, f"{path}.delta_matrix", (square.dim, algebra.dim))
     counit = None
     if doc.get("counit") is not None:

@@ -23,10 +23,9 @@ from .algebra import (
     FdCStarAlgebra,
     LinearFunctional,
     adjoint_permutation,
-    column_element_norms,
+    block_norms,
     make_algebra,
     multiplication_table,
-    multiply,
     tensor_layout,
     within,
 )
@@ -82,6 +81,9 @@ class StarMorphism:
         self.codomain = codomain
         self.matrix = matrix
 
+    def __reduce__(self):  # copies rebuild through the constructor: read-only, no caches
+        return StarMorphism, (self.domain, self.codomain, self.matrix)
+
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         if x.algebra != self.domain:
             raise IncompatibleAlgebraError("argument is not in the domain algebra")
@@ -133,62 +135,60 @@ class StarMorphism:
         return f"StarMorphism({self.domain!r} -> {self.codomain!r})"
 
 
+@np.errstate(over="ignore", invalid="ignore")  # huge or non-finite entries; within() fails those
 def _defect_report(maps: Sequence[StarMorphism]) -> list[dict[str, float]]:
-    """The defect report of each of maps, which share one domain and one
-    codomain; a single map is a stack of one. Each part of each map is
-    pruned at its own largest |entry|, so each report is bit for bit the
-    one the map gets alone."""
-    dom, cod = maps[0].domain, maps[0].codomain
-    d, count = dom.dim, len(maps)
-    mats = np.array([phi.matrix for phi in maps])
-    # the unit and star columns as (map, column, coordinate) arrays
-    unit = (mats @ dom.unit - cod.unit)[:, None]
-    star = mats[:, :, adjoint_permutation(dom)] - np.conj(mats[:, adjoint_permutation(cod)])
-    star = star.transpose(0, 2, 1)
+    """The defect report of each of maps, of any domains and codomains.
 
-    # phi(e_i)phi(e_j) - phi(e_i e_j) in chunks of at most _DEFECT_CHUNK
-    # entries: whole maps, or rows of one map when a map does not fit
-    tidx = multiplication_table(dom)
-    # Row d of each padded map is 0; the table's -1 entries (zero products) pick it.
-    padded = np.concatenate([mats, np.zeros((count, cod.dim, 1))], axis=2).transpose(0, 2, 1)
-    pairs = max(1, _DEFECT_CHUNK // max(1, d * cod.dim))  # (map, row) pairs a chunk
-    per, step = max(1, pairs // d), min(d, pairs)  # maps a chunk, and rows of a map
-    worst = np.full((count, 3), -np.inf)  # unit, star and mult defect of each map
-    for m, i in itertools.product(range(0, count, per), range(0, d, step)):
-        block, rows = slice(m, m + per), slice(i, min(d, i + step))
-        # huge entries overflow to inf or NaN here; within() fails those
-        with np.errstate(over="ignore", invalid="ignore"):
-            mult = multiply(cod, padded[block, rows, None], padded[block, None, :d])
+    phi is a unital *-homomorphism exactly when each block component
+    phi_c: B -> M_n is one, so the components of all maps are stacked by
+    (domain, n) as (K, d, n, n) images. Their unit, star and mult parts are
+    (K, P, n, n) arrays for block_norms, the mult part phi(e_i)phi(e_j) -
+    phi(e_i e_j) in chunks of at most _DEFECT_CHUNK entries over (component,
+    row) pairs. A part is pruned at the largest defect its map has shown so
+    far, so each report is bit for bit the one the map gets alone."""
+    worst = np.full((len(maps), 3), -np.inf)  # unit, star and mult defect of each map
+    stacks: dict[tuple[FdCStarAlgebra, int], list] = {}
+    for k, phi in enumerate(maps):
+        unit = phi.matrix @ phi.domain.unit - phi.codomain.unit
+        for n, idx in phi.codomain.size_groups:
+            stacks.setdefault((phi.domain, n), []).append((k, idx, unit[idx]))
+    for (dom, n), members in stacks.items():
+        owner = np.concatenate([np.full(len(u), k) for k, _, u in members])
+        d, count = dom.dim, len(owner)
+        # image of e_i under component c at [c, i]; [c, d] is 0, which the
+        # multiplication table's -1 entries (zero products) pick
+        padded = np.zeros((count, d + 1, n, n), dtype=complex)
+        padded[:, :d] = np.concatenate(
+            [maps[k].matrix[idx] for k, idx, _ in members]  # (blocks, n, n, d) each
+        ).transpose(0, 3, 1, 2)
+        images = padded[:, :d]
+        unit = np.concatenate([u for _, _, u in members])[:, None]
+        star = images[:, adjoint_permutation(dom)] - images.conj().swapaxes(2, 3)
+        tidx = multiplication_table(dom)
+        pairs = max(1, _DEFECT_CHUNK // (d * n * n))  # (component, row) pairs a chunk
+        per, step = max(1, pairs // d), min(d, pairs)  # components a chunk, and rows of one
+        for m, i in itertools.product(range(0, count, per), range(0, d, step)):
+            block, rows = slice(m, m + per), slice(i, min(d, i + step))
+            a, b = images[block, rows, None], images[block, None]
+            mult = a * b if n == 1 else a @ b
             mult -= padded[block][:, tidx[rows]]
-        here = len(mult)  # maps in this chunk
-        parts = [mult.reshape(here, -1, cod.dim)]
-        if i == 0:  # one norm call over a map's unit and star columns and its first chunk
-            parts = [unit[block], star[block]] + parts
-        # the columns part by part, map by map; an item is one map's columns of one part
-        columns = np.concatenate([part.reshape(-1, cod.dim).T for part in parts], axis=1)
-        sizes = [part.shape[1] for part in parts for _ in range(here)]
-        del mult, parts
-        starts = list(itertools.accumulate(sizes[:-1], initial=0))
-        with np.errstate(over="ignore"):
-            peaks = np.maximum.reduceat(np.abs(columns).max(axis=0), starts)
-        norms = column_element_norms(cod, columns, np.repeat(peaks, sizes))
-        items = np.maximum.reduceat(norms, starts).reshape(-1, here).T  # (map, part)
-        slots = worst[block, 3 - items.shape[1] :]
-        slots[:] = np.maximum(slots, items)
+            parts = [(2, mult.reshape(len(mult), -1, n, n))]
+            if i == 0:
+                parts += [(0, unit[block]), (1, star[block])]
+            for p, part in parts:
+                slots = worst[:, p]
+                norms = block_norms(part, slots[owner[block], None]).max(axis=1)
+                np.maximum.at(slots, owner[block], norms)
     return [{"mult_defect": m, "star_defect": s, "unit_defect": u} for u, s, m in worst.tolist()]
 
 
 def require_star_homs(maps: Sequence[StarMorphism]) -> Sequence[StarMorphism]:
     """Return maps if each verifies as a unital *-homomorphism, else raise
     for the first that fails. The reports not yet cached are computed by
-    one _defect_report per (domain, codomain) pair and cached on the maps."""
-    groups: dict[tuple[FdCStarAlgebra, FdCStarAlgebra], list[StarMorphism]] = {}
-    for phi in maps:
-        if "defect_report" not in phi.__dict__:
-            groups.setdefault((phi.domain, phi.codomain), []).append(phi)
-    for group in groups.values():
-        for phi, report in zip(group, _defect_report(group)):
-            phi.__dict__["defect_report"] = report
+    one _defect_report call and cached on the maps."""
+    todo = [phi for phi in maps if "defect_report" not in phi.__dict__]
+    for phi, report in zip(todo, _defect_report(todo) if todo else []):
+        phi.__dict__["defect_report"] = report
     for phi in maps:
         if not phi.is_star_hom():
             raise NotAHomomorphismError(
@@ -395,6 +395,9 @@ class Character(StarMorphism):
 
     def __init__(self, domain: FdCStarAlgebra, matrix: np.ndarray) -> None:
         super().__init__(domain, scalar_algebra(), matrix)
+
+    def __reduce__(self):
+        return Character, (self.domain, self.matrix)
 
     def value(self, x: AlgebraElement) -> complex:
         return complex(self(x).to_vec()[0])

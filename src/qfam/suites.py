@@ -14,6 +14,7 @@ test-suite can reuse the exact same constructions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,7 +38,6 @@ from .families import (
     evaluate_at_character,
     fixed_point_space,
     invariance_defects,
-    make_family,
     trivial_family,
 )
 from .morphisms import (
@@ -241,9 +241,9 @@ def draw_family(
 
 def build_families(draws: Sequence[FamilyDraw]) -> list[QuantumFamily]:
     """The verified families of draws: their homs built together, and
-    checked by one stacked hom check per (domain, codomain) pair."""
+    checked by one stacked hom check."""
     homs = require_star_homs(build_unital_homs([hom for _, _, hom in draws]))
-    return [make_family(phi.domain, c, a, phi) for (c, a, _), phi in zip(draws, homs)]
+    return [QuantumFamily(phi.domain, c, a, phi) for (c, a, _), phi in zip(draws, homs)]
 
 
 def random_family(
@@ -282,19 +282,28 @@ def uniform_state(npoints: int) -> LinearFunctional:
     return trace_state(functions_algebra(npoints))
 
 
+def conjugation_families(unitary_lists: Sequence[Sequence[np.ndarray]]) -> list[QuantumFamily]:
+    """The families x -> sum_t u_t x u_t* (x) delta_t, one per finite list
+    of unitaries on one matrix block, verified by one stacked hom check."""
+    families = []
+    for unitaries in unitary_lists:
+        mats = [np.asarray(u, dtype=complex) for u in unitaries]
+        source = make_algebra([mats[0].shape[0]])
+        layout = tensor_layout(source, functions_algebra(len(mats)))
+        mat = np.zeros((layout.product.dim, source.dim), dtype=complex)
+        for t, u in enumerate(mats):
+            # x -> u x u* (x) delta_t; vec(u x u*) = (u (x) conj u) vec(x)
+            mat[layout.pair_index[:, t]] = np.kron(u, u.conj())
+        phi = StarMorphism(source, layout.product, mat)
+        families.append(QuantumFamily(source, source, layout.right, phi))
+    require_star_homs([fam.morphism for fam in families])
+    return families
+
+
 def conjugation_family(unitaries: Sequence[np.ndarray]) -> QuantumFamily:
     """The family x -> sum_t u_t x u_t* (x) delta_t indexed by a finite
     list of unitaries on one matrix block."""
-    mats = [np.asarray(u, dtype=complex) for u in unitaries]
-    n = mats[0].shape[0]
-    source = make_algebra([n])
-    label = functions_algebra(len(mats))
-    layout = tensor_layout(source, label)
-    mat = np.zeros((layout.product.dim, source.dim), dtype=complex)
-    for t, u in enumerate(mats):
-        # x -> u x u* (x) delta_t; vec(u x u*) = (u (x) conj u) vec(x)
-        mat[layout.pair_index[:, t]] = np.kron(u, u.conj())
-    return make_family(source, source, label, mat)
+    return conjugation_families([unitaries])[0]
 
 
 def sign_conjugation_family() -> QuantumFamily:
@@ -303,31 +312,56 @@ def sign_conjugation_family() -> QuantumFamily:
     return conjugation_family([np.eye(2), np.diag([1.0, -1.0])])
 
 
-def diagonal_phase_family(
-    rng: np.random.Generator, n: int, count: int
-) -> QuantumFamily:
+def diagonal_phases(rng: np.random.Generator, n: int, count: int) -> list[np.ndarray]:
+    """count random diagonal phase unitaries on M_n."""
+    return [np.diag(np.exp(2j * np.pi * rng.random(n))) for _ in range(count)]
+
+
+def diagonal_phase_family(rng: np.random.Generator, n: int, count: int) -> QuantumFamily:
     """Conjugation family by random diagonal phase unitaries on M_n."""
-    unitaries = [
-        np.diag(np.exp(2j * np.pi * rng.random(n))) for _ in range(count)
-    ]
-    return conjugation_family(unitaries)
+    return conjugation_family(diagonal_phases(rng, n, count))
 
 
-def random_partition(
-    rng: np.random.Generator, d: int, parts: int
-) -> list[AlgebraElement]:
-    """Random partition of unity in M_d: Haar-rotated rank-one projections
-    grouped into the requested number of nonempty parts."""
+def draw_partition(rng: np.random.Generator, d: int, parts: int) -> tuple[np.ndarray, list[int]]:
+    """(ginibre, owner): the draws of random_partition in its order, owner[i]
+    the part that column i of the Haar unitary goes to."""
     if not 1 <= parts <= d:
         raise ValueError(f"need 1 <= parts <= {d}, got {parts}")
-    w = haar_unitary(rng, d)
+    ginibre = _ginibre(rng, d)
     owner = list(range(parts)) + [int(rng.integers(0, parts)) for _ in range(d - parts)]
-    owner = [owner[i] for i in rng.permutation(d)]
-    alg = make_algebra([d])
+    return ginibre, [owner[i] for i in rng.permutation(d)]
+
+
+def build_partitions(draws: Sequence[tuple[np.ndarray, list[int]]]) -> list[np.ndarray]:
+    """The projections of each draw as a (parts, d * d) coordinate array
+    over M_d, with one QR per size over all the draws."""
     out = []
-    for g in range(parts):
-        cols = w[:, [i for i in range(d) if owner[i] == g]]
-        out.append(alg.element([cols @ cols.conj().T]))
+    for w, (_, owner) in zip(_per_shape(haar_unitaries, [g for g, _ in draws]), draws):
+        cols = [w[:, [i for i, o in enumerate(owner) if o == g]] for g in range(max(owner) + 1)]
+        out.append(np.array([(c @ c.conj().T).ravel() for c in cols]))
+    return out
+
+
+def random_partition(rng: np.random.Generator, d: int, parts: int) -> list[AlgebraElement]:
+    """Random partition of unity in M_d: Haar-rotated rank-one projections
+    grouped into the requested number of nonempty parts."""
+    alg = make_algebra([d])
+    return [AlgebraElement(alg, v) for v in build_partitions([draw_partition(rng, d, parts)])[0]]
+
+
+def draw_magic_unitary(rng: np.random.Generator, n: int) -> tuple[tuple, list[np.ndarray]]:
+    """(partition draw, perms): the draws of random_magic_unitary in its order."""
+    t = int(rng.integers(2, 5))
+    return draw_partition(rng, t, t), [rng.permutation(n) for _ in range(t)]
+
+
+def build_magic_unitaries(draws: Sequence[tuple[tuple, list[np.ndarray]]]) -> list[MagicUnitary]:
+    """The magic unitaries of draws, with one QR per partition size."""
+    out = []
+    for coords, (_, perms) in zip(build_partitions([p for p, _ in draws]), draws):
+        n = len(perms[0])
+        hits = np.array(perms)[:, None, :] == np.arange(n)[:, None]  # [k, i, j]
+        out.append(MagicUnitary(make_algebra([len(perms)]), np.einsum("kij,kd->ijd", hits, coords)))
     return out
 
 
@@ -336,13 +370,7 @@ def random_magic_unitary(rng: np.random.Generator, n: int) -> MagicUnitary:
     permutations: entry (i, j) collects the projections q_t whose
     permutation sends j to i. Rows and columns each sum to the full
     partition, and entries are sums of orthogonal projections."""
-    t = int(rng.integers(2, 5))
-    alg = make_algebra([t])
-    projections = random_partition(rng, t, t)
-    perms = [rng.permutation(n) for _ in range(t)]
-    hits = np.array(perms)[:, None, :] == np.arange(n)[:, None]  # [k, i, j]
-    coords = np.array([q.to_vec() for q in projections])
-    return MagicUnitary(alg, np.einsum("kij,kd->ijd", hits, coords))
+    return build_magic_unitaries([draw_magic_unitary(rng, n)])[0]
 
 
 def all_maps_family(n: int) -> QuantumFamily:
@@ -489,13 +517,16 @@ def suite_invariance_closure(seed: int = 0) -> list[CheckOutcome]:
     """Composing uniform-state-preserving families preserves the state."""
     rng = np.random.default_rng(seed)
     psi = uniform_state(3)
-    worst_factor = 0.0
-    worst_composed = 0.0
+    draws = []
     for _ in range(50):
         nperm = 1 + int(rng.integers(0, 3))
         perms = [tuple(int(v) for v in rng.permutation(3)) for _ in range(nperm)]
+        draws.append((perms, draw_magic_unitary(rng, 3)))
+    magics = build_magic_unitaries([magic for _, magic in draws])
+    worst_factor = worst_composed = 0.0
+    for (perms, _), magic in zip(draws, magics):
         f_perm = classical_family(perms)
-        f_proj = wang_family(random_magic_unitary(rng, 3))
+        f_proj = wang_family(magic)
         for fam in (f_perm, f_proj):
             worst_factor = _worst(worst_factor, invariance_defects(fam, psi).defect)
         for comp in (
@@ -534,26 +565,17 @@ def suite_commutant_closure(seed: int = 0) -> list[CheckOutcome]:
 
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.diag([1.0, -1.0])
-    triples = [
-        (
-            conjugation_family([np.eye(2), x]),
-            conjugation_family([np.eye(2), z]),
-            conjugation_family([np.eye(2), x @ z]),
-        )
-    ]
+    unitaries = [[np.eye(2), x], [np.eye(2), z], [np.eye(2), x @ z]]
     for _ in range(15):
         n = int(rng.integers(2, 4))
-        triples.append(
-            tuple(
-                diagonal_phase_family(rng, n, 1 + int(rng.integers(0, 3)))
-                for _ in range(3)
-            )
-        )
+        unitaries += [diagonal_phases(rng, n, 1 + int(rng.integers(0, 3))) for _ in range(3)]
     for _ in range(20):
         src = random_source_algebra(rng)
         draws.append(draw_family(rng, src, src, random_label(rng)))
         draws.append(draw_family(rng, src, src, random_label(rng)))
     families = build_families(draws)
+    conjugations = conjugation_families(unitaries)
+    triples = [conjugations[k : k + 3] for k in range(0, len(conjugations), 3)]
 
     worst_trivial = 0.0
     for fam, triv in zip(families, trivial):
@@ -658,14 +680,19 @@ def suite_wang_relations(seed: int = 0) -> list[CheckOutcome]:
 def suite_projection_partition(seed: int = 0) -> list[CheckOutcome]:
     """Partitions of unity are automatically pairwise orthogonal."""
     rng = np.random.default_rng(seed)
-    worst_sum = 0.0
-    worst_orth = 0.0
+    draws = []
     for _ in range(200):
         d = int(rng.integers(1, 7))
-        parts = int(rng.integers(1, min(d, 5) + 1))
-        sum_defect, orth_defect = projection_family_check(
-            random_partition(rng, d, parts)
-        )
+        draws.append(draw_partition(rng, d, int(rng.integers(1, min(d, 5) + 1))))
+    stacks: dict[tuple[int, int], list[np.ndarray]] = {}
+    for coords in build_partitions(draws):
+        stacks.setdefault(coords.shape, []).append(coords)
+    worst_sum = worst_orth = 0.0
+    for (_, size), stack in stacks.items():
+        # K partitions of unity in M_d are one in the direct sum of K copies of M_d
+        alg = make_algebra([math.isqrt(size)] * len(stack))
+        entries = [AlgebraElement(alg, v) for v in np.concatenate(stack, axis=1)]
+        sum_defect, orth_defect = projection_family_check(entries)
         worst_sum = _worst(worst_sum, sum_defect)
         worst_orth = _worst(worst_orth, orth_defect)
     detail = "200 seeded Haar partitions of unity in M_d, d <= 6"

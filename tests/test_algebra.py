@@ -26,8 +26,14 @@ from qfam import (
     tensor_layout,
     trace_state,
 )
-from qfam.algebra import adjoint_permutation, column_element_norms, multiplication_table
-from qfam.suites import random_faithful_state, run_all
+from qfam import Character, characters_of, morphisms
+from qfam.algebra import (
+    adjoint_permutation,
+    block_norms,
+    column_element_norms,
+    multiplication_table,
+)
+from qfam.suites import conjugation_family, random_faithful_state, run_all
 
 block_dims = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3)
 
@@ -136,6 +142,25 @@ def test_copies_and_pickles_return_the_shared_algebra():
     now = [alg._dims, alg._offsets, alg.basis_labels, alg.unit]
     now += [idx for _, idx in alg.size_groups]
     assert all(x is y and not x.flags.writeable for x, y in zip(now, cached))
+
+
+def test_copies_of_maps_and_layouts_keep_read_only_arrays():
+    """deepcopy and pickle rebuild a map through its constructor and a
+    layout through tensor_layout: a copied family's matrix is read-only,
+    and its layout is the shared one, with the same read-only pair_index."""
+    fam = all_maps_family(2)
+    layout, pairs = fam.layout, fam.layout.pair_index
+    chi = characters_of(fam.label)[0]
+    for clone in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        again = clone(fam)
+        assert not again.morphism.matrix.flags.writeable
+        assert again.morphism.matrix.tobytes() == fam.morphism.matrix.tobytes()
+        assert again.layout is layout and again.layout.pair_index is pairs
+        assert not pairs.flags.writeable
+        assert clone(layout) is layout
+        char = clone(chi)
+        assert type(char) is Character and char.codomain is chi.codomain
+        assert not char.matrix.flags.writeable
 
 
 def test_a_suite_run_leaves_one_algebra_per_block_list():
@@ -626,8 +651,9 @@ def test_a_block_whose_svd_rounds_above_its_bound_is_decomposed():
 
 
 def test_a_block_at_its_pruning_bound_is_decomposed():
-    """The SVD is skipped only below floor (1 - 1e-12) / n; a block whose
-    largest |entry| is exactly that value is decomposed."""
+    """The SVD is skipped only below floor (1 - 1e-12) in Frobenius norm; a
+    block whose Frobenius norm, here n max|entry|, is exactly that value is
+    decomposed."""
     alg = make_algebra([2])
     block = np.array([[1.0, 1.0], [1.0, -1.0]])  # max|entry| 1, norm sqrt 2
     floor = 2 / (1 - 1e-12)
@@ -640,6 +666,35 @@ def test_a_block_at_its_pruning_bound_is_decomposed():
     assert norm == np.linalg.svd(block, compute_uv=False)[0]
     (below,) = column_element_norms(alg, block.ravel(), np.nextafter(floor, np.inf))
     assert below == 1.0
+
+
+def test_no_zero_block_reaches_the_svd(monkeypatch):
+    """An all-zero block reads 0.0, the value LAPACK gives it, without an
+    SVD, in block_norms, in column_element_norms and in the hom check of a
+    conjugation family, most of whose blocks are zero. NaN and inf blocks
+    still read NaN and inf, and the largest norm of a row is its SVD."""
+    svd, sent = np.linalg.svd, []
+
+    def recording(a, *args, **kwargs):
+        sent.append(np.abs(a).max(axis=(-2, -1)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    rng = np.random.default_rng(5)
+    blocks = rng.standard_normal((3, 6, 3, 3, 2)) @ [1, 1j]
+    blocks[:, ::2] = 0
+    blocks[1, 1, 0, 0], blocks[2, 3, 2, 1] = np.nan, np.inf
+    norms = block_norms(blocks, np.zeros((3, 1)))
+    assert norms[:, ::2].tobytes() == np.zeros((3, 3)).tobytes()  # +0.0, no -0.0
+    assert np.isnan(norms[1, 1]) and norms[2, 3] == np.inf
+    exact = svd(blocks[0], compute_uv=False)[:, 0]
+    assert norms[0].max() == exact.max()
+    assert svd(np.zeros((2, 3, 3)), compute_uv=False).tobytes() == np.zeros((2, 3)).tobytes()
+    alg = make_algebra([1, 2, 3])
+    assert column_element_norms(alg, np.zeros((alg.dim, 4))).tolist() == [0.0] * 4
+    phi = conjugation_family([np.eye(3), np.diag([1.0, 1j, -1.0])]).morphism
+    assert max(morphisms._defect_report([phi])[0].values()) < 1e-15
+    assert sent and all((values > 0).all() for values in sent)
 
 
 def test_entries_near_the_float_range_prune_without_overflow():

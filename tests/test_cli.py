@@ -28,7 +28,9 @@ from qfam import (
     trace_state,
     wang_family,
 )
-from qfam.cli import COMMANDS, main
+import qfam.cli
+from qfam.cli import COMMANDS, CheckReport, emit_report, main
+from qfam.suites import CheckOutcome
 from qfam.morphisms import StarMorphism
 
 
@@ -342,6 +344,62 @@ def test_an_algebra_past_the_index_range_is_an_input_error(
         assert "total dimension above" in message
         numbers = {int(x) for x in re.findall(r"-?\d+", message)}
         assert numbers == {largest, np.iinfo(np.intp).max}
+
+
+@pytest.mark.parametrize(
+    "command, doc, path",
+    [
+        ("check-coassoc", {"kind": "semigroup", "algebra": {"blocks": [10**6]},
+                           "delta_matrix": _ONE}, "semigroup.algebra.blocks"),
+        ("check-podles", {"kind": "family", "source": {"blocks": [1]},
+                          "target_factor": {"blocks": [10**5]}, "label": {"blocks": [10**5]},
+                          "morphism": _ONE}, "family.label.blocks"),
+    ],
+)
+def test_a_product_past_the_index_range_is_reported_at_its_algebra(
+    capsys, tmp_path, command, doc, path
+):
+    """A tensor product past the largest array index, of algebras that each
+    fit, exits 2 with the document path of the algebra it is built from, as
+    an oversized algebra itself does."""
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(doc))
+    code, _, err = _run(capsys, [command, str(big)])
+    assert code == 2
+    assert err.startswith(f"error: {path}: ") and "total dimension above" in err
+
+
+def _report(defect, extras=None):
+    check = CheckOutcome("verify-hom:mult_defect", False, defect, 1e-9, "detail")
+    return CheckReport("verify-hom", ["phi.json"], 1e-9, 0, [check], extras or {})
+
+
+def test_structured_output_writes_a_non_finite_float_as_null():
+    """A NaN or inf defect, or one inside a nested extras list, is written
+    as null; the rest of the report is kept."""
+    for bad in (float("nan"), float("inf")):
+        extras = {"tables": [[1.0, bad]], "nested": {"values": [2.5, [bad]]}}
+        out = emit_report(_report(bad, extras), "structured")
+        assert '"defect":null' in out
+        doc = json.loads(out)
+        assert doc["checks"][0]["defect"] is None
+        assert doc["tables"] == [[1.0, None]]
+        assert doc["nested"] == {"values": [2.5, [None]]}
+
+
+def test_a_finite_report_is_encoded_in_one_pass(monkeypatch):
+    """emit_report walks the report for non-finite floats only when the
+    strict encoder refuses it, so a finite report never reaches _strict and
+    is written as one compact line."""
+    report = _report(1.5e-16, {"tables": [[1, 2]], "matrix_scale": 1.0})
+    calls = []
+    strict = qfam.cli._strict
+    monkeypatch.setattr(qfam.cli, "_strict", lambda value: calls.append(1) or strict(value))
+    out = emit_report(report, "structured")
+    assert calls == []
+    assert out == json.dumps(json.loads(out), separators=(",", ":"), allow_nan=False)
+    emit_report(_report(float("nan")), "structured")
+    assert calls
 
 
 def test_nonpositive_tolerance_rejected(capsys, tmp_path):

@@ -44,18 +44,26 @@ from qfam import (
 )
 from qfam import morphisms
 from qfam.morphisms import StarMorphism, _defect_report
+from qfam.representations import magic_unitary_check
 from qfam.suites import (
     _per_shape,
     build_families,
+    build_magic_unitaries,
+    build_partitions,
+    conjugation_families,
     conjugation_family,
     draw_family,
+    draw_magic_unitary,
+    draw_partition,
     haar_unitaries,
     haar_unitary,
     random_algebra,
     random_family,
     random_faithful_state,
     random_label,
+    random_partition,
     random_source_algebra,
+    run_all,
 )
 
 
@@ -417,7 +425,7 @@ def test_the_batch_family_builder_is_consecutive_random_family_calls(seed, count
     """build_families over draws taken in a row gives the families that as
     many random_family calls give from the same generator state: the same
     algebras, matrices and defect reports, and the same next draw. It
-    checks them by one _defect_report call per (domain, codomain) pair."""
+    checks them all by one _defect_report call."""
     batch, single = np.random.default_rng(seed), np.random.default_rng(seed)
     draws, expected = [], []
     for _ in range(count):
@@ -431,10 +439,7 @@ def test_the_batch_family_builder_is_consecutive_random_family_calls(seed, count
             morphisms, "_defect_report", lambda maps: stacks.append(maps) or _defect_report(maps)
         )
         built = build_families(draws)
-    pairs = {(hom[0], hom[1]) for _, _, hom in draws}
-    assert sorted(len(s) for s in stacks) == sorted(
-        sum(hom[:2] == pair for _, _, hom in draws) for pair in pairs
-    )
+    assert [len(s) for s in stacks] == [count]
     for got, want in zip(built, expected, strict=True):
         assert (got.source, got.target_factor, got.label) == (
             want.source,
@@ -456,3 +461,94 @@ def test_one_svd_per_shape_gives_each_matrix_norm(shapes, seed):
     mats = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for shape in shapes]
     got = _per_shape(lambda stack: np.linalg.svd(stack, compute_uv=False).max(axis=1), mats)
     assert np.array(got).tobytes() == np.array([np.linalg.norm(m, 2) for m in mats]).tobytes()
+
+
+def _one_at_a_time_partition(rng, d, parts):
+    """A random partition of unity as (parts, d * d) coordinates, drawn and
+    built one at a time: its own QR, then the owner draws, then the
+    permutation; the reference for the draw-first builders."""
+    w = _one_qr_haar(_ginibre(rng, d))
+    owner = list(range(parts)) + [int(rng.integers(0, parts)) for _ in range(d - parts)]
+    owner = [owner[i] for i in rng.permutation(d)]
+    cols = [w[:, [i for i in range(d) if owner[i] == g]] for g in range(parts)]
+    return np.array([(c @ c.conj().T).ravel() for c in cols])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=12), st.integers(0))
+def test_the_draw_first_partitions_are_the_one_at_a_time_ones(sizes, seed):
+    """build_partitions over draws taken in a row, one QR per size, gives
+    the projections that one-at-a-time draws and builds give from the same
+    generator state, bit for bit, and the same next draw; random_partition
+    is its one-item wrapper."""
+    batch, single, wrapped = (np.random.default_rng(seed) for _ in range(3))
+    draws, expected, elements = [], [], []
+    for d in sizes:
+        parts = 1 + d // 2
+        draws.append(draw_partition(batch, d, parts))
+        expected.append(_one_at_a_time_partition(single, d, parts))
+        elements.append(np.array([q.to_vec() for q in random_partition(wrapped, d, parts)]))
+    built = build_partitions(draws)
+    for got, one, want in zip(built, elements, expected, strict=True):
+        assert got.tobytes() == one.tobytes() == want.tobytes()
+    assert batch.random() == single.random() == wrapped.random()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 5), st.integers(0))
+def test_the_draw_first_magic_unitaries_are_the_one_at_a_time_ones(count, n, seed):
+    """build_magic_unitaries over draws taken in a row gives the grids that
+    one-at-a-time builds give from the same generator state, bit for bit:
+    entry (i, j) sums the projections of a t-part partition whose
+    permutation sends j to i. The next draw is the same too."""
+    batch, single = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = [draw_magic_unitary(batch, n) for _ in range(count)]
+    for got in build_magic_unitaries(draws):
+        t = int(single.integers(2, 5))
+        coords = _one_at_a_time_partition(single, t, t)
+        perms = [single.permutation(n) for _ in range(t)]
+        want = np.einsum("kij,kd->ijd", np.array(perms)[:, None, :] == np.arange(n)[:, None], coords)
+        assert got.algebra is make_algebra([t]) and got.entries.tobytes() == want.tobytes()
+        assert magic_unitary_check(got).passed
+    assert batch.random() == single.random()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=8), st.integers(0))
+def test_the_conjugation_builder_checks_its_families_in_one_call(shapes, seed):
+    """conjugation_families gives, list by list, the family and defect
+    report conjugation_family gives, bit for bit, and verifies them all by
+    one _defect_report call."""
+    rng = np.random.default_rng(seed)
+    lists = [[haar_unitary(rng, n) for _ in range(count)] for n, count in shapes]
+    stacks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            morphisms, "_defect_report", lambda maps: stacks.append(maps) or _defect_report(maps)
+        )
+        built = conjugation_families(lists)
+    assert [len(s) for s in stacks] == [len(lists)]
+    for got, unitaries in zip(built, lists, strict=True):
+        want = conjugation_family(unitaries)
+        assert (got.source, got.target_factor, got.label) == (
+            want.source,
+            want.target_factor,
+            want.label,
+        )
+        assert got.morphism.matrix.tobytes() == want.morphism.matrix.tobytes()
+        assert repr(got.morphism.defect_report) == repr(want.morphism.defect_report)
+
+
+def test_a_suite_run_checks_its_maps_and_builds_its_unitaries_in_stacks(monkeypatch):
+    """run_all(seed=1) verifies its 743 maps in at most 10 _defect_report
+    calls (one per build) and builds its Haar unitaries with at most 20
+    QR calls (one per size and build)."""
+    checks, qrs = [], []
+    qr = np.linalg.qr
+    monkeypatch.setattr(
+        morphisms, "_defect_report", lambda maps: checks.append(len(maps)) or _defect_report(maps)
+    )
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args: qrs.append(len(a)) or qr(a, *args))
+    run_all(seed=1)
+    assert sum(checks) == 743 and len(checks) <= 10
+    assert len(qrs) <= 20

@@ -350,43 +350,56 @@ def _exact(reports):
 
 def _stack_member(rng, dom, cod, kind):
     """A map from dom into cod: a random unital *-homomorphism, or one
-    broken as kind says (noise at scale 1e3, a NaN entry, one codomain
-    block zeroed so the map is not unital)."""
+    broken as kind says (noise at scale 1e3, a NaN or an infinite entry,
+    one codomain block zeroed so the map is not unital, or each block
+    twisted by x -> S x S^-1 with S not unitary, which keeps it
+    multiplicative but not *-preserving)."""
     mat = random_unital_hom(rng, dom, cod).matrix.copy()
     if kind == "noisy":
         mat += 1e3 * (rng.standard_normal((cod.dim, dom.dim, 2)) @ [1, 1j])
-    elif kind == "nan":
-        mat[rng.integers(cod.dim), rng.integers(dom.dim)] = np.nan
+    elif kind in ("nan", "inf"):
+        mat[rng.integers(cod.dim), rng.integers(dom.dim)] = np.nan if kind == "nan" else np.inf
     elif kind == "non-unital":
         off, n = cod.block_slices()[int(rng.integers(len(cod.block_dims)))]
         mat[off : off + n * n] = 0
+    elif kind == "twisted":  # vec(S x S^-1) = (S (x) S^-T) vec(x), row-major
+        for off, n in cod.block_slices():
+            twist = np.eye(n) + 0.5 * rng.standard_normal((n, n))
+            rows = slice(off, off + n * n)
+            mat[rows] = np.kron(twist, np.linalg.inv(twist).T) @ mat[rows]
     return StarMorphism(dom, cod, mat)
 
 
-@settings(max_examples=60, deadline=None)
+stack_kinds = st.sampled_from(["hom", "noisy", "nan", "inf", "non-unital", "twisted"])
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    hom_dims,
-    hom_dims,
-    st.lists(st.sampled_from(["hom", "noisy", "nan", "non-unital"]), min_size=1, max_size=5),
+    st.lists(st.tuples(hom_dims, hom_dims, stack_kinds), min_size=1, max_size=6),
     st.integers(0),
-    st.sampled_from([None, 1, 2, "two maps"]),
+    st.sampled_from([None, 1, 40, 300]),
 )
-@example([2], [2], ["hom", "noisy"], 0, 2)  # rows 0-1, 2-3 and 4 of five
-def test_a_stacked_defect_report_is_each_maps_own(dom_dims, cod_dims, kinds, seed, rows):
-    """_defect_report over a stack of maps gives each map the report it
-    gets alone and the part-by-part reference, bit for bit: a noisy, NaN or
-    non-unital member does not move its neighbours' pruning floors, also
-    when the mult part is chunked at one or two (map, row) pairs, or at
-    2 d + 1 pairs, which is two whole maps a chunk."""
+@example([([2], [2], "hom"), ([2], [2], "noisy")], 0, 2 * 5 * 4)  # rows 0-1, 2-3, 4
+@example([([1], [2, 1], "hom"), ([2], [2, 2], "twisted"), ([1], [3], "inf")], 1, None)
+def test_a_stacked_defect_report_is_each_maps_own(members, seed, chunk):
+    """_defect_report over maps of different domains and codomains, whose
+    block components it stacks by (domain, block size), gives each map the
+    report it gets alone and the part-by-part reference, bit for bit: a
+    noisy, twisted, NaN, inf or non-unital member does not move its
+    neighbours' defects or pruning, also when the mult part is chunked at
+    one (component, row) pair, or at 40 or 300 entries, several whole
+    components a chunk."""
     rng = np.random.default_rng(seed)
-    dom, cod = make_algebra([1] + dom_dims), make_algebra(cod_dims)
-    stack = [_stack_member(rng, dom, cod, kind) for kind in kinds]
+    stack = [
+        _stack_member(rng, make_algebra([1] + dom), make_algebra(cod), kind)
+        for dom, cod, kind in members
+    ]
     alone = _exact(morphisms._defect_report([phi])[0] for phi in stack)
-    assert alone == _exact(_defects_part_by_part(phi) for phi in stack)
+    with np.errstate(over="ignore", invalid="ignore"):  # the inf members
+        assert alone == _exact(_defects_part_by_part(phi) for phi in stack)
     with pytest.MonkeyPatch.context() as patch:
-        if rows is not None:
-            pairs = 2 * dom.dim + 1 if rows == "two maps" else rows
-            patch.setattr(morphisms, "_DEFECT_CHUNK", pairs * dom.dim * cod.dim)
+        if chunk is not None:
+            patch.setattr(morphisms, "_DEFECT_CHUNK", chunk)
         assert _exact(morphisms._defect_report(stack)) == alone
 
 
