@@ -29,7 +29,6 @@ from .algebra import (
     AlgebraElement,
     FdCStarAlgebra,
     LinearFunctional,
-    TensorLayout,
     make_algebra,
     tensor_layout,
 )
@@ -264,14 +263,13 @@ def parse_magic_unitary(doc: Any, path: str = "magic_unitary") -> MagicUnitary:
     algebra = parse_algebra(algebra, f"{path}.ambient")
     if not isinstance(rows, list) or not rows:
         raise _fail(f"{path}.entries", "expected a nonempty square array")
-    entries = []
+    entries = np.empty((len(rows), len(rows), algebra.dim), dtype=complex)
     for i, row in enumerate(rows):
         at = f"{path}.entries[{i}]"
         if not isinstance(row, list) or len(row) != len(rows):
             raise _fail(at, "array must be square")
-        entries.append(
-            [parse_element(c, algebra, f"{at}[{j}]") for j, c in enumerate(row)]
-        )
+        for j, c in enumerate(row):
+            entries[i, j] = parse_element(c, algebra, f"{at}[{j}]").to_vec()
     return MagicUnitary(algebra, entries)
 
 
@@ -329,20 +327,16 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def _column_table(phi: StarMorphism, layout: TensorLayout) -> np.ndarray:
-    """For each row of phi's matrix, the column of its first nonzero entry
-    (0 for a zero row), arranged as a (dim left, dim right) table by
-    layout, the tensor product phi maps into."""
-    return (phi.matrix != 0).argmax(axis=1)[layout.pair_index]
-
-
 def _semigroup_table(sg: QuantumSemigroup) -> np.ndarray | None:
     """The 0-based multiplication table from which classical_semigroup_algebra
     rebuilds sg bit for bit, Delta and counit; None when there is none."""
     if not sg.algebra.is_commutative:
         return None
     delta = sg.comultiplication
-    table = _column_table(delta, tensor_layout(sg.algebra, sg.algebra))
+    form = delta.monomial
+    if form is None or form[0].min() < 0:  # a zero row has column -1
+        return None
+    table = form[0][tensor_layout(sg.algebra, sg.algebra).pair_index]
     if not table_is_associative(table):
         return None
     rebuilt = classical_semigroup_algebra(table)
@@ -364,7 +358,10 @@ def _family_tables(family: QuantumFamily) -> np.ndarray | None:
         and family.label.is_commutative
     ):
         return None
-    tables = _column_table(family.morphism, family.layout).T
+    form = family.morphism.monomial
+    if form is None or form[0].min() < 0:  # a zero row has column -1
+        return None
+    tables = form[0][family.layout.pair_index].T
     rebuilt = classical_family(tables)
     return tables if _same_bits(rebuilt.morphism.matrix, family.morphism.matrix) else None
 

@@ -35,11 +35,11 @@ from .linalg import nullspace, numeric_rank
 from .morphisms import (
     Character,
     StarMorphism,
-    flip,
     functions_algebra,
     lift,
     require_star_hom,
     scalar_algebra,
+    swap_index,
 )
 
 
@@ -214,8 +214,9 @@ def commutation_defect(first: QuantumFamily, second: QuantumFamily) -> float:
 
     Measures (id (x) swap) o (first composed with second) against
     (second composed with first) in worst operator norm over the canonical
-    basis. The defect is symmetric in its arguments up to numerical noise
-    because the swap is isometric.
+    basis. The swap of the label factors is one gather of rows through
+    morphisms.swap_index. The defect is symmetric in its arguments up to
+    numerical noise because the swap is isometric.
     """
     first.require_self_map("commutation")
     second.require_self_map("commutation")
@@ -223,8 +224,10 @@ def commutation_defect(first: QuantumFamily, second: QuantumFamily) -> float:
         raise IncompatibleAlgebraError("families act on different algebras")
     left = compose_families(first, second)
     right = compose_families(second, first)
-    swap = flip(first.label, second.label)
-    diff = lift(first.source, swap, left.morphism.matrix)
+    # row (b, q) over source (x) (A2 (x) A1) is row (b, swap[q]) of left's
+    rows = np.empty(right.morphism.codomain.dim, dtype=np.intp)
+    rows[right.layout.pair_index] = left.layout.pair_index[:, swap_index(first.label, second.label)]
+    diff = left.morphism.matrix[rows]
     diff -= right.morphism.matrix
     return max_image_defect(right.morphism.codomain, diff)
 
@@ -245,8 +248,7 @@ class FixedPointSpace:
 def fixed_point_space(family: QuantumFamily) -> FixedPointSpace:
     """Solve Psi(x) = x (x) I; ergodic means only multiples of the identity."""
     family.require_self_map("fixed points")
-    triv = trivial_family(family.source, family.label)
-    null = nullspace(family.morphism.matrix - triv.morphism.matrix)
+    null = nullspace(family.morphism.matrix - family.layout.left_units().T)  # Psi(x) - x (x) I
     dimension = null.shape[1]
     return FixedPointSpace(dimension=dimension, basis=null, ergodic=dimension == 1)
 

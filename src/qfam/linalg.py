@@ -86,5 +86,6 @@ def nullspace(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis, as columns, of the numerical nullspace of mat."""
     mat = np.asarray(mat, dtype=complex)
     _require_finite(mat)
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    # vh is square either way; only a wide matrix needs its full rows
+    _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     return vh[_rank_of(s) :].conj().T

@@ -46,7 +46,8 @@ SET_MAP_CAP = 6
 # by _require_monomial_fits at 144 bytes per row of the result: 2^30 admits
 # coassociativity on cyclic groups of order up to 195. Other maps take
 # dense lifts, counted by _require_lift_fits: 2^30 admits coassociativity
-# with a non-monomial comultiplication over up to 68 coordinates.
+# with a non-monomial comultiplication over up to 68 coordinates. The entry
+# commutators of magic_unitary_check are held to the same cap.
 LIFT_BYTES_CAP = 2**30
 
 # Above this many complex entries the multiplicativity check is chunked.
@@ -234,9 +235,15 @@ def _require_lift_fits(phi: LiftFactor, psi: LiftFactor, ncols: int) -> None:
     (a1, b1), (a2, b2) = ((x.dim, y.dim) for x, y in (_ends(phi), _ends(psi)))
     nbytes = 16 * ncols * (3 * max(a1 * a2, b1 * a2, b1 * b2) + a1 * a2)
     nbytes += 2 * 24 * (a1 * a2 + b1 * b2) + 2**14
+    require_bytes_fit(nbytes, f"a tensor lift of {ncols} columns")
+
+
+def require_bytes_fit(nbytes: int, what: str) -> None:
+    """Refuse what, which holds nbytes at its peak, when that exceeds
+    LIFT_BYTES_CAP."""
     if nbytes > LIFT_BYTES_CAP:
         raise ResourceLimitError(
-            f"a tensor lift of {ncols} columns needs {nbytes / 2**20:.0f} MiB, "
+            f"{what} needs {nbytes / 2**20:.0f} MiB, "
             f"over the cap of {LIFT_BYTES_CAP / 2**20:.0f} MiB"
         )
 
@@ -302,11 +309,7 @@ def _require_monomial_fits(cod1: FdCStarAlgebra, cod2: FdCStarAlgebra) -> None:
     """
     rows = cod1.dim * cod2.dim
     nbytes = (2 * 24 + 48 + 2 * 24) * rows + 2**14
-    if nbytes > LIFT_BYTES_CAP:
-        raise ResourceLimitError(
-            f"a monomial lift of {rows} rows needs {nbytes / 2**20:.0f} MiB, "
-            f"over the cap of {LIFT_BYTES_CAP / 2**20:.0f} MiB"
-        )
+    require_bytes_fit(nbytes, f"a monomial lift of {rows} rows")
 
 
 def lift_monomial(phi: LiftFactor, psi: LiftFactor, form: MonomialForm) -> MonomialForm:
@@ -380,14 +383,22 @@ def tensor_morphisms(phi: StarMorphism, psi: StarMorphism) -> StarMorphism:
     return StarMorphism(lin.product, codomain, mat)
 
 
+def swap_index(left: FdCStarAlgebra, right: FdCStarAlgebra) -> np.ndarray:
+    """The tensor swap x (x) y -> y (x) x as an index map: coordinate r of
+    the swapped element over right (x) left is coordinate swap[r] of the
+    element over left (x) right."""
+    fwd, rev = tensor_layout(left, right), tensor_layout(right, left)
+    swap = np.empty(fwd.product.dim, dtype=np.intp)
+    swap[rev.pair_index.T] = fwd.pair_index  # e_i (x) f_j goes to f_j (x) e_i
+    return swap
+
+
 def flip(left: FdCStarAlgebra, right: FdCStarAlgebra) -> StarMorphism:
-    """The tensor swap x (x) y -> y (x) x as a morphism of product algebras."""
-    fwd = tensor_layout(left, right)
-    rev = tensor_layout(right, left)
-    mat = np.zeros((rev.product.dim, fwd.product.dim), dtype=complex)
-    rows = rev.pair_index.T.reshape(-1)  # [j, i] flattened in (i, j) order
-    mat[rows, fwd.pair_index.reshape(-1)] = 1.0
-    return StarMorphism(fwd.product, rev.product, mat)
+    """The tensor swap x (x) y -> y (x) x as a morphism: the 0/1 matrix of swap_index."""
+    swap = swap_index(left, right)
+    mat = np.zeros((swap.size, swap.size), dtype=complex)
+    mat[np.arange(swap.size), swap] = 1.0
+    return StarMorphism(tensor_layout(left, right).product, tensor_layout(right, left).product, mat)
 
 
 class Character(StarMorphism):

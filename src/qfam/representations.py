@@ -40,7 +40,7 @@ from .errors import (
     PreconditionError,
 )
 from .families import QuantumFamily, action_coefficients, invariance_defects
-from .morphisms import StarMorphism, functions_algebra, scalar_algebra
+from .morphisms import StarMorphism, functions_algebra, require_bytes_fit, scalar_algebra
 from .semigroups import QuantumSemigroup
 
 
@@ -130,7 +130,12 @@ class MagicReport:
 
 
 def magic_unitary_check(u: MagicUnitary, tol: float = DEFAULT_TOL) -> MagicReport:
-    """Check entries are projections and rows and columns each sum to 1."""
+    """Check entries are projections and rows and columns each sum to 1.
+
+    The largest commutator is taken over every pair of entries at once; a
+    grid whose pairs would hold more than morphisms.LIFT_BYTES_CAP is
+    refused with ResourceLimitError before they are formed.
+    """
     alg = u.algebra
     p = u.entries
     ident = alg.unit
@@ -141,6 +146,12 @@ def magic_unitary_check(u: MagicUnitary, tol: float = DEFAULT_TOL) -> MagicRepor
         "col_sums": _worst(alg, p.sum(axis=0) - ident),
     }
     flat = p.reshape(-1, alg.dim)
+    # each pair holds two indices, and seven arrays of 16 bytes a coordinate
+    # at the second product: both operands, the first product, and the
+    # second's two gathered operands, its product and its output
+    pairs = len(flat) * (len(flat) - 1) // 2
+    nbytes = pairs * (16 + 7 * 16 * alg.dim) + 2**14
+    require_bytes_fit(nbytes, f"the commutators of {len(flat)} grid entries")
     a, b = np.triu_indices(len(flat), 1)
     comm = _worst(alg, multiply(alg, flat[a], flat[b]) - multiply(alg, flat[b], flat[a]))
     return MagicReport(
@@ -150,21 +161,20 @@ def magic_unitary_check(u: MagicUnitary, tol: float = DEFAULT_TOL) -> MagicRepor
     )
 
 
-def projection_family_check(entries: Sequence[AlgebraElement]) -> tuple[float, float]:
-    """(sum defect, pairwise orthogonality defect) of a list of projections.
-
-    Projections summing to the identity are automatically pairwise
-    orthogonal, so a tiny first defect forces a tiny second one; both are
-    reported so that the implication can be observed numerically.
-    """
-    entries = list(entries)
-    if not entries:
-        raise InvalidMatrixError("need at least one projection")
-    alg = entries[0].algebra
-    p = np.array([v.to_vec() for v in entries])
-    a, b = np.nonzero(~np.eye(len(p), dtype=bool))
-    sum_defect = _worst(alg, p.sum(axis=0) - alg.unit)
-    return sum_defect, _worst(alg, multiply(alg, p[a], p[b]))
+def projection_family_check(
+    algebra: FdCStarAlgebra, projections: np.ndarray
+) -> tuple[float, float]:
+    """(sum defect, pairwise orthogonality defect) of an (..., k, dim) stack
+    of lists of k projections, the worst over the leading axes. Projections
+    summing to the identity are automatically pairwise orthogonal, so a
+    tiny first defect forces a tiny second one; both are reported so that
+    the implication can be observed numerically."""
+    p = np.asarray(projections)
+    if p.ndim < 2 or not p.shape[-2] or p.shape[-1] != algebra.dim:
+        raise InvalidMatrixError(f"need (..., k >= 1, {algebra.dim}) coordinates, got {p.shape}")
+    a, b = np.nonzero(~np.eye(p.shape[-2], dtype=bool))
+    sum_defect = _worst(algebra, p.sum(axis=-2) - algebra.unit)
+    return sum_defect, _worst(algebra, multiply(algebra, p[..., a, :], p[..., b, :]))
 
 
 def wang_family(u: MagicUnitary) -> QuantumFamily:
@@ -213,19 +223,11 @@ def nonclassical_magic_4x4(theta: float) -> MagicUnitary:
             "theta is a multiple of pi/2; the grid has commuting entries",
             stacklevel=2,
         )
-    p = alg.element([np.array([[1.0, 0.0], [0.0, 0.0]])])
-    q = alg.element([np.array([[c * c, c * s], [c * s, s * s]])])
-    one = alg.identity()
-    zero = alg.zero()
-    pc = one - p
-    qc = one - q
-    entries = (
-        (p, pc, zero, zero),
-        (pc, p, zero, zero),
-        (zero, zero, q, qc),
-        (zero, zero, qc, q),
-    )
-    return MagicUnitary(alg, entries)
+    p = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    q = np.array([c * c, c * s, c * s, s * s], dtype=complex)
+    pc, qc, zero = alg.unit - p, alg.unit - q, np.zeros(alg.dim)
+    grid = [[p, pc, zero, zero], [pc, p, zero, zero], [zero, zero, q, qc], [zero, zero, qc, q]]
+    return MagicUnitary(alg, np.array(grid))
 
 
 @dataclass(frozen=True)

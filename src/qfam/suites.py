@@ -689,10 +689,9 @@ def suite_projection_partition(seed: int = 0) -> list[CheckOutcome]:
         stacks.setdefault(coords.shape, []).append(coords)
     worst_sum = worst_orth = 0.0
     for (_, size), stack in stacks.items():
-        # K partitions of unity in M_d are one in the direct sum of K copies of M_d
-        alg = make_algebra([math.isqrt(size)] * len(stack))
-        entries = [AlgebraElement(alg, v) for v in np.concatenate(stack, axis=1)]
-        sum_defect, orth_defect = projection_family_check(entries)
+        # the partitions of one shape as one (K, parts, d * d) stack over M_d
+        alg = make_algebra([math.isqrt(size)])
+        sum_defect, orth_defect = projection_family_check(alg, np.stack(stack))
         worst_sum = _worst(worst_sum, sum_defect)
         worst_orth = _worst(worst_orth, orth_defect)
     detail = "200 seeded Haar partitions of unity in M_d, d <= 6"

@@ -11,7 +11,7 @@ import dataclasses
 import pytest
 
 import qfam.suites
-from qfam import run_suite
+from qfam import FdCStarAlgebra, run_suite
 
 
 def _gate(name: str, seed: int = 0) -> None:
@@ -120,3 +120,13 @@ def test_nan_defect_on_a_later_call_fails_the_suite(monkeypatch, suite, name, po
     outcomes = run_suite(suite)
     assert len(calls) >= 2
     assert not all(c.passed for c in outcomes)
+
+
+def test_projection_partition_registers_no_algebra_after_its_first_seed():
+    """The suite checks each stack of partitions over M_d itself, so after
+    one seed has registered M_1 to M_6, further seeds register no algebra."""
+    run_suite("projection-partition", seed=0)
+    before = set(FdCStarAlgebra._interned)
+    for seed in range(1, 12):
+        run_suite("projection-partition", seed=seed)
+    assert set(FdCStarAlgebra._interned) == before

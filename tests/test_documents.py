@@ -769,6 +769,31 @@ def test_a_family_into_another_target_keeps_the_dense_fields(n, m, count, data):
     _assert_same_family(_reread(doc), fam)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.sampled_from(["zero", "second"]), st.data())
+def test_a_family_with_a_zero_or_two_entry_row_keeps_the_dense_fields(n, count, change, data):
+    """The lookup tables come from the matrix's monomial form: a zero row
+    (column -1) or a row with a second nonzero entry (no form) leaves the
+    family without tables."""
+    assume(n > 1 or change == "zero")
+    tables = data.draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+        min_size=count, max_size=count,
+    ))
+    fam = classical_family(tables)
+    mat = fam.morphism.matrix.copy()
+    row = data.draw(st.integers(0, len(mat) - 1))
+    if change == "zero":
+        mat[row] = 0.0
+    else:
+        mat[row, (mat[row].argmax() + 1) % n] = 1.0
+    phi = StarMorphism(fam.source, fam.morphism.codomain, mat)
+    fam = QuantumFamily(fam.source, fam.source, fam.label, phi)
+    doc = serialize(fam)
+    assert "classical_table" not in doc
+    _assert_same_family(_reread(doc), fam)
+
+
 def _readme_documents() -> list[str]:
     """The JSON documents shown in the README's Documents section, one per
     blank-line-separated paragraph of its json code blocks."""

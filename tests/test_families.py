@@ -34,6 +34,8 @@ from qfam import (
     map_monoid_table,
     orthonormal_basis,
     permutation_magic_unitary,
+    run_suite,
+    save_document,
     scalar_algebra,
     set_map_morphism,
     sign_conjugation_family,
@@ -42,8 +44,10 @@ from qfam import (
     trivial_family,
     wang_family,
 )
-from qfam import morphisms
-from qfam.morphisms import StarMorphism, _defect_report
+import qfam
+from qfam import cli, families, morphisms, suites
+from qfam.algebra import max_image_defect
+from qfam.morphisms import StarMorphism, _defect_report, flip, lift, swap_index
 from qfam.representations import magic_unitary_check
 from qfam.suites import (
     _per_shape,
@@ -301,6 +305,56 @@ def test_commutation_detects_noncommuting_maps():
     d2 = commutation_defect(collapse, transposition)
     assert d1 > 0.5
     assert abs(d1 - d2) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_the_label_swap_is_the_dense_flip(seed):
+    """commutation_defect swaps the labels by one gather through the
+    layouts' pair_index; on random families its defect is, bit for bit,
+    the one of the dense flip applied through lift. swap_index sends x (x) y
+    to y (x) x, and flip is its 0/1 matrix."""
+    rng = np.random.default_rng(seed)
+    source = random_source_algebra(rng)
+    first, second = (random_family(rng, source, source, random_label(rng)) for _ in range(2))
+    a1, a2 = first.label, second.label
+    x, y = (AlgebraElement(a, rng.standard_normal(a.dim)) for a in (a1, a2))
+    swapped = tensor_layout(a1, a2).elem(x, y).to_vec()[swap_index(a1, a2)]
+    assert np.array_equal(swapped, tensor_layout(a2, a1).elem(y, x).to_vec())
+    swap = flip(a1, a2)
+    assert np.array_equal(swap.matrix, np.eye(swap.matrix.shape[0])[swap_index(a1, a2)])
+    left = compose_families(first, second)
+    right = compose_families(second, first)
+    dense = lift(source, swap, left.morphism.matrix) - right.morphism.matrix
+    expected = max_image_defect(right.morphism.codomain, dense)
+    assert commutation_defect(first, second) == expected
+
+
+@pytest.mark.parametrize("points, cap", [(40, 2**20), (200, 16 * 2**20)])
+def test_the_label_swap_builds_no_dense_matrix(traced_peak, points, cap):
+    """Commuting the family of the constant maps of one point, labelled by
+    `points` maps, with itself swaps labels of points^2 coordinates: a
+    dense flip alone would hold 16 points^4 bytes (41 MB at 40 points), the
+    gather a few index arrays of points^2 entries."""
+    family = classical_family([[0]] * points)
+    value, peak = traced_peak(lambda: commutation_defect(family, family))
+    assert value == 0.0
+    assert peak <= cap, peak
+
+
+def test_no_check_builds_the_dense_flip(monkeypatch, tmp_path):
+    """The commutant suite and check-commute run with flip unavailable in
+    every module of the package."""
+
+    def refuse(*args):
+        raise AssertionError("flip called")
+
+    for module in (qfam, morphisms, families, suites, cli):
+        monkeypatch.setattr(module, "flip", refuse, raising=False)
+    assert all(o.passed for o in run_suite("commutant-closure"))
+    doc = tmp_path / "family.json"
+    save_document(all_maps_family(2), doc)
+    assert cli.main(["check-commute", str(doc), str(doc)]) == 1
 
 
 def test_commutation_requires_shared_source():

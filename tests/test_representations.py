@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import qfam.morphisms
 from qfam import (
     AlgebraElement,
     DegenerateStateError,
@@ -17,6 +18,7 @@ from qfam import (
     PreconditionError,
     QuantumFamily,
     Representation,
+    ResourceLimitError,
     StarMorphism,
     action_matrix,
     all_maps_family,
@@ -36,6 +38,7 @@ from qfam import (
     podles_rank,
     projection_family_check,
     representation_defect,
+    save_document,
     scalar_algebra,
     set_map_morphism,
     sign_conjugation_family,
@@ -43,6 +46,7 @@ from qfam import (
     trace_state,
     wang_family,
 )
+from qfam.cli import main
 from qfam.suites import random_partition
 
 
@@ -113,8 +117,9 @@ def test_random_partitions_are_orthogonal():
     for _ in range(50):
         d = int(rng.integers(1, 7))
         parts = int(rng.integers(1, min(d, 5) + 1))
+        partition = random_partition(rng, d, parts)
         sum_defect, ortho_defect = projection_family_check(
-            random_partition(rng, d, parts)
+            partition[0].algebra, np.array([p.to_vec() for p in partition])
         )
         assert sum_defect <= 1e-12
         assert ortho_defect <= 1e-9
@@ -122,10 +127,71 @@ def test_random_partitions_are_orthogonal():
 
 def test_overlapping_projections_detected():
     alg = make_algebra([2])
-    p = alg.element([np.diag([1.0, 0.0])])
-    sum_defect, ortho_defect = projection_family_check([p, p])
+    p = alg.element([np.diag([1.0, 0.0])]).to_vec()
+    sum_defect, ortho_defect = projection_family_check(alg, np.array([p, p]))
     assert sum_defect >= 1.0
     assert ortho_defect >= 1.0
+
+
+def test_a_stack_of_partitions_reports_its_worst():
+    """An (..., k, dim) stack is checked as a whole: its defects are the
+    worst of those of its lists, bit for bit, and one overlapping list
+    anywhere in the stack shows."""
+    rng = np.random.default_rng(5)
+    alg = make_algebra([3])
+    lists = [np.array([p.to_vec() for p in random_partition(rng, 3, 2)]) for _ in range(6)]
+    one_by_one = [projection_family_check(alg, p) for p in lists]
+    stack = np.array(lists).reshape(2, 3, 2, alg.dim)
+    assert projection_family_check(alg, stack) == tuple(
+        max(pair[k] for pair in one_by_one) for k in (0, 1)
+    )
+    stack[1, 2, 1] = stack[1, 2, 0]
+    sum_defect, ortho_defect = projection_family_check(alg, stack)
+    assert sum_defect >= 0.5 and ortho_defect >= 0.5
+    for shape in ((2, 0, alg.dim), (2, 4), (alg.dim,)):
+        with pytest.raises(InvalidMatrixError):
+            projection_family_check(alg, np.zeros(shape))
+
+
+def _cycle_grid(n):
+    return permutation_magic_unitary(list(range(1, n)) + [0])
+
+
+def _translation_grid(n):
+    entries = np.zeros((n, n, n))
+    k, l = np.indices((n, n))
+    entries[k, l, (k - l) % n] = 1.0
+    return MagicUnitary(functions_algebra(n), entries)
+
+
+def test_largest_admitted_magic_grid_peaks_within_the_cap(monkeypatch, traced_peak):
+    """With the cap lowered to 1 MiB, the entry commutators of a grid of N
+    entries over an algebra of dimension D count N (N - 1) / 2 pairs of
+    16 + 112 D bytes and 16 KiB: the largest admitted permutation grid
+    (D = 1) and translation grid (D = n) peak within the cap on a first
+    call, and the next size is refused."""
+    monkeypatch.setattr(qfam.morphisms, "LIFT_BYTES_CAP", 2**20)
+    # permutation: c(11) = 7,260 * 128 + 2^14 = 945,664 <= 2^20 < c(12) = 1,334,272;
+    # translation: c(7) = 1,176 * 800 + 2^14 = 957,184 <= 2^20 < c(8) = 1,854,976
+    for grid, admitted in ((_cycle_grid, 11), (_translation_grid, 7)):
+        report, peak = traced_peak(lambda: magic_unitary_check(grid(admitted)))
+        assert report.passed and report.max_commutator == 0.0
+        assert peak <= 2**20, (admitted, peak)
+        with pytest.raises(ResourceLimitError, match="cap"):
+            magic_unitary_check(grid(admitted + 1))
+    with pytest.raises(ResourceLimitError, match="cap"):
+        wang_family(_cycle_grid(12))
+
+
+def test_check_magic_refuses_a_grid_over_the_cap(monkeypatch, tmp_path, capsys):
+    """check-magic exits 2 with the cap in its message on the first grid
+    size the cap refuses, and passes the one below."""
+    monkeypatch.setattr(qfam.morphisms, "LIFT_BYTES_CAP", 2**20)
+    for n, code in ((11, 0), (12, 2)):
+        doc = tmp_path / f"cycle-{n}.json"
+        save_document(_cycle_grid(n), doc)
+        assert main(["check-magic", str(doc)]) == code
+    assert "cap" in capsys.readouterr().err
 
 
 def test_translation_grid_is_a_representation(translation_magic):

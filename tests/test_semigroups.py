@@ -2,7 +2,10 @@
 
 import itertools
 import json
-import tracemalloc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,13 +401,12 @@ def _largest_admitted(check, order=2):
         order += 1
 
 
-def test_largest_admitted_lift_peaks_within_the_cap(monkeypatch):
+def test_largest_admitted_lift_peaks_within_the_cap(monkeypatch, traced_peak):
     """At the largest cyclic order the lowered cap admits, the traced peak
     of coassociativity and of the action equation stays within the cap, on
-    a first call, which builds and caches the index arrays of the layouts it
-    lifts through, and on a second call, which reuses them. Classical
-    structure maps take the index path; a Haar-rotated representation takes
-    dense lifts."""
+    a first call, which builds and caches every index table it needs, and
+    on a second call, which reuses them. Classical structure maps take the
+    index path; a Haar-rotated representation takes dense lifts."""
     monkeypatch.setattr(qfam.morphisms, "LIFT_BYTES_CAP", 2**20)
     order = _largest_admitted(
         lambda d: coassociativity_defect(classical_semigroup_algebra(group_table(d)))
@@ -426,15 +428,10 @@ def test_largest_admitted_lift_peaks_within_the_cap(monkeypatch):
         (lambda: action_defect(rotated_family, rotated_sg), 1e-12),
     )
     for check, bound in checks:
-        tensor_layout.cache_clear()  # the first call builds the layouts it lifts through
-        for call in ("first", "second"):
-            tracemalloc.start()
-            try:
-                assert check() <= bound
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 2**20, (order, call, peak)
+        for first in (True, False):
+            value, peak = traced_peak(check, first)
+            assert value <= bound
+            assert peak <= 2**20, (order, first, peak)
 
 
 @pytest.mark.parametrize("order", range(4, 12))
@@ -452,9 +449,9 @@ def test_largest_admitted_lift_peaks_within_the_cap(monkeypatch):
     ],
     ids=["coassociativity", "action", "rotated-action", "phase-action"],
 )
-def test_lift_cap_counts_a_first_calls_peak(monkeypatch, check, order):
-    """With the cap one byte below the traced peak of a first call, on
-    layouts not yet built, the same call is refused: the count of
+def test_lift_cap_counts_a_first_calls_peak(monkeypatch, traced_peak, check, order):
+    """With the cap one byte below the traced peak of a first call, with no
+    index table yet built, the same call is refused: the count of
     _require_monomial_fits bounds the peak of the index path, which the
     classical group takes, and the count of _require_lift_fits that of the
     dense lifts, which the Haar-rotated and the diagonal-phase
@@ -462,17 +459,37 @@ def test_lift_cap_counts_a_first_calls_peak(monkeypatch, check, order):
     defect, family_of, bound = check
     sg = classical_semigroup_algebra(group_table(order))
     family = family_of(group_table(order))  # the group acting on itself, or M_3
-    tensor_layout.cache_clear()
-    tracemalloc.start()
-    try:
-        assert defect(family, sg) <= bound
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    value, peak = traced_peak(lambda: defect(family, sg))
+    assert value <= bound
     monkeypatch.setattr(qfam.morphisms, "LIFT_BYTES_CAP", peak - 1)
-    tensor_layout.cache_clear()
     with pytest.raises(ResourceLimitError):
-        defect(family, sg)
+        traced_peak(lambda: defect(family, sg))
+
+
+def test_a_first_calls_peak_is_that_of_a_fresh_interpreter(traced_peak):
+    """The in-process peak of a first call after forget_index_tables stays
+    within the caps' 16 KiB allowance for Python objects of the peak of the
+    same call in a fresh interpreter, at cyclic order 11."""
+    script = (
+        "import tracemalloc\n"
+        "from qfam import classical_semigroup_algebra, coassociativity_defect, group_table\n"
+        "sg = classical_semigroup_algebra(group_table(11))\n"
+        "tracemalloc.start()\n"
+        "assert coassociativity_defect(sg) == 0.0\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(qfam.__file__).parents[1]))
+    fresh = int(
+        subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+    )
+    # every table built and cached before the reset, as by earlier tests
+    coassociativity_defect(classical_semigroup_algebra(group_table(11)))
+    sg = classical_semigroup_algebra(group_table(11))
+    value, peak = traced_peak(lambda: coassociativity_defect(sg))
+    assert value == 0.0
+    assert abs(fresh - peak) <= 2**14, (fresh, peak)
 
 
 def test_coassociativity_of_order_40_fits_the_default_cap(tmp_path, capsys):
