@@ -18,7 +18,9 @@ Conventions fixed here and relied on by every other module:
   basis element (the canonical basis is ``np.eye(dim)``), as returned by
   :func:`orthonormal_basis`;
 * tensor products order the product blocks with the left factor major, and
-  inside a block pair use the Kronecker (row-major) convention;
+  inside a block pair use the Kronecker (row-major) convention; so over
+  commutative factors e_i (x) f_j is coordinate i * dim(right) + j, which
+  morphisms.lift_monomial computes with no layout;
 * all scalars are complex128; checks report a defect value and the caller
   compares it with a bound through :func:`within`: the defect and the bound
   must both be finite and the defect at most the bound. The bound is the

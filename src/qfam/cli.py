@@ -4,7 +4,7 @@ Parses JSON documents, dispatches to the library checks, and emits either
 a human-readable text report or a schema-versioned structured one. Exit
 codes follow the scripting contract: 0 when every check passes, 1 when a
 check fails, 2 for unusable input (parse errors, shape mismatches,
-violated hypotheses).
+violated hypotheses) and for a check that ran out of memory.
 
 COMMANDS is the command table. Each entry gives a command's document kinds
 (their count is its arity), its help, and check(tol, *documents), which
@@ -341,12 +341,15 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         report = _run(args)
-    except (QfamError, OSError, ValueError, KeyError) as exc:
+    except (QfamError, OSError, ValueError, KeyError, MemoryError) as exc:
+        message = str(exc)
+        if isinstance(exc, MemoryError):  # numpy's allocation failures too: no verdict
+            message = f"{args.command} ran out of memory: {message or 'MemoryError'}"
         if args.fmt == "structured":
             error = {"schema_version": SCHEMA_VERSION, "command": args.command}
-            print(_json_line(error | {"status": "error", "error": str(exc)}))
+            print(_json_line(error | {"status": "error", "error": message}))
         else:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
         return 2
     report.elapsed_seconds = time.perf_counter() - started
     report.settle()

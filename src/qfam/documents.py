@@ -44,6 +44,7 @@ from .representations import MagicUnitary
 from .semigroups import (
     QuantumSemigroup,
     classical_semigroup_algebra,
+    table_identity,
     table_is_associative,
 )
 
@@ -327,43 +328,40 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def _table_columns(phi: StarMorphism) -> np.ndarray | None:
+    """The column of each row's one entry when phi maps into a commutative
+    algebra and its matrix is, bit for bit, a table's 0/1 matrix; None
+    otherwise. So each entry of its monomial form equals 1, and the matrix
+    has as many nonzero 64-bit words as rows: every other word, the
+    imaginary parts of the 1s included, is +0.0, as a -0.0 would add one."""
+    form = phi.monomial if phi.codomain.is_commutative else None
+    if form is None or not (form[1] == 1).all():
+        return None
+    return form[0] if np.count_nonzero(phi.matrix.view(np.uint64)) == len(form[0]) else None
+
+
 def _semigroup_table(sg: QuantumSemigroup) -> np.ndarray | None:
     """The 0-based multiplication table from which classical_semigroup_algebra
-    rebuilds sg bit for bit, Delta and counit; None when there is none."""
-    if not sg.algebra.is_commutative:
+    rebuilds sg bit for bit, Delta and counit; None when there is none.
+    The pair (s, t) is row s * n + t of Delta, and the counit is the
+    indicator of the table's identity, if it has one."""
+    n = sg.algebra.dim
+    cols = _table_columns(sg.comultiplication)  # A (x) A is commutative exactly when A is
+    table = None if cols is None else cols.reshape(n, n)
+    if table is None or not table_is_associative(table):
         return None
-    delta = sg.comultiplication
-    form = delta.monomial
-    if form is None or form[0].min() < 0:  # a zero row has column -1
-        return None
-    table = form[0][tensor_layout(sg.algebra, sg.algebra).pair_index]
-    if not table_is_associative(table):
-        return None
-    rebuilt = classical_semigroup_algebra(table)
-    if not _same_bits(rebuilt.comultiplication.matrix, delta.matrix):
-        return None
-    ours, theirs = sg.counit, rebuilt.counit
-    if ours is None or theirs is None:
-        return table if ours is theirs else None
-    return table if _same_bits(ours.matrix, theirs.matrix) else None
+    e = table_identity(table)
+    if e is None or sg.counit is None:
+        return table if e is None and sg.counit is None else None
+    return table if _same_bits(sg.counit.matrix, np.eye(1, n, e, dtype=complex)) else None
 
 
 def _family_tables(family: QuantumFamily) -> np.ndarray | None:
     """The 0-based lookup tables, one per point of the label, from which
     classical_family rebuilds the family bit for bit; None when there are
-    none."""
-    if not (
-        family.is_self_map
-        and family.source.is_commutative
-        and family.label.is_commutative
-    ):
-        return None
-    form = family.morphism.monomial
-    if form is None or form[0].min() < 0:  # a zero row has column -1
-        return None
-    tables = form[0][family.layout.pair_index].T
-    rebuilt = classical_family(tables)
-    return tables if _same_bits(rebuilt.morphism.matrix, family.morphism.matrix) else None
+    none. Point i under map t is row i * (label points) + t."""
+    cols = _table_columns(family.morphism) if family.is_self_map else None
+    return None if cols is None else cols.reshape(family.source.dim, family.label.dim).T
 
 
 def serialize(obj) -> dict:

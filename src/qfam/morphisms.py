@@ -43,8 +43,9 @@ SET_MAP_CAP = 6
 # Cap on the bytes a defect subtracting two tensor lifts holds at its peak.
 # Monomial maps (at most one nonzero entry per row, all finite) into a
 # commutative tensor product take the index path of lift_monomial, counted
-# by _require_monomial_fits at 144 bytes per row of the result: 2^30 admits
-# coassociativity on cyclic groups of order up to 195. Other maps take
+# by _require_monomial_fits at 80 bytes per row of the result: 2^30 admits
+# coassociativity on cyclic groups of order up to 237, whose defect has
+# 237^3 rows (80 * 237^3 + 2^14 = 1,064,980,624 bytes). Other maps take
 # dense lifts, counted by _require_lift_fits: 2^30 admits coassociativity
 # with a non-monomial comultiplication over up to 68 coordinates. The entry
 # commutators of magic_unitary_check are held to the same cap.
@@ -300,29 +301,30 @@ def _monomial_factor(factor: LiftFactor) -> MonomialForm:
 
 def _require_monomial_fits(cod1: FdCStarAlgebra, cod2: FdCStarAlgebra) -> None:
     """Refuse a monomial lift into cod1 (x) cod2, of R rows, when a defect
-    subtracting two such lifts would exceed the cap at its peak: 144 bytes
-    a row and 16 KiB of Python objects. A row costs both forms (24 bytes
-    each); the temporaries of the second lift's gather or of the reducer's
-    row differences (up to 48 bytes); and the
-    index arrays both lifts cache for their codomain layouts, which a first
-    call builds (pair_index, block offsets and block sizes: 24 bytes each).
-    """
+    subtracting two such lifts would exceed the cap at its peak: 80 bytes a
+    row and 16 KiB of Python objects. A row costs both forms (24 bytes
+    each) and up to 32 bytes of temporaries: the second lift's gather index
+    and zero mask (9), or the reducer's moved mask, row differences and
+    their magnitudes (25). The path caches no index array."""
     rows = cod1.dim * cod2.dim
-    nbytes = (2 * 24 + 48 + 2 * 24) * rows + 2**14
+    nbytes = (2 * 24 + 32) * rows + 2**14
     require_bytes_fit(nbytes, f"a monomial lift of {rows} rows")
 
 
 def lift_monomial(phi: LiftFactor, psi: LiftFactor, form: MonomialForm) -> MonomialForm:
     """The monomial form of lift(phi, psi, M), for M of monomial form
-    `form` and phi, psi monomial maps or algebras (their identities).
+    `form` and phi, psi monomial maps or algebras (their identities), all
+    over commutative algebras.
 
-    Row pout[a, b] of the lift is phi[a, i] psi[b, j] times row pin[i, j] of
-    M, where i and j are the only nonzero columns of row a of phi and row b
-    of psi. So the lift is one gather through the domain layout's pair_index
-    and one scatter through the codomain layout's, in O(rows): no zero entry
-    is multiplied.
+    There e_i (x) f_j is coordinate i * dim(right) + j of a product, so row
+    a * dim cod2 + b of the lift is phi[a, i] psi[b, j] times row
+    i * dim dom2 + j of M, where i and j are the only nonzero columns of row
+    a of phi and row b of psi. The lift is one gather, in O(rows): no zero
+    entry is multiplied.
     """
     (dom1, cod1), (dom2, cod2) = _ends(phi), _ends(psi)
+    if not all(a.is_commutative for a in (dom1, cod1, dom2, cod2)):
+        raise IncompatibleAlgebraError("a monomial lift needs commutative algebras")
     cols, coefs = form
     if cols.shape != (dom1.dim * dom2.dim,):
         raise InvalidMatrixError(
@@ -330,23 +332,15 @@ def lift_monomial(phi: LiftFactor, psi: LiftFactor, form: MonomialForm) -> Monom
         )
     _require_monomial_fits(cod1, cod2)
     (i, u), (j, v) = _monomial_factor(phi), _monomial_factor(psi)
-    # the index arrays first, so their build temporaries are freed before
-    # the forms exist
-    pin = tensor_layout(dom1, dom2).pair_index
-    pout = tensor_layout(cod1, cod2).pair_index
-    src = pin[i[:, None], j]  # a zero row's -1 picks some row; its u or v is 0
-    out_cols = np.empty(pout.size, dtype=np.intp)
-    out_cols[pout] = cols[src]
-    vals = coefs[src]
+    # a zero row's -1 wraps to the last row; its u or v is 0
+    src = (i % dom1.dim)[:, None] * dom2.dim + j % dom2.dim
+    out_cols, out_coefs = cols[src], coefs[src]
     del src
     with np.errstate(over="ignore", invalid="ignore"):  # as in a dense lift
-        vals *= u[:, None]
-        vals *= v
-    out_coefs = np.empty(pout.size, dtype=complex)
-    out_coefs[pout] = vals
-    del vals
+        out_coefs *= u[:, None]
+        out_coefs *= v
     out_cols[out_coefs == 0] = -1
-    return out_cols, out_coefs
+    return out_cols.ravel(), out_coefs.ravel()
 
 
 def monomial_defect(first: MonomialForm, second: MonomialForm) -> float:
@@ -362,7 +356,7 @@ def monomial_defect(first: MonomialForm, second: MonomialForm) -> float:
     moved = c1 != c2
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN defect
         entries = v1 - v2
-    entries[moved] = v1[moved]  # and -v2[moved] in another column
+    np.copyto(entries, v1, where=moved)  # and -v2[moved] in another column
     worst = _largest_abs(entries)
     del entries
     return float(np.maximum(worst, _largest_abs(v2[moved])))

@@ -32,6 +32,7 @@ from .morphisms import (
     Character,
     LiftFactor,
     StarMorphism,
+    _ends,
     functions_algebra,
     lift,
     lift_monomial,
@@ -67,29 +68,28 @@ class QuantumSemigroup:
 
 
 def _lift_difference_defect(
-    cube: FdCStarAlgebra,
-    first: tuple[StarMorphism, LiftFactor],
-    second: tuple[LiftFactor, LiftFactor],
+    first: tuple[StarMorphism, LiftFactor], second: tuple[LiftFactor, LiftFactor]
 ) -> float:
-    """Worst norm over the columns of lift(*first, M) - lift(*second, M) in
-    cube, M the matrix of first[0]: by index arithmetic when cube is
-    commutative and every map among the operands has a monomial form,
-    through dense lifts otherwise."""
-    source = first[0]
-    maps = [x for x in (*first, *second) if isinstance(x, StarMorphism)]
-    if cube.is_commutative and all(m.monomial is not None for m in maps):
+    """Worst norm over the columns of lift(*first, M) - lift(*second, M), M
+    the matrix of first[0]: by index arithmetic when every domain and
+    codomain among the operands is commutative and every map has a monomial
+    form, through dense lifts into the codomain of the first otherwise."""
+    source, operands = first[0], (*first, *second)
+    if all(a.is_commutative for x in operands for a in _ends(x)) and all(
+        x.monomial is not None for x in operands if isinstance(x, StarMorphism)
+    ):
         ours = lift_monomial(*first, source.monomial)
         return monomial_defect(ours, lift_monomial(*second, source.monomial))
     diff = lift(*first, source.matrix)
     diff -= lift(*second, source.matrix)
-    return max_image_defect(cube, diff)
+    product = tensor_layout(source.codomain, _ends(first[1])[1]).product
+    return max_image_defect(product, diff)
 
 
 def coassociativity_defect(sg: QuantumSemigroup) -> float:
     """Worst norm of ((Delta (x) id) - (id (x) Delta)) Delta on the basis."""
     delta, alg = sg.comultiplication, sg.algebra
-    cube = tensor_layout(delta.codomain, alg).product
-    return _lift_difference_defect(cube, (delta, alg), (alg, delta))
+    return _lift_difference_defect((delta, alg), (alg, delta))
 
 
 def counit_defect(sg: QuantumSemigroup) -> float:
@@ -111,10 +111,8 @@ def action_defect(family: QuantumFamily, sg: QuantumSemigroup) -> float:
             "family label algebra differs from the semigroup algebra"
         )
     family.require_self_map("action equation")
-    psi = family.morphism
-    cube = tensor_layout(psi.codomain, sg.algebra).product
     return _lift_difference_defect(
-        cube, (psi, sg.algebra), (family.source, sg.comultiplication)
+        (family.morphism, sg.algebra), (family.source, sg.comultiplication)
     )
 
 

@@ -163,6 +163,28 @@ def test_check_coassoc(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 12.3 GiB")])
+def test_running_out_of_memory_is_not_a_verdict(tmp_path, capsys, monkeypatch, exc):
+    """A check that raises MemoryError, as numpy's allocation failures do,
+    exits 2 with a message naming the command, in text and in structured
+    form: exit 1 stays a failed check."""
+
+    def exhausted(*args):
+        raise exc
+
+    monkeypatch.setattr(qfam.cli, "coassociativity_defect", exhausted)
+    doc = _write(tmp_path, "sg.json", classical_semigroup_algebra(group_table(3)))
+    code, out, err = _run(capsys, ["check-coassoc", doc])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: check-coassoc ran out of memory")
+    code, out, _ = _run(capsys, ["check-coassoc", "--format", "structured", doc])
+    report = json.loads(out)
+    assert code == 2
+    assert (report["command"], report["status"]) == ("check-coassoc", "error")
+    assert report["error"].startswith("check-coassoc ran out of memory")
+    assert str(exc) in report["error"]
+
+
 def test_check_counit(tmp_path, capsys):
     table, _ = map_monoid_table(2)
     doc = _write(tmp_path, "sg.json", classical_semigroup_algebra(table))

@@ -794,6 +794,50 @@ def test_a_family_with_a_zero_or_two_entry_row_keeps_the_dense_fields(n, count, 
     _assert_same_family(_reread(doc), fam)
 
 
+def _with_a_negative_zero(mat: np.ndarray, row: int, where: str) -> np.ndarray:
+    """mat with one -0.0: in place of a zero entry of the row, or as the
+    imaginary part of its 1."""
+    mat = mat.copy()
+    one = mat[row].nonzero()[0][0]
+    if where == "zero":
+        mat[row, (one + 1) % mat.shape[1]] = complex(-0.0, 0.0)
+    else:
+        mat[row, one] = complex(1.0, -0.0)
+    return mat
+
+
+@settings(max_examples=40, deadline=None)
+@given(associative_tables(), st.sampled_from(["zero", "imag"]), st.data())
+def test_a_negative_zero_keeps_the_dense_fields(table, where, data):
+    """A -0.0 compares equal to 0.0 but is not the bits a table rebuilds:
+    one in the comultiplication, as a zero entry or as the imaginary part
+    of a 1, keeps a semigroup in its dense fields, and one in the matrix
+    of a classical family keeps the family in its dense fields."""
+    sg = classical_semigroup_algebra(table)
+    n = len(table)
+    assume(n > 1 or where == "imag")
+    row = data.draw(st.integers(0, n * n - 1))
+    delta = _with_a_negative_zero(sg.comultiplication.matrix, row, where)
+    _assert_dense_semigroup_round_trip(_semigroup(sg.algebra, delta, sg.counit))
+    fam = classical_family(table)  # the rows of the table as self-maps
+    mat = _with_a_negative_zero(fam.morphism.matrix, row, where)
+    phi = StarMorphism(fam.source, fam.morphism.codomain, mat)
+    fam = QuantumFamily(fam.source, fam.source, fam.label, phi)
+    doc = serialize(fam)
+    assert "classical_table" not in doc
+    _assert_same_family(_reread(doc), fam)
+
+
+def test_serializing_a_classical_semigroup_builds_no_dense_comultiplication(traced_peak):
+    """The table form is decided from the monomial form and the matrix's
+    bits, not by rebuilding the 8,100 x 90 comultiplication (11.7 MB) of the
+    cyclic group of order 90; its classical family likewise."""
+    for obj in (classical_semigroup_algebra(group_table(90)), classical_family(group_table(90))):
+        doc, peak = traced_peak(lambda: serialize(obj), first=False)
+        assert "classical_table" in doc
+        assert peak < 2 * 10**6, peak
+
+
 def _readme_documents() -> list[str]:
     """The JSON documents shown in the README's Documents section, one per
     blank-line-separated paragraph of its json code blocks."""

@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 import qfam.semigroups
 from qfam import (
+    FdCStarAlgebra,
+    IncompatibleAlgebraError,
     InvalidMatrixError,
     QuantumFamily,
     QuantumSemigroup,
     action_defect,
+    classical_family,
     classical_semigroup_algebra,
     coassociativity_defect,
     conjugation_family,
@@ -79,13 +82,15 @@ def test_no_monomial_form_for_two_nonzero_or_non_finite_entries(row):
 
 
 block_dims = st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=3)
+points = st.integers(1, 4).map(lambda n: [1] * n)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(block_dims, min_size=4, max_size=4), st.integers(1, 3), st.integers(0))
+@given(st.lists(points, min_size=4, max_size=4), st.integers(1, 3), st.integers(0))
 def test_lift_monomial_densifies_to_lift(dims, ncols, seed):
-    """The index twin of lift gives the monomial form of the dense lift,
-    with an algebra factor standing for its identity."""
+    """Over functions on finite sets, the index twin of lift gives the
+    monomial form of the dense lift, with an algebra factor standing for
+    its identity."""
     rng = np.random.default_rng(seed)
     a1, a2, b1, b2 = (make_algebra(d) for d in dims)
     phi = StarMorphism(a1, b1, _random_monomial(rng, b1.dim, a1.dim, 0.3, True))
@@ -105,6 +110,37 @@ def test_lift_monomial_densifies_to_lift(dims, ncols, seed):
     if a1.dim > 1:
         with pytest.raises(InvalidMatrixError):
             lift_monomial(dense, psi, columns.monomial)
+
+
+@settings(max_examples=40, deadline=None)
+@given(points, points)
+def test_a_commutative_product_orders_its_pairs_left_major(left, right):
+    """For commutative A and B, e_i (x) f_j is coordinate i * dim B + j of
+    A (x) B: the rule lift_monomial's gather relies on."""
+    a, b = make_algebra(left), make_algebra(right)
+    pairs = tensor_layout(a, b).pair_index
+    assert np.array_equal(pairs, np.arange(a.dim * b.dim).reshape(a.dim, b.dim))
+
+
+def test_the_index_path_builds_no_cube_algebra():
+    """Coassociativity and the action equation of a classical group take the
+    index path, which mints no algebra of functions on the d^3 points of the
+    cube A (x) A (x) A."""
+    order = 31  # used by no other test, so its cube is not registered yet
+    sg = classical_semigroup_algebra(group_table(order))
+    assert coassociativity_defect(sg) == 0.0
+    assert action_defect(classical_family(group_table(order)), sg) == 0.0
+    assert (1,) * order**3 not in FdCStarAlgebra._interned
+    assert (1,) * order**2 in FdCStarAlgebra._interned
+
+
+def test_lift_monomial_refuses_a_non_commutative_algebra():
+    """The gather reads e_i (x) f_j as coordinate i * dim(right) + j, which
+    holds only over commutative algebras."""
+    points, m2 = functions_algebra(2), make_algebra([2])
+    form = StarMorphism(points, tensor_layout(points, m2).product, np.eye(8, 2)).monomial
+    with pytest.raises(IncompatibleAlgebraError):
+        lift_monomial(points, m2, form)
 
 
 def _dense_coassociativity(sg):
@@ -135,7 +171,7 @@ def _commutative(alg):
     return alg.dim == len(alg.block_dims)
 
 
-any_dims = st.one_of(st.integers(1, 4).map(lambda n: [1] * n), block_dims)
+any_dims = st.one_of(points, block_dims)
 
 
 @settings(max_examples=100, deadline=None)

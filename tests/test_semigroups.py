@@ -372,24 +372,24 @@ def test_dense_lift_over_the_cap_is_refused(monkeypatch):
 
 def test_monomial_lift_over_the_cap_is_refused(monkeypatch, tmp_path, capsys):
     """With the cap lowered to 1 MiB, coassociativity on the cyclic group of
-    order 20, whose monomial defect counts 144 bytes for each of its 20^3
+    order 24, whose monomial defect counts 80 bytes for each of its 24^3
     rows, is refused before the forms are allocated, in the library and by
     check-coassoc with exit code 2."""
     monkeypatch.setattr(qfam.morphisms, "LIFT_BYTES_CAP", 2**20)
-    sg = classical_semigroup_algebra(group_table(20))
+    sg = classical_semigroup_algebra(group_table(24))
     with pytest.raises(ResourceLimitError, match="MiB"):
         coassociativity_defect(sg)
-    doc = tmp_path / "cyclic-20.json"
+    doc = tmp_path / "cyclic-24.json"
     save_document(sg, doc)
     assert main(["check-coassoc", str(doc)]) == 2
     assert "cap" in capsys.readouterr().err
-    # order 19 fits under the lowered cap and order 20 does not: with
-    # c(d) = 144 d^3 + 2^14, c(19) = 1,004,080 <= 2^20 < c(20) = 1,168,384
-    assert coassociativity_defect(classical_semigroup_algebra(group_table(19))) == 0.0
-    family = classical_family(group_table(19))
-    assert action_defect(family, classical_semigroup_algebra(group_table(19))) == 0.0
+    # order 23 fits under the lowered cap and order 24 does not: with
+    # c(d) = 80 d^3 + 2^14, c(23) = 989,744 <= 2^20 < c(24) = 1,122,304
+    assert coassociativity_defect(classical_semigroup_algebra(group_table(23))) == 0.0
+    family = classical_family(group_table(23))
+    assert action_defect(family, classical_semigroup_algebra(group_table(23))) == 0.0
     with pytest.raises(ResourceLimitError, match="MiB"):
-        action_defect(classical_family(group_table(20)), sg)
+        action_defect(classical_family(group_table(24)), sg)
 
 
 def _largest_admitted(check, order=2):
@@ -411,7 +411,7 @@ def test_largest_admitted_lift_peaks_within_the_cap(monkeypatch, traced_peak):
     order = _largest_admitted(
         lambda d: coassociativity_defect(classical_semigroup_algebra(group_table(d)))
     )
-    assert order == 19
+    assert order == 23
     sg = classical_semigroup_algebra(group_table(order))
     family = classical_family(group_table(order))  # the group acting on itself
     rotated = _largest_admitted(
@@ -466,14 +466,16 @@ def test_lift_cap_counts_a_first_calls_peak(monkeypatch, traced_peak, check, ord
         traced_peak(lambda: defect(family, sg))
 
 
-def test_a_first_calls_peak_is_that_of_a_fresh_interpreter(traced_peak):
+@pytest.mark.parametrize("order", [11, 40])
+def test_a_first_calls_peak_is_that_of_a_fresh_interpreter(traced_peak, order):
     """The in-process peak of a first call after forget_index_tables stays
     within the caps' 16 KiB allowance for Python objects of the peak of the
-    same call in a fresh interpreter, at cyclic order 11."""
+    same call in a fresh interpreter, at cyclic orders 11 and 40: the index
+    path builds no algebra that the reset would have to drop."""
     script = (
         "import tracemalloc\n"
         "from qfam import classical_semigroup_algebra, coassociativity_defect, group_table\n"
-        "sg = classical_semigroup_algebra(group_table(11))\n"
+        f"sg = classical_semigroup_algebra(group_table({order}))\n"
         "tracemalloc.start()\n"
         "assert coassociativity_defect(sg) == 0.0\n"
         "print(tracemalloc.get_traced_memory()[1])\n"
@@ -485,8 +487,8 @@ def test_a_first_calls_peak_is_that_of_a_fresh_interpreter(traced_peak):
         ).stdout
     )
     # every table built and cached before the reset, as by earlier tests
-    coassociativity_defect(classical_semigroup_algebra(group_table(11)))
-    sg = classical_semigroup_algebra(group_table(11))
+    coassociativity_defect(classical_semigroup_algebra(group_table(order)))
+    sg = classical_semigroup_algebra(group_table(order))
     value, peak = traced_peak(lambda: coassociativity_defect(sg))
     assert value == 0.0
     assert abs(fresh - peak) <= 2**14, (fresh, peak)
@@ -505,7 +507,7 @@ def test_coassociativity_of_order_40_fits_the_default_cap(tmp_path, capsys):
 
 
 def test_coassociativity_of_order_90_fits_the_default_cap(tmp_path, capsys):
-    """Order 90 counts 144 * 90^3 bytes (100 MiB) on the index path; dense
+    """Order 90 counts 80 * 90^3 bytes (56 MiB) on the index path; dense
     lifts would count 48 * 90^4 bytes (2.9 GiB), over the cap."""
     doc = tmp_path / "cyclic-90.json"
     table = [[v + 1 for v in row] for row in group_table(90)]
