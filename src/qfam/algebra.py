@@ -81,24 +81,17 @@ class FdCStarAlgebra:
     _interned = {}  # block tuple -> its one instance
 
     def __new__(cls, block_dims: Iterable[int]) -> "FdCStarAlgebra":
-        dims = block_dims
-        # one pass for a tuple of plain ints (a product's d^2 or d^3 blocks),
-        # else entry by entry; before the lookup, as (True,) hashes like (1,)
-        if not (type(dims) is tuple and set(map(type, dims)) == {int} and min(dims) >= 1):
-            dims = tuple(dims)
-            if len(dims) == 0:
-                raise InvalidDimensionError("an algebra needs at least one block")
-            for n in dims:
-                if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-                    raise InvalidDimensionError(
-                        f"block dimension {n!r} is not a positive integer"
-                    )
-            dims = tuple(int(n) for n in dims)
+        dims = tuple(block_dims)
+        if len(dims) == 0:
+            raise InvalidDimensionError("an algebra needs at least one block")
+        for n in dims:  # before the lookup, as (True,) hashes like (1,)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+                raise InvalidDimensionError(f"block dimension {n!r} is not a positive integer")
+        dims = tuple(map(int, dims))
         algebra = cls._interned.get(dims)
         if algebra is None:
-            # in Python ints; blocks x max^2 bounds the sum, taken only near the limit
-            limit = np.iinfo(np.intp).max
-            if len(dims) * max(dims) ** 2 > limit and sum(map(mul, dims, dims)) > limit:
+            limit = np.iinfo(np.intp).max  # the sum in Python ints
+            if sum(map(mul, dims, dims)) > limit:
                 raise InvalidDimensionError(
                     f"blocks up to {max(dims)} give a total dimension above {limit}"
                 )

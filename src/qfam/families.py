@@ -35,6 +35,7 @@ from .linalg import nullspace, numeric_rank
 from .morphisms import (
     Character,
     StarMorphism,
+    _pullback,
     functions_algebra,
     lift,
     require_star_hom,
@@ -129,12 +130,10 @@ def classical_family(tables: Sequence[Sequence[int]]) -> QuantumFamily:
             raise InvalidMatrixError(f"table {tbl} is not a self-map of {n} points")
     source = functions_algebra(n)
     label = functions_algebra(len(tables))
-    layout = tensor_layout(source, label)
-    mat = np.zeros((layout.product.dim, n), dtype=complex)
-    mat[layout.pair_index, np.array(tables).T] = 1.0  # one row per pair (i, t)
-    return QuantumFamily(
-        source, source, label, StarMorphism(source, layout.product, mat)
-    )
+    product = tensor_layout(source, label).product
+    # row i T + t of the product is the pair (i, t)
+    morphism = _pullback(source, product, np.array(tables).T.ravel())
+    return QuantumFamily(source, source, label, morphism)
 
 
 def compose_families(first: QuantumFamily, second: QuantumFamily) -> QuantumFamily:

@@ -40,19 +40,18 @@ from .errors import (
 # Cap on n for enumerating all n^n self-maps of an n-point set.
 SET_MAP_CAP = 6
 
-# Cap on the bytes a defect subtracting two tensor lifts holds at its peak.
-# Monomial maps (at most one nonzero entry per row, all finite) into a
-# commutative tensor product take the index path of lift_monomial, counted
-# by _require_monomial_fits at 80 bytes per row of the result: 2^30 admits
-# coassociativity on cyclic groups of order up to 237, whose defect has
-# 237^3 rows (80 * 237^3 + 2^14 = 1,064,980,624 bytes). Other maps take
-# dense lifts, counted by _require_lift_fits: 2^30 admits coassociativity
-# with a non-monomial comultiplication over up to 68 coordinates. The entry
-# commutators of magic_unitary_check are held to the same cap.
+# Cap on the bytes of a defect subtracting two dense tensor lifts, counted
+# by _require_lift_fits (2^30 admits coassociativity with a non-monomial
+# comultiplication over up to 68 coordinates), and of the dense matrix of a
+# classical semigroup or family, counted by _pullback (2^30 admits cyclic
+# groups of order up to 406). The index path and the magic commutators are
+# bounded by _DEFECT_CHUNK instead.
 LIFT_BYTES_CAP = 2**30
 
-# Above this many complex entries the multiplicativity check is chunked.
-_DEFECT_CHUNK = 4_000_000
+# The most entries one array of a chunked defect holds: a chunk of the
+# multiplicativity check, a slab of the index path (whole rows of its leading
+# factors) or a block of the magic commutators (one entry's pairs at least).
+_DEFECT_CHUNK = 2**18
 
 
 def scalar_algebra() -> FdCStarAlgebra:
@@ -299,22 +298,12 @@ def _monomial_factor(factor: LiftFactor) -> MonomialForm:
     return factor.monomial
 
 
-def _require_monomial_fits(cod1: FdCStarAlgebra, cod2: FdCStarAlgebra) -> None:
-    """Refuse a monomial lift into cod1 (x) cod2, of R rows, when a defect
-    subtracting two such lifts would exceed the cap at its peak: 80 bytes a
-    row and 16 KiB of Python objects. A row costs both forms (24 bytes
-    each) and up to 32 bytes of temporaries: the second lift's gather index
-    and zero mask (9), or the reducer's moved mask, row differences and
-    their magnitudes (25). The path caches no index array."""
-    rows = cod1.dim * cod2.dim
-    nbytes = (2 * 24 + 32) * rows + 2**14
-    require_bytes_fit(nbytes, f"a monomial lift of {rows} rows")
-
-
-def lift_monomial(phi: LiftFactor, psi: LiftFactor, form: MonomialForm) -> MonomialForm:
+def lift_monomial(
+    phi: LiftFactor, psi: LiftFactor, form: MonomialForm, rows: slice = slice(None)
+) -> MonomialForm:
     """The monomial form of lift(phi, psi, M), for M of monomial form
     `form` and phi, psi monomial maps or algebras (their identities), all
-    over commutative algebras.
+    over commutative algebras; with rows, only rows a * dim cod2 + b, a in rows.
 
     There e_i (x) f_j is coordinate i * dim(right) + j of a product, so row
     a * dim cod2 + b of the lift is phi[a, i] psi[b, j] times row
@@ -330,8 +319,8 @@ def lift_monomial(phi: LiftFactor, psi: LiftFactor, form: MonomialForm) -> Monom
         raise InvalidMatrixError(
             f"a monomial form of {cols.shape} rows is not over {dom1} (x) {dom2}"
         )
-    _require_monomial_fits(cod1, cod2)
     (i, u), (j, v) = _monomial_factor(phi), _monomial_factor(psi)
+    i, u = i[rows], u[rows]
     # a zero row's -1 wraps to the last row; its u or v is 0
     src = (i % dom1.dim)[:, None] * dom2.dim + j % dom2.dim
     out_cols, out_coefs = cols[src], coefs[src]
@@ -461,9 +450,20 @@ def set_map_morphism(table: Sequence[int]) -> StarMorphism:
     alg = functions_algebra(n)
     if any(t < 0 or t >= n for t in table):
         raise InvalidMatrixError(f"table {table} is not a self-map of {n} points")
-    mat = np.zeros((n, n), dtype=complex)
-    mat[np.arange(n), table] = 1.0
-    return StarMorphism(alg, alg, mat)
+    return _pullback(alg, alg, np.array(table))
+
+
+def _pullback(dom: FdCStarAlgebra, cod: FdCStarAlgebra, points: np.ndarray) -> StarMorphism:
+    """f -> f o t on functions, t sending point r of cod to point points[r]
+    of dom. Its 16 bytes an entry are counted against LIFT_BYTES_CAP before
+    they are allocated, and held without a copy."""
+    require_bytes_fit(16 * cod.dim * dom.dim, f"a {cod.dim} x {dom.dim} map")
+    mat = np.zeros((cod.dim, dom.dim), dtype=complex)
+    mat[np.arange(cod.dim), points] = 1.0
+    mat.setflags(write=False)
+    phi = StarMorphism.__new__(StarMorphism)
+    phi.domain, phi.codomain, phi.matrix = dom, cod, mat
+    return phi
 
 
 def enumerate_set_maps(n: int) -> list[StarMorphism]:

@@ -40,7 +40,8 @@ from .errors import (
     PreconditionError,
 )
 from .families import QuantumFamily, action_coefficients, invariance_defects
-from .morphisms import StarMorphism, functions_algebra, require_bytes_fit, scalar_algebra
+from . import morphisms
+from .morphisms import StarMorphism, functions_algebra, scalar_algebra
 from .semigroups import QuantumSemigroup
 
 
@@ -132,9 +133,9 @@ class MagicReport:
 def magic_unitary_check(u: MagicUnitary, tol: float = DEFAULT_TOL) -> MagicReport:
     """Check entries are projections and rows and columns each sum to 1.
 
-    The largest commutator is taken over every pair of entries at once; a
-    grid whose pairs would hold more than morphisms.LIFT_BYTES_CAP is
-    refused with ResourceLimitError before they are formed.
+    The largest commutator is taken in blocks of entry pairs of at most
+    morphisms._DEFECT_CHUNK coordinates an array (a grid of a few dozen
+    entries is one block); np.maximum keeps a NaN commutator.
     """
     alg = u.algebra
     p = u.entries
@@ -146,18 +147,16 @@ def magic_unitary_check(u: MagicUnitary, tol: float = DEFAULT_TOL) -> MagicRepor
         "col_sums": _worst(alg, p.sum(axis=0) - ident),
     }
     flat = p.reshape(-1, alg.dim)
-    # each pair holds two indices, and seven arrays of 16 bytes a coordinate
-    # at the second product: both operands, the first product, and the
-    # second's two gathered operands, its product and its output
-    pairs = len(flat) * (len(flat) - 1) // 2
-    nbytes = pairs * (16 + 7 * 16 * alg.dim) + 2**14
-    require_bytes_fit(nbytes, f"the commutators of {len(flat)} grid entries")
-    a, b = np.triu_indices(len(flat), 1)
-    comm = _worst(alg, multiply(alg, flat[a], flat[b]) - multiply(alg, flat[b], flat[a]))
+    s = max(1, morphisms._DEFECT_CHUNK // flat.size)  # entries a block
+    comm, later = -np.inf, np.arange(len(flat))
+    for k in range(0, len(flat), s):  # entries k to k + s - 1 against every later one
+        a, b = np.nonzero(later[k : k + s, None] < later)
+        x, y = flat[a + k], flat[b]
+        comm = np.maximum(comm, _worst(alg, multiply(alg, x, y) - multiply(alg, y, x)))
     return MagicReport(
         passed=all(within(v, tol) for v in defects.values()),
         defects=defects,
-        max_commutator=comm,
+        max_commutator=float(comm),
     )
 
 

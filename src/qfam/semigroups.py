@@ -9,6 +9,7 @@ structure map yields a quantifiably nonzero defect instead of an exception.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,11 +29,13 @@ from .errors import (
     MissingComponentError,
 )
 from .families import QuantumFamily, action_coefficients, invariance_defects
+from . import morphisms
 from .morphisms import (
     Character,
     LiftFactor,
     StarMorphism,
     _ends,
+    _pullback,
     functions_algebra,
     lift,
     lift_monomial,
@@ -73,13 +76,23 @@ def _lift_difference_defect(
     """Worst norm over the columns of lift(*first, M) - lift(*second, M), M
     the matrix of first[0]: by index arithmetic when every domain and
     codomain among the operands is commutative and every map has a monomial
-    form, through dense lifts into the codomain of the first otherwise."""
+    form, through dense lifts into the codomain of the first otherwise.
+    The index path reduces over slabs of about _DEFECT_CHUNK rows that cover
+    whole rows of both lifts' leading factors (row a * right + b is led by
+    row a); np.maximum keeps a NaN slab defect."""
     source, operands = first[0], (*first, *second)
     if all(a.is_commutative for x in operands for a in _ends(x)) and all(
         x.monomial is not None for x in operands if isinstance(x, StarMorphism)
     ):
-        ours = lift_monomial(*first, source.monomial)
-        return monomial_defect(ours, lift_monomial(*second, source.monomial))
+        right, right2 = (_ends(x[1])[1].dim for x in (first, second))
+        step, form, worst = math.lcm(right, right2), source.monomial, -np.inf
+        slab = max(1, morphisms._DEFECT_CHUNK // step) * step
+        for r in range(0, source.codomain.dim * right, slab):
+            worst = np.maximum(worst, monomial_defect(
+                lift_monomial(*first, form, slice(r // right, (r + slab) // right)),
+                lift_monomial(*second, form, slice(r // right2, (r + slab) // right2)),
+            ))
+        return float(worst)
     diff = lift(*first, source.matrix)
     diff -= lift(*second, source.matrix)
     product = tensor_layout(source.codomain, _ends(first[1])[1]).product
@@ -279,16 +292,10 @@ def classical_semigroup_algebra(table: Sequence[Sequence[int]]) -> QuantumSemigr
     if not table_is_associative(arr):
         raise InvalidSemigroupError("multiplication table is not associative")
     alg = functions_algebra(n)
-    layout = tensor_layout(alg, alg)
-    mat = np.zeros((layout.product.dim, n), dtype=complex)
-    mat[layout.pair_index, arr] = 1.0  # each pair (s, t) has its own row
-    delta = StarMorphism(alg, layout.product, mat)
-    counit = None
+    # row s n + t of the product is the pair (s, t)
+    delta = _pullback(alg, tensor_layout(alg, alg).product, arr.ravel())
     e = table_identity(arr)
-    if e is not None:
-        row = np.zeros((1, n), dtype=complex)
-        row[0, e] = 1.0
-        counit = Character(alg, row)
+    counit = None if e is None else Character(alg, np.eye(1, n, e))
     return QuantumSemigroup(alg, delta, counit)
 
 

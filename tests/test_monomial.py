@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qfam.morphisms
 import qfam.semigroups
 from qfam import (
     FdCStarAlgebra,
@@ -198,6 +199,62 @@ def test_index_path_agrees_with_dense_lifts(dims, src_dims, zero_share, phases, 
     )
     slow = _dense_coassociativity(sg), _dense_action(family, sg)
     assert np.allclose(fast, slow, rtol=0, atol=1e-13), (fast, slow)
+
+
+# zero rows (0 and -0.0), phases, and entries whose products of two
+# overflow to inf, so that differences of the lifts read inf or NaN
+SLAB_COEFS = np.array([0, -0.0, 1, -1, 1j, np.exp(0.7j), 2.5, 1e160, -1e160j])
+
+
+def _slab_case(seed, d, k):
+    """A random monomial semigroup on d points, and a random monomial
+    family of k points labelled by it, with coefficients from SLAB_COEFS."""
+    rng = np.random.default_rng(seed)
+    alg, src = functions_algebra(d), functions_algebra(k)
+
+    def draw(rows, cols):
+        mat = np.zeros((rows, cols), dtype=complex)
+        mat[np.arange(rows), rng.integers(0, cols, rows)] = rng.choice(SLAB_COEFS, rows)
+        return mat
+
+    square, target = tensor_layout(alg, alg).product, tensor_layout(src, alg).product
+    sg = QuantumSemigroup(alg, StarMorphism(alg, square, draw(square.dim, d)))
+    family = QuantumFamily(src, src, alg, StarMorphism(src, target, draw(target.dim, k)))
+    return sg, family
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 5), st.integers(1, 4), st.integers(0), st.sampled_from(["1", "7", "ragged"])
+)
+@example(4, 3, 38, "1")  # slab defects 1e160, 2.5e160, NaN, inf and 1e160, NaN, 2.5e160
+def test_slabs_give_the_whole_lifts_defect(d, k, seed, chunk):
+    """Coassociativity and the action equation reduced over slabs of one
+    step of d^2 rows (_DEFECT_CHUNK 1 or 7), or of two steps, which leave a
+    short last slab when d or k is odd, give by repr the defect of the
+    whole lifts, on random monomial maps with zero rows, -0.0 and products
+    that overflow to inf or NaN: no slab is dropped, shifted or overlapped,
+    and a NaN in a later slab is not lost to the maximum."""
+    sg, family = _slab_case(seed, d, k)
+    alg, delta, psi = sg.algebra, sg.comultiplication, family.morphism
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = (
+            monomial_defect(
+                lift_monomial(delta, alg, delta.monomial), lift_monomial(alg, delta, delta.monomial)
+            ),
+            monomial_defect(
+                lift_monomial(psi, alg, psi.monomial),
+                lift_monomial(family.source, delta, psi.monomial),
+            ),
+        )
+    with pytest.MonkeyPatch.context() as mp:
+        chunk = {"1": 1, "7": 7, "ragged": 2 * d * d + 1}[chunk]
+        mp.setattr(qfam.morphisms, "_DEFECT_CHUNK", chunk)
+        slabbed = (
+            _by_path(True, coassociativity_defect, sg),
+            _by_path(True, action_defect, family, sg),
+        )
+    assert repr(slabbed) == repr(whole)
 
 
 def _phase_representation(dim, order, broken):

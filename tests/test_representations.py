@@ -18,7 +18,6 @@ from qfam import (
     PreconditionError,
     QuantumFamily,
     Representation,
-    ResourceLimitError,
     StarMorphism,
     action_matrix,
     all_maps_family,
@@ -31,6 +30,7 @@ from qfam import (
     make_algebra,
     make_family,
     matrix_isometry_defect,
+    max_image_defect,
     modular_report,
     multiply,
     nonclassical_magic_4x4,
@@ -164,34 +164,71 @@ def _translation_grid(n):
     return MagicUnitary(functions_algebra(n), entries)
 
 
-def test_largest_admitted_magic_grid_peaks_within_the_cap(monkeypatch, traced_peak):
-    """With the cap lowered to 1 MiB, the entry commutators of a grid of N
-    entries over an algebra of dimension D count N (N - 1) / 2 pairs of
-    16 + 112 D bytes and 16 KiB: the largest admitted permutation grid
-    (D = 1) and translation grid (D = n) peak within the cap on a first
-    call, and the next size is refused."""
-    monkeypatch.setattr(qfam.morphisms, "LIFT_BYTES_CAP", 2**20)
-    # permutation: c(11) = 7,260 * 128 + 2^14 = 945,664 <= 2^20 < c(12) = 1,334,272;
-    # translation: c(7) = 1,176 * 800 + 2^14 = 957,184 <= 2^20 < c(8) = 1,854,976
-    for grid, admitted in ((_cycle_grid, 11), (_translation_grid, 7)):
-        report, peak = traced_peak(lambda: magic_unitary_check(grid(admitted)))
-        assert report.passed and report.max_commutator == 0.0
-        assert peak <= 2**20, (admitted, peak)
-        with pytest.raises(ResourceLimitError, match="cap"):
-            magic_unitary_check(grid(admitted + 1))
-    with pytest.raises(ResourceLimitError, match="cap"):
-        wang_family(_cycle_grid(12))
+def _all_pairs_commutator(u):
+    """The largest entry commutator over every pair of entries at once."""
+    alg, flat = u.algebra, u.entries.reshape(-1, u.algebra.dim)
+    a, b = np.triu_indices(len(flat), 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow grid
+        comm = multiply(alg, flat[a], flat[b]) - multiply(alg, flat[b], flat[a])
+    return max_image_defect(alg, comm.T)
 
 
-def test_check_magic_refuses_a_grid_over_the_cap(monkeypatch, tmp_path, capsys):
-    """check-magic exits 2 with the cap in its message on the first grid
-    size the cap refuses, and passes the one below."""
-    monkeypatch.setattr(qfam.morphisms, "LIFT_BYTES_CAP", 2**20)
-    for n, code in ((11, 0), (12, 2)):
-        doc = tmp_path / f"cycle-{n}.json"
-        save_document(_cycle_grid(n), doc)
-        assert main(["check-magic", str(doc)]) == code
-    assert "cap" in capsys.readouterr().err
+def _nan_grid(n):
+    """A 4 x 4 non-classical grid with entry (n // 4, n % 4) made NaN in its
+    first coordinate: every commutator with it, and so one in the first
+    block, is NaN."""
+    u = nonclassical_magic_4x4(0.3)
+    entries = np.array(u.entries)
+    entries[n // 4, n % 4, 0] = np.nan
+    return MagicUnitary(u.algebra, entries)
+
+
+def _overflow_grid():
+    """A 2 x 2 scalar grid whose only NaN commutator is that of its last two
+    entries: 1e200 * 1e200 overflows, and inf - inf is NaN."""
+    return MagicUnitary(scalar_algebra(), np.array([[[1.0], [0.0]], [[1e200], [1e200]]]))
+
+
+@pytest.mark.parametrize("per_block", [None, 1, 2, 3])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        lambda: permutation_magic_unitary([0]),
+        lambda: nonclassical_magic_4x4(0.3),
+        lambda: _cycle_grid(5),
+        lambda: _nan_grid(0),
+        lambda: _nan_grid(11),
+        _overflow_grid,
+    ],
+    ids=["one-entry", "non-classical", "cycle-5", "nan-first", "nan-late", "overflow"],
+)
+def test_blocked_commutators_match_all_pairs(monkeypatch, grid, per_block):
+    """The largest entry commutator, taken in blocks of entries against
+    every later entry, equals by repr the maximum over all pairs at once:
+    with the default chunk (one block) and with blocks of 1, 2 or 3
+    entries, for one entry, a non-classical grid over M_2, a permutation
+    grid, a NaN entry early or late, and a NaN commutator in the last block
+    only, which a maximum that drops the last block or lets a later NaN
+    lose to an earlier number misses."""
+    u = grid()
+    expected = _all_pairs_commutator(u)
+    if per_block is not None:
+        chunk = per_block * u.size**2 * u.algebra.dim
+        monkeypatch.setattr(qfam.morphisms, "_DEFECT_CHUNK", chunk)
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow grid
+        assert repr(magic_unitary_check(u).max_commutator) == repr(expected)
+
+
+def test_check_magic_on_an_80_by_80_grid_peaks_under_50_mb(tmp_path, capsys, traced_peak):
+    """A cyclic permutation grid of 80 x 80 entries has 20,476,800 entry
+    pairs; check-magic takes their commutators in blocks of at most
+    _DEFECT_CHUNK pairs and passes under 50 MB traced."""
+    doc = tmp_path / "cycle-80.json"
+    save_document(_cycle_grid(80), doc)
+    code, peak = traced_peak(lambda: main(["check-magic", str(doc)]))
+    assert code == 0
+    assert "max_commutator: 0" in capsys.readouterr().out
+    assert peak < 50 * 2**20, peak
 
 
 def test_translation_grid_is_a_representation(translation_magic):

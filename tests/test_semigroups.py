@@ -370,26 +370,39 @@ def test_dense_lift_over_the_cap_is_refused(monkeypatch):
         action_defect(_rotated_representation(16), sg)
 
 
-def test_monomial_lift_over_the_cap_is_refused(monkeypatch, tmp_path, capsys):
-    """With the cap lowered to 1 MiB, coassociativity on the cyclic group of
-    order 24, whose monomial defect counts 80 bytes for each of its 24^3
-    rows, is refused before the forms are allocated, in the library and by
-    check-coassoc with exit code 2."""
+def test_a_dense_build_over_the_cap_is_refused(monkeypatch, tmp_path, capsys):
+    """With the cap lowered to 1 MiB, the dense matrix of a classical
+    semigroup or family, 16 bytes an entry, is refused before it is
+    allocated: 16 * 40^3 = 1,024,000 <= 2^20 < 16 * 41^3 = 1,102,736. The
+    index path is not counted, so check-coassoc passes order 40, whose
+    40^3-row defect would have counted 5 MiB, and exits 2 with the cap in
+    its message on order 41, as check-commute does on its families."""
     monkeypatch.setattr(qfam.morphisms, "LIFT_BYTES_CAP", 2**20)
-    sg = classical_semigroup_algebra(group_table(24))
-    with pytest.raises(ResourceLimitError, match="MiB"):
-        coassociativity_defect(sg)
-    doc = tmp_path / "cyclic-24.json"
-    save_document(sg, doc)
-    assert main(["check-coassoc", str(doc)]) == 2
+    for build in (classical_semigroup_algebra, classical_family):
+        with pytest.raises(ResourceLimitError, match="cap"):
+            build(group_table(41))
+    for order, code in ((40, 0), (41, 2)):
+        doc = tmp_path / f"cyclic-{order}.json"
+        table = [[v + 1 for v in row] for row in group_table(order)]
+        doc.write_text(json.dumps({"kind": "semigroup", "classical_table": table}))
+        assert main(["check-coassoc", str(doc)]) == code
     assert "cap" in capsys.readouterr().err
-    # order 23 fits under the lowered cap and order 24 does not: with
-    # c(d) = 80 d^3 + 2^14, c(23) = 989,744 <= 2^20 < c(24) = 1,122,304
-    assert coassociativity_defect(classical_semigroup_algebra(group_table(23))) == 0.0
-    family = classical_family(group_table(23))
-    assert action_defect(family, classical_semigroup_algebra(group_table(23))) == 0.0
-    with pytest.raises(ResourceLimitError, match="MiB"):
-        action_defect(classical_family(group_table(24)), sg)
+    doc = tmp_path / "translations-41.json"
+    table = [[v + 1 for v in row] for row in group_table(41)]
+    doc.write_text(json.dumps({"kind": "family", "classical_table": table}))
+    assert main(["check-commute", str(doc), str(doc)]) == 2
+    assert "cap" in capsys.readouterr().err
+
+
+def test_a_classical_build_holds_its_matrix_once(traced_peak):
+    """The comultiplication of the cyclic group of order 100 is one
+    16 * 100^3-byte array; building it peaks within 10 % of that, so the
+    map holds the array built and not a copy of it."""
+    sg, peak = traced_peak(lambda: classical_semigroup_algebra(group_table(100)))
+    assert sg.comultiplication.matrix.nbytes == 16_000_000
+    assert peak <= 1.1 * 16_000_000, peak
+    family, peak = traced_peak(lambda: classical_family(group_table(100)))
+    assert peak <= 1.1 * 16_000_000, peak
 
 
 def _largest_admitted(check, order=2):
@@ -402,18 +415,12 @@ def _largest_admitted(check, order=2):
 
 
 def test_largest_admitted_lift_peaks_within_the_cap(monkeypatch, traced_peak):
-    """At the largest cyclic order the lowered cap admits, the traced peak
-    of coassociativity and of the action equation stays within the cap, on
-    a first call, which builds and caches every index table it needs, and
-    on a second call, which reuses them. Classical structure maps take the
-    index path; a Haar-rotated representation takes dense lifts."""
+    """At the largest cyclic order the lowered cap admits for the action of
+    a Haar-rotated representation, which takes dense lifts, the traced peak
+    of the action equation stays within the cap, on a first call, which
+    builds and caches every index table it needs, and on a second call,
+    which reuses them."""
     monkeypatch.setattr(qfam.morphisms, "LIFT_BYTES_CAP", 2**20)
-    order = _largest_admitted(
-        lambda d: coassociativity_defect(classical_semigroup_algebra(group_table(d)))
-    )
-    assert order == 23
-    sg = classical_semigroup_algebra(group_table(order))
-    family = classical_family(group_table(order))  # the group acting on itself
     rotated = _largest_admitted(
         lambda k: action_defect(
             _rotated_representation(k), classical_semigroup_algebra(group_table(k))
@@ -422,48 +429,67 @@ def test_largest_admitted_lift_peaks_within_the_cap(monkeypatch, traced_peak):
     assert rotated == 15
     rotated_sg = classical_semigroup_algebra(group_table(rotated))
     rotated_family = _rotated_representation(rotated)
-    checks = (
-        (lambda: coassociativity_defect(sg), 0.0),
-        (lambda: action_defect(family, sg), 0.0),
-        (lambda: action_defect(rotated_family, rotated_sg), 1e-12),
-    )
-    for check, bound in checks:
-        for first in (True, False):
-            value, peak = traced_peak(check, first)
-            assert value <= bound
-            assert peak <= 2**20, (order, first, peak)
+    for first in (True, False):
+        value, peak = traced_peak(lambda: action_defect(rotated_family, rotated_sg), first)
+        assert value <= 1e-12
+        assert peak <= 2**20, (rotated, first, peak)
 
 
 @pytest.mark.parametrize("order", range(4, 12))
 @pytest.mark.parametrize(
     "check",
     [
-        (lambda fam, sg: coassociativity_defect(sg), classical_family, 0.0),
-        (action_defect, classical_family, 0.0),
-        (action_defect, lambda table: _rotated_representation(len(table)), 1e-12),
+        (lambda fam, sg: coassociativity_defect(sg), classical_family, 0.0, False),
+        (action_defect, classical_family, 0.0, False),
+        (action_defect, lambda table: _rotated_representation(len(table)), 1e-12, True),
         (
             action_defect,
             lambda table: _rotated_representation(len(table), haar=False),
             1e-12,
+            True,
         ),
     ],
     ids=["coassociativity", "action", "rotated-action", "phase-action"],
 )
 def test_lift_cap_counts_a_first_calls_peak(monkeypatch, traced_peak, check, order):
     """With the cap one byte below the traced peak of a first call, with no
-    index table yet built, the same call is refused: the count of
-    _require_monomial_fits bounds the peak of the index path, which the
-    classical group takes, and the count of _require_lift_fits that of the
-    dense lifts, which the Haar-rotated and the diagonal-phase
-    representations take."""
-    defect, family_of, bound = check
+    index table yet built, a call through dense lifts is refused: the count
+    of _require_lift_fits bounds their peak, and the Haar-rotated and the
+    diagonal-phase representations take them. The classical group takes
+    the index path, which is bounded by its slabs and not counted, so under
+    the same cap it runs to the same value."""
+    defect, family_of, bound, dense = check
     sg = classical_semigroup_algebra(group_table(order))
     family = family_of(group_table(order))  # the group acting on itself, or M_3
     value, peak = traced_peak(lambda: defect(family, sg))
     assert value <= bound
     monkeypatch.setattr(qfam.morphisms, "LIFT_BYTES_CAP", peak - 1)
-    with pytest.raises(ResourceLimitError):
-        traced_peak(lambda: defect(family, sg))
+    if dense:
+        with pytest.raises(ResourceLimitError):
+            traced_peak(lambda: defect(family, sg))
+    else:
+        assert traced_peak(lambda: defect(family, sg))[0] == value
+
+
+@pytest.mark.parametrize("check", ["coassociativity", "action"])
+def test_the_index_path_peaks_within_one_slab(monkeypatch, traced_peak, check):
+    """With slabs of at most 2^14 rows, the traced peak of a first call on
+    the index path, net of its input (the structure maps and their monomial
+    forms), stays under 80 bytes a slab row and 64 KiB at cyclic orders 32
+    to 96, while the defect grows from 32^3 = 32,768 to 96^3 = 884,736
+    rows."""
+    monkeypatch.setattr(qfam.morphisms, "_DEFECT_CHUNK", 2**14)
+    for order in (32, 64, 96):
+        sg = classical_semigroup_algebra(group_table(order))
+        family = classical_family(group_table(order))
+        assert sg.comultiplication.monomial is not None
+        assert family.morphism.monomial is not None
+        if check == "coassociativity":
+            value, peak = traced_peak(lambda: coassociativity_defect(sg))
+        else:
+            value, peak = traced_peak(lambda: action_defect(family, sg))
+        assert value == 0.0
+        assert peak <= 80 * 2**14 + 2**16, (order, peak)
 
 
 @pytest.mark.parametrize("order", [11, 40])
@@ -507,7 +533,7 @@ def test_coassociativity_of_order_40_fits_the_default_cap(tmp_path, capsys):
 
 
 def test_coassociativity_of_order_90_fits_the_default_cap(tmp_path, capsys):
-    """Order 90 counts 80 * 90^3 bytes (56 MiB) on the index path; dense
+    """Order 90 takes the index path, in slabs of whole leading rows; dense
     lifts would count 48 * 90^4 bytes (2.9 GiB), over the cap."""
     doc = tmp_path / "cyclic-90.json"
     table = [[v + 1 for v in row] for row in group_table(90)]
