@@ -219,6 +219,21 @@ def test_blocked_commutators_match_all_pairs(monkeypatch, grid, per_block):
         assert repr(magic_unitary_check(u).max_commutator) == repr(expected)
 
 
+def test_largest_admitted_magic_grid_peaks_within_the_cap(monkeypatch, traced_peak):
+    """With the cap lowered to 1 MiB and blocks of 2^12 coordinates, the
+    magic check admits every grid, the sizes the cap used to refuse among
+    them (12 x 12 permutation, 8 x 8 translation), and each peaks within
+    the cap on a first call: the blocks, not the grid, bound the peak."""
+    monkeypatch.setattr(qfam.morphisms, "LIFT_BYTES_CAP", 2**20)
+    monkeypatch.setattr(qfam.morphisms, "_DEFECT_CHUNK", 2**12)
+    for grid, sizes in ((_cycle_grid, (11, 12, 40)), (_translation_grid, (7, 8, 16))):
+        for n in sizes:
+            report, peak = traced_peak(lambda: magic_unitary_check(grid(n)))
+            assert report.passed and report.max_commutator == 0.0
+            assert peak <= 2**20, (n, peak)
+    assert wang_family(_cycle_grid(12)).source.dim == 12
+
+
 def test_check_magic_on_an_80_by_80_grid_peaks_under_50_mb(tmp_path, capsys, traced_peak):
     """A cyclic permutation grid of 80 x 80 entries has 20,476,800 entry
     pairs; check-magic takes their commutators in blocks of at most
