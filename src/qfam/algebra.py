@@ -11,9 +11,10 @@ Conventions fixed here and relied on by every other module:
 
 * the canonical basis consists of the matrix units E^(k)_{r,s} ordered
   lexicographically by (block, row, column); its bookkeeping is index
-  arrays: ``basis_labels`` is a (dim, 3) array of those labels, and
-  :func:`multiplication_table` and :func:`adjoint_permutation` index the
-  basis by it;
+  arrays, cached on the algebra while it lives: ``basis_labels`` is a
+  (dim, 3) array of those labels, ``multiplication_table`` and
+  ``adjoint_permutation`` index the basis by it, and the algebra keeps its
+  tensor layouts as the left factor (:func:`tensor_layout`);
 * every other basis is a (dim, k) coordinate matrix with one column per
   basis element (the canonical basis is ``np.eye(dim)``), as returned by
   :func:`orthonormal_basis`;
@@ -38,8 +39,9 @@ Conventions fixed here and relied on by every other module:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from numbers import Number
 from operator import mul
 from typing import Iterable
@@ -72,13 +74,14 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class FdCStarAlgebra:
     """A finite direct sum of full matrix algebras, given by its block sizes.
 
-    There is one instance per block list, so equality and hashing are
+    There is one live instance per block list, so equality and hashing are
     identity, and tensor products built along different routes are one
-    object with one set of cached arrays. block_dims is read-only.
+    object with one set of cached arrays. The registry is weak: an
+    unreferenced algebra dies with its tables and layouts. block_dims is read-only.
     """
 
     block_dims: tuple[int, ...]
-    _interned = {}  # block tuple -> its one instance
+    _interned = weakref.WeakValueDictionary()  # block tuple -> its live instance
 
     def __new__(cls, block_dims: Iterable[int]) -> "FdCStarAlgebra":
         dims = tuple(block_dims)
@@ -150,6 +153,27 @@ class FdCStarAlgebra:
         local = np.arange(self.dim) - self._offsets[block]
         n = dims[block]
         return _read_only(np.stack([block, local // n, local % n], axis=1))
+
+    @cached_property
+    def multiplication_table(self) -> np.ndarray:
+        """Index of e_i * e_j in the canonical basis, or -1 when it is 0."""
+        table = np.full((self.dim, self.dim), -1, dtype=np.intp)
+        for _, idx in self.size_groups:  # E_rs E_st = E_rt inside each block
+            table[idx[:, :, :, None], idx[:, None, :, :]] = idx[:, :, None, :]
+        return _read_only(table)
+
+    @cached_property
+    def adjoint_permutation(self) -> np.ndarray:
+        """Permutation p with e_i^* = e_{p[i]} on the canonical basis."""
+        perm = np.empty(self.dim, dtype=np.intp)
+        for _, idx in self.size_groups:  # E_rs^* = E_sr
+            perm[idx] = idx.transpose(0, 2, 1)
+        return _read_only(perm)
+
+    @cached_property
+    def _layouts(self) -> dict:
+        """right -> the layout of self (x) right, alive while self lives."""
+        return {}
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, np.zeros(self.dim))
@@ -270,8 +294,7 @@ def multiply(algebra: FdCStarAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarra
     The last axis of x and y is the canonical basis; the leading axes
     broadcast. The blocks of each size are multiplied by one matmul.
     """
-    x = np.asarray(x)
-    y = np.asarray(y)
+    x, y = np.asarray(x), np.asarray(y)
     shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
     out = np.empty(shape + (algebra.dim,), dtype=np.result_type(x, y, complex))
     for n, idx in algebra.size_groups:
@@ -283,7 +306,7 @@ def multiply(algebra: FdCStarAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarra
 def adjoint_coords(algebra: FdCStarAlgebra, x: np.ndarray) -> np.ndarray:
     """Coordinates of the adjoints x* of a coordinate array (last axis the
     canonical basis)."""
-    return x[..., adjoint_permutation(algebra)].conj()
+    return x[..., algebra.adjoint_permutation].conj()
 
 
 def column_element_norms(
@@ -351,24 +374,6 @@ def max_image_defect(codomain: FdCStarAlgebra, matrix_diff: np.ndarray) -> float
     return float(column_element_norms(codomain, matrix_diff, floor).max())
 
 
-@lru_cache(maxsize=None)
-def multiplication_table(algebra: FdCStarAlgebra) -> np.ndarray:
-    """Index of e_i * e_j in the canonical basis, or -1 when the product is 0."""
-    table = np.full((algebra.dim, algebra.dim), -1, dtype=np.intp)
-    for _, idx in algebra.size_groups:  # E_rs E_st = E_rt inside each block
-        table[idx[:, :, :, None], idx[:, None, :, :]] = idx[:, :, None, :]
-    return _read_only(table)
-
-
-@lru_cache(maxsize=None)
-def adjoint_permutation(algebra: FdCStarAlgebra) -> np.ndarray:
-    """Permutation p with e_i^* = e_{p[i]} on the canonical basis."""
-    perm = np.empty(algebra.dim, dtype=np.intp)
-    for _, idx in algebra.size_groups:  # E_rs^* = E_sr
-        perm[idx] = idx.transpose(0, 2, 1)
-    return _read_only(perm)
-
-
 class LinearFunctional:
     """A functional omega(x) = sum_k trace(rho_k x_k) stored via its density."""
 
@@ -381,7 +386,7 @@ class LinearFunctional:
         self.density = density
         # read-only values on the canonical basis: omega(E_rs) = rho[s, r],
         # the density's transpose, a permutation of its coordinates
-        self.covector = _read_only(density.to_vec()[adjoint_permutation(algebra)])
+        self.covector = _read_only(density.to_vec()[algebra.adjoint_permutation])
 
     def __call__(self, x: AlgebraElement) -> complex:
         if x.algebra != self.algebra:
@@ -394,7 +399,7 @@ class LinearFunctional:
     ) -> "LinearFunctional":
         """Functional with the given values on the canonical basis."""
         values = np.asarray(values, dtype=complex).reshape(algebra.dim)
-        density = values[adjoint_permutation(algebra)]
+        density = values[algebra.adjoint_permutation]
         return cls(algebra, AlgebraElement(algebra, density))
 
     def _density_measures(self) -> tuple[float, ...]:
@@ -440,9 +445,7 @@ class LinearFunctional:
 
 def trace_state(algebra: FdCStarAlgebra) -> LinearFunctional:
     """The normalized trace; on a commutative algebra, the uniform measure."""
-    total = sum(algebra.block_dims)
-    density = algebra.identity() * (1.0 / total)
-    return LinearFunctional(algebra, density)
+    return LinearFunctional(algebra, algebra.identity() * (1.0 / sum(algebra.block_dims)))
 
 
 @dataclass(frozen=True)
@@ -530,18 +533,15 @@ def module_span_rank(layout: TensorLayout, rows: np.ndarray, side: str) -> Block
     return block_rank(groups)
 
 
-@lru_cache(maxsize=None)
 def tensor_layout(left: FdCStarAlgebra, right: FdCStarAlgebra) -> TensorLayout:
-    """Cached tensor layout for a pair of algebras."""
-    return TensorLayout(left, right)
+    """The one tensor layout of left (x) right, cached on left."""
+    return left._layouts.get(right) or left._layouts.setdefault(right, TensorLayout(left, right))
 
 
 def _bilinear_table(algebra: FdCStarAlgebra, omega: LinearFunctional) -> np.ndarray:
-    """T[i, j] = omega(e_i e_j) over the canonical basis."""
-    table = multiplication_table(algebra)
-    cov = np.concatenate([omega.covector, [0.0]])
-    idx = np.where(table >= 0, table, algebra.dim)
-    return cov[idx]
+    """T[i, j] = omega(e_i e_j) over the canonical basis; a zero product's
+    -1 in the multiplication table picks the 0 appended to the covector."""
+    return np.append(omega.covector, 0.0)[algebra.multiplication_table]
 
 
 def orthonormal_basis(omega: LinearFunctional) -> np.ndarray:
@@ -555,7 +555,7 @@ def orthonormal_basis(omega: LinearFunctional) -> np.ndarray:
     an eigenvalue below FAITHFULNESS_FLOOR.
     """
     algebra = omega.algebra
-    gram = _bilinear_table(algebra, omega)[adjoint_permutation(algebra), :]
+    gram = _bilinear_table(algebra, omega)[algebra.adjoint_permutation, :]
     if not np.isfinite(gram).all():
         raise DegenerateStateError("Gram matrix has a non-finite entry")
     gram = (gram + gram.conj().T) / 2

@@ -35,6 +35,7 @@ from .linalg import nullspace, numeric_rank
 from .morphisms import (
     Character,
     StarMorphism,
+    _point_table,
     _pullback,
     functions_algebra,
     lift,
@@ -108,9 +109,7 @@ def trivial_family(
     """The family b -> b (x) I. Its matrix is a 0/1 placement matrix."""
     layout = tensor_layout(source, label)
     mat = layout.left_units().T
-    return QuantumFamily(
-        source, source, label, StarMorphism(source, layout.product, mat)
-    )
+    return QuantumFamily(source, source, label, StarMorphism(source, layout.product, mat))
 
 
 def classical_family(tables: Sequence[Sequence[int]]) -> QuantumFamily:
@@ -121,18 +120,12 @@ def classical_family(tables: Sequence[Sequence[int]]) -> QuantumFamily:
     and the image of the j-th point indicator is the sum of
     (indicator i) (x) (indicator t) over pairs with tables[t][i] = j.
     """
-    tables = [tuple(int(v) for v in tbl) for tbl in tables]
-    if not tables:
-        raise InvalidMatrixError("need at least one map table")
-    n = len(tables[0])
-    for tbl in tables:
-        if len(tbl) != n or any(v < 0 or v >= n for v in tbl):
-            raise InvalidMatrixError(f"table {tbl} is not a self-map of {n} points")
-    source = functions_algebra(n)
-    label = functions_algebra(len(tables))
+    tables = _point_table(tables, 2, InvalidMatrixError)
+    count, n = tables.shape
+    source, label = functions_algebra(n), functions_algebra(count)
     product = tensor_layout(source, label).product
     # row i T + t of the product is the pair (i, t)
-    morphism = _pullback(source, product, np.array(tables).T.ravel())
+    morphism = _pullback(source, product, tables.T.ravel())
     return QuantumFamily(source, source, label, morphism)
 
 

@@ -22,10 +22,8 @@ from .algebra import (
     AlgebraElement,
     FdCStarAlgebra,
     LinearFunctional,
-    adjoint_permutation,
     block_norms,
     make_algebra,
-    multiplication_table,
     tensor_layout,
     within,
 )
@@ -34,6 +32,7 @@ from .errors import (
     InvalidCharacterError,
     InvalidMatrixError,
     NotAHomomorphismError,
+    QfamError,
     ResourceLimitError,
 )
 
@@ -43,9 +42,9 @@ SET_MAP_CAP = 6
 # Cap on the bytes of a defect subtracting two dense tensor lifts, counted
 # by _require_lift_fits (2^30 admits coassociativity with a non-monomial
 # comultiplication over up to 68 coordinates), and of the dense matrix of a
-# classical semigroup or family, counted by _pullback (2^30 admits cyclic
-# groups of order up to 406). The index path and the magic commutators are
-# bounded by _DEFECT_CHUNK instead.
+# classical semigroup, family or set map, counted by _point_table (2^30
+# admits cyclic groups of order up to 406). The index path and the magic
+# commutators are bounded by _DEFECT_CHUNK instead.
 LIFT_BYTES_CAP = 2**30
 
 # The most entries one array of a chunked defect holds: a chunk of the
@@ -164,8 +163,8 @@ def _defect_report(maps: Sequence[StarMorphism]) -> list[dict[str, float]]:
         ).transpose(0, 3, 1, 2)
         images = padded[:, :d]
         unit = np.concatenate([u for _, _, u in members])[:, None]
-        star = images[:, adjoint_permutation(dom)] - images.conj().swapaxes(2, 3)
-        tidx = multiplication_table(dom)
+        star = images[:, dom.adjoint_permutation] - images.conj().swapaxes(2, 3)
+        tidx = dom.multiplication_table
         pairs = max(1, _DEFECT_CHUNK // (d * n * n))  # (component, row) pairs a chunk
         per, step = max(1, pairs // d), min(d, pairs)  # components a chunk, and rows of one
         for m, i in itertools.product(range(0, count, per), range(0, d, step)):
@@ -412,14 +411,11 @@ class Character(StarMorphism):
 
 def characters_of(algebra: FdCStarAlgebra) -> list[Character]:
     """All characters; one per size-1 block, in block order."""
-    out = []
-    for (off, n) in algebra.block_slices():
-        if n != 1:
-            continue
-        row = np.zeros((1, algebra.dim), dtype=complex)
-        row[0, off] = 1.0
-        out.append(Character(algebra, row))
-    return out
+    return [
+        Character(algebra, np.eye(1, algebra.dim, off, dtype=complex))
+        for off, n in algebra.block_slices()
+        if n == 1
+    ]
 
 
 def functions_algebra(npoints: int) -> FdCStarAlgebra:
@@ -445,19 +441,33 @@ def set_map_morphism(table: Sequence[int]) -> StarMorphism:
 
     Column j of the matrix is the indicator of the fiber t^{-1}(j).
     """
-    table = [int(t) for t in table]
-    n = len(table)
-    alg = functions_algebra(n)
-    if any(t < 0 or t >= n for t in table):
-        raise InvalidMatrixError(f"table {table} is not a self-map of {n} points")
-    return _pullback(alg, alg, np.array(table))
+    table = _point_table(table, 1, InvalidMatrixError)
+    alg = functions_algebra(len(table))
+    return _pullback(alg, alg, table)
+
+
+def _point_table(table, ndim: int, error: type[QfamError]) -> np.ndarray:
+    """table as a nonempty array of ndim axes whose entries index its last
+    axis, of n points, else error; the 16 * size * n bytes of its pullback
+    are counted first. Its array must be of an integer kind, so floats are
+    not truncated and a table of bools is refused (numpy reads a bool among
+    ints as an int)."""
+    try:
+        arr = np.asarray(table)
+    except ValueError:  # rows of different lengths
+        arr = np.empty(0)
+    if arr.ndim != ndim or not arr.size:
+        raise error(f"expected a nonempty rectangular table of {ndim} axes")
+    n = arr.shape[-1]
+    require_bytes_fit(16 * arr.size * n, f"a {arr.size} x {n} map")
+    if arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= n:
+        raise error(f"table entries must be integers from 0 to {n - 1}, not {arr.dtype}")
+    return arr
 
 
 def _pullback(dom: FdCStarAlgebra, cod: FdCStarAlgebra, points: np.ndarray) -> StarMorphism:
     """f -> f o t on functions, t sending point r of cod to point points[r]
-    of dom. Its 16 bytes an entry are counted against LIFT_BYTES_CAP before
-    they are allocated, and held without a copy."""
-    require_bytes_fit(16 * cod.dim * dom.dim, f"a {cod.dim} x {dom.dim} map")
+    of dom; held without a copy, its bytes counted by _point_table."""
     mat = np.zeros((cod.dim, dom.dim), dtype=complex)
     mat[np.arange(cod.dim), points] = 1.0
     mat.setflags(write=False)

@@ -133,9 +133,11 @@ class MagicReport:
 def magic_unitary_check(u: MagicUnitary, tol: float = DEFAULT_TOL) -> MagicReport:
     """Check entries are projections and rows and columns each sum to 1.
 
-    The largest commutator is taken in blocks of entry pairs of at most
+    The largest commutator is taken in blocks of at most
     morphisms._DEFECT_CHUNK coordinates an array (a grid of a few dozen
-    entries is one block); np.maximum keeps a NaN commutator.
+    entries is one block): entries k to k + s - 1 against every one after k,
+    each pair counted once, as [earlier, later], since the SVD of -M can
+    differ from that of M in the last bit. np.maximum keeps a NaN commutator.
     """
     alg = u.algebra
     p = u.entries
@@ -148,11 +150,12 @@ def magic_unitary_check(u: MagicUnitary, tol: float = DEFAULT_TOL) -> MagicRepor
     }
     flat = p.reshape(-1, alg.dim)
     s = max(1, morphisms._DEFECT_CHUNK // flat.size)  # entries a block
-    comm, later = -np.inf, np.arange(len(flat))
-    for k in range(0, len(flat), s):  # entries k to k + s - 1 against every later one
-        a, b = np.nonzero(later[k : k + s, None] < later)
-        x, y = flat[a + k], flat[b]
-        comm = np.maximum(comm, _worst(alg, multiply(alg, x, y) - multiply(alg, y, x)))
+    comm = -np.inf
+    for k in range(0, len(flat), s):
+        x, y = flat[k : k + s, None], flat[None, k + 1 :]  # pairs (k + i, k + 1 + j)
+        diff = multiply(alg, x, y) - multiply(alg, y, x)
+        diff[np.arange(len(x))[:, None] > np.arange(y.shape[1])] = 0  # j < i: met reversed
+        comm = np.maximum(comm, _worst(alg, diff))
     return MagicReport(
         passed=all(within(v, tol) for v in defects.values()),
         defects=defects,
@@ -193,9 +196,7 @@ def wang_family(u: MagicUnitary) -> QuantumFamily:
     layout = tensor_layout(source, u.algebra)
     # the split table of column j is column j of the grid
     mat = layout.combine(u.entries.transpose(1, 0, 2)).T
-    return QuantumFamily(
-        source, source, u.algebra, StarMorphism(source, layout.product, mat)
-    )
+    return QuantumFamily(source, source, u.algebra, StarMorphism(source, layout.product, mat))
 
 
 def permutation_magic_unitary(perm: Sequence[int]) -> MagicUnitary:

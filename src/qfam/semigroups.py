@@ -35,6 +35,7 @@ from .morphisms import (
     LiftFactor,
     StarMorphism,
     _ends,
+    _point_table,
     _pullback,
     functions_algebra,
     lift,
@@ -257,12 +258,9 @@ def table_is_associative(table: Sequence[Sequence[int]]) -> bool:
 def table_identity(table: Sequence[Sequence[int]]) -> int | None:
     """Index of the two-sided identity element, or None."""
     arr = np.asarray(table, dtype=np.intp)
-    n = arr.shape[0]
-    ran = np.arange(n)
-    for e in range(n):
-        if np.array_equal(arr[e], ran) and np.array_equal(arr[:, e], ran):
-            return int(e)
-    return None
+    ran = np.arange(len(arr))
+    found = np.flatnonzero((arr == ran).all(axis=1) & (arr.T == ran).all(axis=1))
+    return int(found[0]) if found.size else None
 
 
 def table_is_left_cancellative(table: Sequence[Sequence[int]]) -> bool:
@@ -283,13 +281,11 @@ def classical_semigroup_algebra(table: Sequence[Sequence[int]]) -> QuantumSemigr
     delta_s (x) delta_t over the pairs with s t = j; when the table has a
     two-sided identity the counit is evaluation there.
     """
-    arr = np.asarray(table, dtype=np.intp)
-    n = arr.shape[0] if arr.ndim == 2 else 0
-    if arr.ndim != 2 or arr.shape != (n, n) or n == 0:
+    arr = _point_table(table, 2, InvalidSemigroupError)
+    n = len(arr)
+    if arr.shape != (n, n):
         raise InvalidSemigroupError("multiplication table must be square")
-    if arr.min() < 0 or arr.max() >= n:
-        raise InvalidSemigroupError("table entries must index the elements")
-    if not table_is_associative(arr):
+    if not tables_are_associative(arr[None])[0]:
         raise InvalidSemigroupError("multiplication table is not associative")
     alg = functions_algebra(n)
     # row s n + t of the product is the pair (s, t)

@@ -2,8 +2,7 @@ import tracemalloc
 
 import pytest
 
-from qfam import FdCStarAlgebra, MagicUnitary, functions_algebra, tensor_layout
-from qfam.algebra import adjoint_permutation, multiplication_table
+from qfam import FdCStarAlgebra, MagicUnitary, functions_algebra
 
 
 @pytest.fixture
@@ -23,15 +22,32 @@ def translation_magic():
     return build
 
 
+@pytest.fixture
+def constructed_algebras(monkeypatch):
+    """Every algebra the FdCStarAlgebra constructor returns from here on, in
+    call order, whether it mints one or returns a live one; the list keeps
+    them alive. Index tables cached before are dropped first
+    (forget_index_tables), so no cached layout hands out its product
+    without a constructor call."""
+    returned = []
+    original = FdCStarAlgebra.__new__
+
+    def recording(cls, block_dims):
+        returned.append(original(cls, block_dims))
+        return returned[-1]
+
+    forget_index_tables()
+    monkeypatch.setattr(FdCStarAlgebra, "__new__", recording)
+    return returned
+
+
 def forget_index_tables() -> None:
-    """Drop every cached index table: the tensor layouts, the multiplication
-    tables and adjoint permutations, and the cached arrays of each interned
-    algebra, so the next call builds the ones it needs, as a first call in a
-    fresh interpreter does."""
-    tensor_layout.cache_clear()
-    multiplication_table.cache_clear()
-    adjoint_permutation.cache_clear()
-    for alg in FdCStarAlgebra._interned.values():
+    """Drop every cached index table: each live algebra's cached attributes
+    (its arrays, multiplication table, adjoint permutation and tensor
+    layouts), so the next call builds the ones it needs, as a first call in
+    a fresh interpreter does. An algebra that only those layouts kept alive
+    dies with them."""
+    for alg in list(FdCStarAlgebra._interned.values()):
         for name in [name for name in vars(alg) if name != "block_dims"]:
             del vars(alg)[name]
 

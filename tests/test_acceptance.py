@@ -7,11 +7,15 @@ observed defect so the margins are visible in the log (run with -s or -rA).
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import qfam.suites
-from qfam import FdCStarAlgebra, run_suite
+from qfam import run_suite
 
 
 def _gate(name: str, seed: int = 0) -> None:
@@ -122,11 +126,32 @@ def test_nan_defect_on_a_later_call_fails_the_suite(monkeypatch, suite, name, po
     assert not all(c.passed for c in outcomes)
 
 
-def test_projection_partition_registers_no_algebra_after_its_first_seed():
-    """The suite checks each stack of partitions over M_d itself, so after
-    one seed has registered M_1 to M_6, further seeds register no algebra."""
-    run_suite("projection-partition", seed=0)
-    before = set(FdCStarAlgebra._interned)
-    for seed in range(1, 12):
+def test_projection_partition_builds_only_full_matrix_algebras(constructed_algebras):
+    """The suite checks each stack of partitions over M_d itself, so at every
+    seed it constructs M_1 to M_6 and never a direct sum of blocks."""
+    for seed in range(12):
         run_suite("projection-partition", seed=seed)
-    assert set(FdCStarAlgebra._interned) == before
+    assert {alg.block_dims for alg in constructed_algebras} <= {(d,) for d in range(1, 7)}
+
+
+def test_the_registry_does_not_grow_across_seeds():
+    """In a fresh interpreter, every algebra that four seeds of every suite
+    build is gone once their results are dropped: the registry holds its
+    algebras weakly and no module-level cache keeps one alive. (A fresh
+    interpreter, because an algebra that another test keeps alive keeps the
+    layouts it is the left factor of.)"""
+    script = (
+        "import gc\n"
+        "from qfam import FdCStarAlgebra, run_all\n"
+        "gc.collect()\n"
+        "before = len(FdCStarAlgebra._interned)\n"
+        "for seed in range(4):\n"
+        "    run_all(seed=seed)\n"
+        "gc.collect()\n"
+        "print(before, len(FdCStarAlgebra._interned))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(qfam.__file__).parents[1]))
+    before, after = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert after == before

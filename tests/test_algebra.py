@@ -1,7 +1,6 @@
 """Block algebras, elements, functionals, tensor layouts, exchange maps."""
 
 import copy
-import gc
 import pickle
 import warnings
 
@@ -27,12 +26,7 @@ from qfam import (
     trace_state,
 )
 from qfam import Character, characters_of, morphisms
-from qfam.algebra import (
-    adjoint_permutation,
-    block_norms,
-    column_element_norms,
-    multiplication_table,
-)
+from qfam.algebra import block_norms, column_element_norms
 from qfam.suites import conjugation_family, random_faithful_state, run_all
 
 block_dims = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3)
@@ -163,11 +157,13 @@ def test_copies_of_maps_and_layouts_keep_read_only_arrays():
         assert not char.matrix.flags.writeable
 
 
-def test_a_suite_run_leaves_one_algebra_per_block_list():
+def test_a_suite_run_leaves_one_algebra_per_block_list(constructed_algebras):
+    """While an algebra lives, constructing its block list returns it: over
+    a whole suite run, with every algebra kept alive, each block list has
+    one instance."""
     run_all(seed=1)
-    gc.collect()
-    algebras = [x for x in gc.get_objects() if isinstance(x, FdCStarAlgebra)]
-    assert len(algebras) == len({a.block_dims for a in algebras}) > 100
+    algebras = {id(alg): alg for alg in constructed_algebras}.values()
+    assert len(algebras) == len({alg.block_dims for alg in algebras}) > 100
 
 
 @given(block_dims, block_dims)
@@ -210,8 +206,8 @@ def test_basis_index_arrays_match_brute_force(dims):
 
     assert alg.basis_labels.tolist() == [list(t) for t in labels]
     table = [[index_of(x * y) for y in units] for x in units]
-    assert multiplication_table(alg).tolist() == table
-    assert adjoint_permutation(alg).tolist() == [index_of(x.adjoint()) for x in units]
+    assert alg.multiplication_table.tolist() == table
+    assert alg.adjoint_permutation.tolist() == [index_of(x.adjoint()) for x in units]
 
 
 def test_matrix_unit_products():

@@ -29,7 +29,7 @@ from qfam import (
     trace_state,
 )
 from qfam import morphisms
-from qfam.algebra import adjoint_permutation, max_image_defect, multiplication_table, multiply
+from qfam.algebra import max_image_defect, multiply
 from qfam.morphisms import StarMorphism
 from qfam.suites import haar_unitary, random_unital_hom
 
@@ -267,11 +267,11 @@ def _defects_part_by_part(phi):
     multiply (rows of padded: phi(e_i), then 0 for the zero products)."""
     dom, cod, mat = phi.domain, phi.codomain, phi.matrix
     unit = mat @ dom.identity().to_vec() - cod.identity().to_vec()
-    star = mat[:, adjoint_permutation(dom)] - mat[adjoint_permutation(cod)].conj()
+    star = mat[:, dom.adjoint_permutation] - mat[cod.adjoint_permutation].conj()
     padded = np.concatenate([mat, np.zeros((cod.dim, 1))], axis=1).T
     images = padded[:-1]
     prod = multiply(cod, images[:, None, :], images)
-    mult = (prod - padded[multiplication_table(dom)]).reshape(-1, cod.dim).T
+    mult = (prod - padded[dom.multiplication_table]).reshape(-1, cod.dim).T
     return {
         "mult_defect": max_image_defect(cod, mult),
         "star_defect": max_image_defect(cod, star),

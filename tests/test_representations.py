@@ -47,7 +47,7 @@ from qfam import (
     wang_family,
 )
 from qfam.cli import main
-from qfam.suites import random_partition
+from qfam.suites import random_magic_unitary, random_partition
 
 
 def test_permutation_magic_passes():
@@ -217,6 +217,17 @@ def test_blocked_commutators_match_all_pairs(monkeypatch, grid, per_block):
         monkeypatch.setattr(qfam.morphisms, "_DEFECT_CHUNK", chunk)
     with np.errstate(over="ignore", invalid="ignore"):  # the overflow grid
         assert repr(magic_unitary_check(u).max_commutator) == repr(expected)
+
+
+def test_the_largest_commutator_takes_each_pair_in_one_orientation():
+    """The SVD of -M can differ from that of M in the last bit, so a block
+    that also took a pair reversed, as [later, earlier], could move the
+    maximum by one ulp; on seeded random magic unitaries over M_3 and M_4
+    the blocked maximum equals the all-pairs one by repr."""
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        u = random_magic_unitary(rng, int(rng.integers(3, 6)))
+        assert repr(magic_unitary_check(u).max_commutator) == repr(_all_pairs_commutator(u))
 
 
 def test_largest_admitted_magic_grid_peaks_within_the_cap(monkeypatch, traced_peak):

@@ -10,10 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qfam.families
 import qfam.morphisms
+import qfam.semigroups
 from qfam import (
     Character,
     IncompatibleAlgebraError,
+    InvalidMatrixError,
     InvalidSemigroupError,
     LinearFunctional,
     MissingComponentError,
@@ -38,6 +41,7 @@ from qfam import (
     map_monoid_table,
     qs_morphism_defect,
     save_document,
+    set_map_morphism,
     table_identity,
     table_is_associative,
     table_is_left_cancellative,
@@ -392,6 +396,80 @@ def test_a_dense_build_over_the_cap_is_refused(monkeypatch, tmp_path, capsys):
     doc.write_text(json.dumps({"kind": "family", "classical_table": table}))
     assert main(["check-commute", str(doc), str(doc)]) == 2
     assert "cap" in capsys.readouterr().err
+
+
+def test_a_dense_build_is_counted_before_its_table_is_checked(monkeypatch):
+    """Over the cap lowered to 1 MiB, classical_semigroup_algebra refuses the
+    cyclic group of order 41 before its associativity check (n passes over
+    n^2 gathers), and classical_family (16 * 41^3 bytes) and
+    set_map_morphism (16 * 257^2 = 1,056,784 bytes) refuse before they build
+    an algebra; under the cap each builder reaches those steps."""
+    monkeypatch.setattr(qfam.morphisms, "LIFT_BYTES_CAP", 2**20)
+    calls = []
+
+    def spy(name, original):
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+
+        return call
+
+    for module, name in (
+        (qfam.semigroups, "tables_are_associative"),
+        (qfam.families, "functions_algebra"),
+        (qfam.morphisms, "functions_algebra"),
+    ):
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    cases = [
+        (classical_semigroup_algebra, group_table(41), group_table(2)),
+        (classical_family, group_table(41), group_table(2)),
+        (set_map_morphism, list(range(257)), [1, 0]),
+    ]
+    for build, over, _ in cases:
+        with pytest.raises(ResourceLimitError, match="cap"):
+            build(over)
+    assert calls == []
+    for build, _, under in cases:
+        build(under)
+    assert set(calls) == {"tables_are_associative", "functions_algebra"}
+
+
+@pytest.mark.parametrize(
+    "build, table, error",
+    [
+        (classical_semigroup_algebra, [[0, 0.9], [0.9, 1]], InvalidSemigroupError),
+        (classical_semigroup_algebra, [[False, True], [True, False]], InvalidSemigroupError),
+        (classical_semigroup_algebra, np.array([[0.0, 1.0], [1.0, 0.0]]), InvalidSemigroupError),
+        (classical_family, [[0, 1.6]], InvalidMatrixError),
+        (classical_family, [[True, False]], InvalidMatrixError),
+        (set_map_morphism, [0, 1.6], InvalidMatrixError),
+        (set_map_morphism, [True, False], InvalidMatrixError),
+        (set_map_morphism, np.array([1.0, 0.0]), InvalidMatrixError),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_a_table_of_floats_or_booleans_is_refused(build, table, error):
+    """A float entry is not truncated and a bool is not read as 0 or 1: the
+    builders refuse any table whose array is not of an integer kind."""
+    with pytest.raises(error, match="integers"):
+        build(table)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.intp, None])
+def test_integer_tables_of_any_width_build_the_same_maps(dtype):
+    """numpy integers of any width and Python ints (dtype None) build the
+    same matrices."""
+    table = group_table(3)
+    if dtype is not None:
+        table = np.array(table, dtype=dtype)
+    assert np.array_equal(
+        classical_semigroup_algebra(table).comultiplication.matrix,
+        classical_semigroup_algebra(group_table(3)).comultiplication.matrix,
+    )
+    assert np.array_equal(
+        classical_family(table).morphism.matrix, classical_family(group_table(3)).morphism.matrix
+    )
+    assert np.array_equal(set_map_morphism(table[1]).matrix, set_map_morphism([1, 2, 0]).matrix)
 
 
 def test_a_classical_build_holds_its_matrix_once(traced_peak):
