@@ -13,8 +13,8 @@ Conventions fixed here and relied on by every other module:
   lexicographically by (block, row, column); its bookkeeping is index
   arrays, cached on the algebra while it lives: ``basis_labels`` is a
   (dim, 3) array of those labels, ``multiplication_table`` and
-  ``adjoint_permutation`` index the basis by it, and the algebra keeps its
-  tensor layouts as the left factor (:func:`tensor_layout`);
+  ``adjoint_permutation`` index the basis by it, and the algebra keeps the
+  tensor layouts it owns (:func:`tensor_layout`);
 * every other basis is a (dim, k) coordinate matrix with one column per
   basis element (the canonical basis is ``np.eye(dim)``), as returned by
   :func:`orthonormal_basis`;
@@ -172,7 +172,8 @@ class FdCStarAlgebra:
 
     @cached_property
     def _layouts(self) -> dict:
-        """right -> the layout of self (x) right, alive while self lives."""
+        """(left, right) -> the layout of left (x) right, for self the factor
+        that owns it (see tensor_layout), alive while self lives."""
         return {}
 
     def zero(self) -> "AlgebraElement":
@@ -365,12 +366,15 @@ def block_norms(blocks: np.ndarray, floor: np.ndarray) -> np.ndarray:
 def max_image_defect(codomain: FdCStarAlgebra, matrix_diff: np.ndarray) -> float:
     """Worst operator norm over the columns of a matrix of element
     differences; NaN when any column's norm is NaN. The largest |entry| is
-    a lower bound of the answer, so it prunes the SVDs as floor."""
+    a lower bound of the answer, so it prunes the SVDs as floor; over 1 x 1
+    blocks it is the answer."""
     matrix_diff = np.asarray(matrix_diff, dtype=complex)
     if not matrix_diff.size:
         return 0.0
     with np.errstate(over="ignore"):
         floor = np.abs(matrix_diff).max()
+    if codomain.is_commutative:  # |inf + NaN i| is inf, but its norm is NaN
+        return np.nan if np.isnan(matrix_diff).any() else float(floor)
     return float(column_element_norms(codomain, matrix_diff, floor).max())
 
 
@@ -534,8 +538,11 @@ def module_span_rank(layout: TensorLayout, rows: np.ndarray, side: str) -> Block
 
 
 def tensor_layout(left: FdCStarAlgebra, right: FdCStarAlgebra) -> TensorLayout:
-    """The one tensor layout of left (x) right, cached on left."""
-    return left._layouts.get(right) or left._layouts.setdefault(right, TensorLayout(left, right))
+    """The one tensor layout of left (x) right, cached on left, or on right
+    when left is the scalar algebra, which every Character holds and which
+    would otherwise keep alive every algebra it was paired with."""
+    owner, key = (right if left.dim == 1 else left), (left, right)
+    return owner._layouts.get(key) or owner._layouts.setdefault(key, TensorLayout(left, right))
 
 
 def _bilinear_table(algebra: FdCStarAlgebra, omega: LinearFunctional) -> np.ndarray:

@@ -39,17 +39,17 @@ from .errors import (
 # Cap on n for enumerating all n^n self-maps of an n-point set.
 SET_MAP_CAP = 6
 
-# Cap on the bytes of a defect subtracting two dense tensor lifts, counted
-# by _require_lift_fits (2^30 admits coassociativity with a non-monomial
-# comultiplication over up to 68 coordinates), and of the dense matrix of a
-# classical semigroup, family or set map, counted by _point_table (2^30
-# admits cyclic groups of order up to 406). The index path and the magic
-# commutators are bounded by _DEFECT_CHUNK instead.
+# Cap on the bytes of an array a call builds and keeps: the result of a
+# tensor lift, counted by lift (and tensor_morphisms' identity input), and
+# the dense matrix of a classical semigroup, family or set map, counted by
+# _point_table (2^30 admits cyclic groups of order up to 406). The arrays a
+# defect only passes through are bounded by _DEFECT_CHUNK instead.
 LIFT_BYTES_CAP = 2**30
 
 # The most entries one array of a chunked defect holds: a chunk of the
-# multiplicativity check, a slab of the index path (whole rows of its leading
-# factors) or a block of the magic commutators (one entry's pairs at least).
+# multiplicativity check, a slab of a dense lift (one column at least) or of
+# the index path (whole rows of its leading factors), or a block of the magic
+# commutators (one entry's pairs at least).
 _DEFECT_CHUNK = 2**18
 
 
@@ -223,23 +223,8 @@ def _ends(factor: LiftFactor) -> tuple[FdCStarAlgebra, FdCStarAlgebra]:
     return factor.domain, factor.codomain
 
 
-def _require_lift_fits(phi: LiftFactor, psi: LiftFactor, ncols: int) -> None:
-    """Refuse a lift of ncols columns when a defect subtracting two such
-    lifts would exceed the cap at its peak. It holds the first result and
-    the second's result, split table and largest product (16 bytes an
-    entry), 24 bytes per coordinate of the products each lift caches
-    (pair_index, block offsets and block sizes), and up to 16 KiB of Python
-    objects (under 6 KiB measured on cyclic groups). A lift builds its index
-    arrays before its large arrays, so their temporaries are freed by then."""
-    (a1, b1), (a2, b2) = ((x.dim, y.dim) for x, y in (_ends(phi), _ends(psi)))
-    nbytes = 16 * ncols * (3 * max(a1 * a2, b1 * a2, b1 * b2) + a1 * a2)
-    nbytes += 2 * 24 * (a1 * a2 + b1 * b2) + 2**14
-    require_bytes_fit(nbytes, f"a tensor lift of {ncols} columns")
-
-
 def require_bytes_fit(nbytes: int, what: str) -> None:
-    """Refuse what, which holds nbytes at its peak, when that exceeds
-    LIFT_BYTES_CAP."""
+    """Refuse what, an array of nbytes, when that exceeds LIFT_BYTES_CAP."""
     if nbytes > LIFT_BYTES_CAP:
         raise ResourceLimitError(
             f"{what} needs {nbytes / 2**20:.0f} MiB, "
@@ -256,7 +241,8 @@ def lift(phi: LiftFactor, psi: LiftFactor, columns: np.ndarray) -> np.ndarray:
     An algebra in place of phi or psi is its identity map: its axis is
     split and scattered but never multiplied. A functional acts as a
     1 x dim map into scalar_algebra(), whose tensor factor shares the other
-    factor's coordinates.
+    factor's coordinates. The columns go in slabs of about _DEFECT_CHUNK
+    entries a table (one at least); only the result grows with their number.
     """
     (dom1, cod1), (dom2, cod2) = _ends(phi), _ends(psi)
     lin = tensor_layout(dom1, dom2)
@@ -266,19 +252,21 @@ def lift(phi: LiftFactor, psi: LiftFactor, columns: np.ndarray) -> np.ndarray:
         raise InvalidMatrixError(
             f"columns of shape {columns.shape} are not coordinates over {lin.product}"
         )
-    n = columns.shape[1]
-    _require_lift_fits(phi, psi, n)
-    # the index arrays first, so their build temporaries are freed before the
-    # large arrays exist; then the result, under the steps freed on return
+    n, rows = columns.shape[1], lout.product.dim
+    # the index arrays first, so their build temporaries are freed before the result exists
     pin, pout = lin.pair_index, lout.pair_index
-    out = np.empty((lout.product.dim, n), dtype=complex)
-    table = columns[pin]  # (dim dom1, dim dom2, n)
-    if isinstance(phi, StarMorphism):
-        table = phi.matrix @ table.reshape(dom1.dim, dom2.dim * n)
-        table = table.reshape(cod1.dim, dom2.dim, n)
-    if isinstance(psi, StarMorphism):
-        table = psi.matrix @ table  # one matmul per row of phi's image
-    out[pout] = table
+    require_bytes_fit(16 * rows * n, f"a tensor lift of {n} columns")
+    out = np.empty((rows, n), dtype=complex)
+    width = max(1, _DEFECT_CHUNK // max(lin.product.dim, cod1.dim * dom2.dim, rows))
+    for s in range(0, n, width):
+        cols = slice(s, s + width)
+        table = columns[pin, cols]  # (dim dom1, dim dom2, columns of the slab)
+        if isinstance(phi, StarMorphism):
+            table = (phi.matrix @ table.reshape(dom1.dim, -1)).reshape(cod1.dim, dom2.dim, -1)
+        if isinstance(psi, StarMorphism):  # one matmul over all rows of phi's image
+            table = psi.matrix @ table.swapaxes(0, 1).reshape(dom2.dim, -1)
+            table = table.reshape(cod2.dim, cod1.dim, -1).swapaxes(0, 1)
+        out[pout, cols] = table
     return out
 
 
@@ -359,10 +347,9 @@ def _largest_abs(z: np.ndarray) -> float:
 def tensor_morphisms(phi: StarMorphism, psi: StarMorphism) -> StarMorphism:
     """The map phi (x) psi between the tensor product algebras."""
     lin = tensor_layout(phi.domain, psi.domain)
-    _require_lift_fits(phi, psi, lin.product.dim)  # before the identity exists
+    require_bytes_fit(8 * lin.product.dim**2, f"the identity over {lin.product.dim} coordinates")
     mat = lift(phi, psi, np.eye(lin.product.dim))
-    codomain = tensor_layout(phi.codomain, psi.codomain).product
-    return StarMorphism(lin.product, codomain, mat)
+    return StarMorphism(lin.product, tensor_layout(phi.codomain, psi.codomain).product, mat)
 
 
 def swap_index(left: FdCStarAlgebra, right: FdCStarAlgebra) -> np.ndarray:
@@ -447,11 +434,17 @@ def set_map_morphism(table: Sequence[int]) -> StarMorphism:
 
 
 def _point_table(table, ndim: int, error: type[QfamError]) -> np.ndarray:
+    """_integer_table(table, ndim, error), its pullback's 16 * size * n bytes counted."""
+    arr = _integer_table(table, ndim, error)
+    require_bytes_fit(16 * arr.size * arr.shape[-1], f"a {arr.size} x {arr.shape[-1]} map")
+    return arr
+
+
+def _integer_table(table, ndim: int, error: type[QfamError]) -> np.ndarray:
     """table as a nonempty array of ndim axes whose entries index its last
-    axis, of n points, else error; the 16 * size * n bytes of its pullback
-    are counted first. Its array must be of an integer kind, so floats are
-    not truncated and a table of bools is refused (numpy reads a bool among
-    ints as an int)."""
+    axis, of n points, else error. Its array must be of an integer kind, so
+    floats are not truncated and a table of bools is refused (numpy reads a
+    bool among ints as an int)."""
     try:
         arr = np.asarray(table)
     except ValueError:  # rows of different lengths
@@ -459,7 +452,6 @@ def _point_table(table, ndim: int, error: type[QfamError]) -> np.ndarray:
     if arr.ndim != ndim or not arr.size:
         raise error(f"expected a nonempty rectangular table of {ndim} axes")
     n = arr.shape[-1]
-    require_bytes_fit(16 * arr.size * n, f"a {arr.size} x {n} map")
     if arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= n:
         raise error(f"table entries must be integers from 0 to {n - 1}, not {arr.dtype}")
     return arr

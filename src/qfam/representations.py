@@ -41,7 +41,7 @@ from .errors import (
 )
 from .families import QuantumFamily, action_coefficients, invariance_defects
 from . import morphisms
-from .morphisms import StarMorphism, functions_algebra, scalar_algebra
+from .morphisms import StarMorphism, _integer_table, functions_algebra, scalar_algebra
 from .semigroups import QuantumSemigroup
 
 
@@ -201,11 +201,10 @@ def wang_family(u: MagicUnitary) -> QuantumFamily:
 
 def permutation_magic_unitary(perm: Sequence[int]) -> MagicUnitary:
     """The scalar magic unitary with entry [i == perm[j]] at (i, j)."""
-    perm = [int(p) for p in perm]
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise InvalidMatrixError(f"{perm} is not a permutation of 0..{n - 1}")
-    return MagicUnitary(scalar_algebra(), np.eye(n)[:, perm, None])
+    perm = _integer_table(perm, 1, InvalidMatrixError)
+    if (np.sort(perm) != np.arange(len(perm))).any():
+        raise InvalidMatrixError(f"{perm.tolist()} is not a permutation of 0..{len(perm) - 1}")
+    return MagicUnitary(scalar_algebra(), np.eye(len(perm))[:, perm, None])
 
 
 def nonclassical_magic_4x4(theta: float) -> MagicUnitary:

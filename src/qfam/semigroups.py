@@ -35,6 +35,7 @@ from .morphisms import (
     LiftFactor,
     StarMorphism,
     _ends,
+    _integer_table,
     _point_table,
     _pullback,
     functions_algebra,
@@ -78,15 +79,16 @@ def _lift_difference_defect(
     the matrix of first[0]: by index arithmetic when every domain and
     codomain among the operands is commutative and every map has a monomial
     form, through dense lifts into the codomain of the first otherwise.
-    The index path reduces over slabs of about _DEFECT_CHUNK rows that cover
-    whole rows of both lifts' leading factors (row a * right + b is led by
-    row a); np.maximum keeps a NaN slab defect."""
-    source, operands = first[0], (*first, *second)
+    Both reduce over slabs of about _DEFECT_CHUNK entries an array: the
+    index path over rows that cover whole rows of both lifts' leading
+    factors (row a * right + b is led by row a), the dense path over columns
+    of M (one at least). np.maximum keeps a NaN slab defect."""
+    source, operands, worst = first[0], (*first, *second), -np.inf
     if all(a.is_commutative for x in operands for a in _ends(x)) and all(
         x.monomial is not None for x in operands if isinstance(x, StarMorphism)
     ):
         right, right2 = (_ends(x[1])[1].dim for x in (first, second))
-        step, form, worst = math.lcm(right, right2), source.monomial, -np.inf
+        step, form = math.lcm(right, right2), source.monomial
         slab = max(1, morphisms._DEFECT_CHUNK // step) * step
         for r in range(0, source.codomain.dim * right, slab):
             worst = np.maximum(worst, monomial_defect(
@@ -94,10 +96,13 @@ def _lift_difference_defect(
                 lift_monomial(*second, form, slice(r // right2, (r + slab) // right2)),
             ))
         return float(worst)
-    diff = lift(*first, source.matrix)
-    diff -= lift(*second, source.matrix)
     product = tensor_layout(source.codomain, _ends(first[1])[1]).product
-    return max_image_defect(product, diff)
+    width = max(1, morphisms._DEFECT_CHUNK // product.dim)
+    for s in range(0, source.domain.dim, width):
+        diff = lift(*first, source.matrix[:, s : s + width])
+        diff -= lift(*second, source.matrix[:, s : s + width])
+        worst = np.maximum(worst, max_image_defect(product, diff))
+    return float(worst)
 
 
 def coassociativity_defect(sg: QuantumSemigroup) -> float:
@@ -246,18 +251,15 @@ def tables_are_associative(tables: np.ndarray) -> np.ndarray:
 
 def table_is_associative(table: Sequence[Sequence[int]]) -> bool:
     try:
-        arr = np.asarray(table, dtype=np.intp)
-    except (ValueError, TypeError):
+        arr = _integer_table(table, 2, InvalidSemigroupError)
+    except InvalidSemigroupError:
         return False
-    n = arr.shape[0] if arr.ndim == 2 else 0
-    if n == 0 or arr.shape != (n, n) or arr.min() < 0 or arr.max() >= n:
-        return False
-    return bool(tables_are_associative(arr[None])[0])
+    return arr.shape[0] == arr.shape[1] and bool(tables_are_associative(arr[None])[0])
 
 
 def table_identity(table: Sequence[Sequence[int]]) -> int | None:
     """Index of the two-sided identity element, or None."""
-    arr = np.asarray(table, dtype=np.intp)
+    arr = _integer_table(table, 2, InvalidSemigroupError)
     ran = np.arange(len(arr))
     found = np.flatnonzero((arr == ran).all(axis=1) & (arr.T == ran).all(axis=1))
     return int(found[0]) if found.size else None
@@ -265,13 +267,13 @@ def table_identity(table: Sequence[Sequence[int]]) -> int | None:
 
 def table_is_left_cancellative(table: Sequence[Sequence[int]]) -> bool:
     """Every row of the table is a permutation (left translations injective)."""
-    arr = np.asarray(table, dtype=np.intp)
-    return all(len(set(row.tolist())) == arr.shape[0] for row in arr)
+    arr = _integer_table(table, 2, InvalidSemigroupError)
+    return bool((np.sort(arr, axis=1) == np.arange(arr.shape[1])).all())
 
 
 def table_is_right_cancellative(table: Sequence[Sequence[int]]) -> bool:
     """Every column of the table is a permutation."""
-    return table_is_left_cancellative(np.asarray(table, dtype=np.intp).T)
+    return table_is_left_cancellative(np.transpose(table))
 
 
 def classical_semigroup_algebra(table: Sequence[Sequence[int]]) -> QuantumSemigroup:

@@ -139,7 +139,7 @@ def test_the_registry_does_not_grow_across_seeds():
     build is gone once their results are dropped: the registry holds its
     algebras weakly and no module-level cache keeps one alive. (A fresh
     interpreter, because an algebra that another test keeps alive keeps the
-    layouts it is the left factor of.)"""
+    layouts it owns.)"""
     script = (
         "import gc\n"
         "from qfam import FdCStarAlgebra, run_all\n"
@@ -154,4 +154,37 @@ def test_the_registry_does_not_grow_across_seeds():
     before, after = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
+    assert after == before
+
+
+def test_a_live_character_keeps_no_larger_algebra_alive():
+    """The scalar algebra, which every Character holds, owns no tensor
+    layout it shares with another algebra, so it keeps none alive. In a
+    fresh interpreter with one live Character on the scalars, the functions
+    on the cyclic group of order 7 die once the semigroup whose counit was
+    checked is dropped, and run_all at seeds 0-2 leaves the registry as it
+    found it (86 algebras registered instead of 1 when the scalars owned
+    their layouts as the left factor)."""
+    script = (
+        "import gc, weakref\n"
+        "from qfam import FdCStarAlgebra, characters_of, classical_semigroup_algebra\n"
+        "from qfam import counit_defect, functions_algebra, group_table, run_all\n"
+        "held = characters_of(functions_algebra(1))[0]\n"
+        "gc.collect()\n"
+        "before = len(FdCStarAlgebra._interned)\n"
+        "sg = classical_semigroup_algebra(group_table(7))\n"
+        "assert counit_defect(sg) == 0.0\n"
+        "cyclic = weakref.ref(sg.algebra)\n"
+        "del sg\n"
+        "gc.collect()\n"
+        "for seed in range(3):\n"
+        "    run_all(seed=seed)\n"
+        "gc.collect()\n"
+        "print(cyclic() is None, before, len(FdCStarAlgebra._interned))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(qfam.__file__).parents[1]))
+    died, before, after = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert died == "True"
     assert after == before

@@ -1,0 +1,96 @@
+"""The dense structure checks under a limited address space.
+
+Each command runs in a child interpreter whose address space is limited to
+384 MB (RLIMIT_AS, set in the child only) with one BLAS thread, so a check
+that holds whole lifts of a triple tensor product runs out of memory there
+instead of in the test session. The module is skipped only where the
+resource module is missing.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+resource = pytest.importorskip("resource")
+
+import qfam  # noqa: E402
+from qfam import (  # noqa: E402
+    QuantumSemigroup,
+    StarMorphism,
+    classical_semigroup_algebra,
+    group_table,
+    save_document,
+)
+
+LIMIT = 384 * 10**6
+
+# the CLI, with the lift cap first set to the bytes given as the first argument
+CLI = (
+    "import sys, qfam.morphisms\n"
+    "qfam.morphisms.LIFT_BYTES_CAP = int(sys.argv[1])\n"
+    "from qfam.cli import main\n"
+    "sys.exit(main(sys.argv[2:]))\n"
+)
+
+
+def _limited() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (LIMIT, LIMIT))
+
+
+def _run(*args: str, cap: int = qfam.morphisms.LIFT_BYTES_CAP) -> subprocess.CompletedProcess:
+    env = dict(
+        os.environ, PYTHONPATH=str(Path(qfam.__file__).parents[1]), OPENBLAS_NUM_THREADS="1"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", CLI, str(cap), *args],
+        env=env,
+        preexec_fn=_limited,
+        capture_output=True,
+        text=True,
+    )
+
+
+@pytest.fixture(scope="module")
+def dense_60(tmp_path_factory):
+    """The cyclic group of order 60 with 1e-3 added to the first row of its
+    comultiplication, which then has no monomial form and takes dense
+    lifts, and its counit; a 2.2 MB document."""
+    sg = classical_semigroup_algebra(group_table(60))
+    mat = np.array(sg.comultiplication.matrix)
+    mat[0, 1] += 1e-3
+    delta = StarMorphism(sg.algebra, sg.comultiplication.codomain, mat)
+    path = tmp_path_factory.mktemp("dense") / "dense-60.json"
+    save_document(QuantumSemigroup(sg.algebra, delta, sg.counit), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [("check-coassoc", 1), ("check-counit", 1), ("check-cancellation", 0)],
+)
+def test_dense_checks_of_order_60_run_in_384_mb(dense_60, command, code):
+    """Coassociativity and the counit law fail by the 1e-3 added, and both
+    cancellation spans are full. Coassociativity lifts one column of 60^3
+    rows a slab; two whole lifts of 16 * 60^4 bytes each ran out of memory
+    under this limit (exit 2)."""
+    result = _run(command, str(dense_60))
+    assert result.returncode == code, (result.returncode, result.stderr)
+    if code:
+        assert "FAIL  defect 0.001 (limit" in result.stdout, result.stdout
+
+
+def test_a_classical_table_just_past_a_lowered_cap_exits_2(tmp_path):
+    """With the cap lowered to 1 MiB in the child, the dense comultiplication
+    of the cyclic group of order 41 (16 * 41^3 = 1,102,736 bytes) is refused
+    before it is allocated, with the cap in the message."""
+    doc = tmp_path / "cyclic-41.json"
+    table = [[v + 1 for v in row] for row in group_table(41)]
+    doc.write_text(json.dumps({"kind": "semigroup", "classical_table": table}))
+    result = _run("check-coassoc", str(doc), cap=2**20)
+    assert result.returncode == 2, (result.returncode, result.stderr)
+    assert "cap" in result.stderr

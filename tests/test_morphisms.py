@@ -167,7 +167,7 @@ block_dims = st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_siz
 @given(st.lists(block_dims, min_size=4, max_size=4), st.integers(0, 3), st.integers(0))
 def test_lift_matches_dense_kronecker(dims, ncols, seed):
     """lift(phi, psi, c) equals the dense Kronecker matrix of phi (x) psi,
-    placed through the pair indices, times c."""
+    placed through the pair indices, times c, also lifted one column a slab."""
     rng = np.random.default_rng(seed)
 
     def random_map(dom, cod):
@@ -184,6 +184,9 @@ def test_lift_matches_dense_kronecker(dims, ncols, seed):
     got = lift(phi, psi, columns)
     assert got.shape == (lout.product.dim, ncols)
     assert np.allclose(got, dense @ columns, rtol=0, atol=1e-12)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(morphisms, "_DEFECT_CHUNK", 1)
+        assert np.allclose(lift(phi, psi, columns), dense @ columns, rtol=0, atol=1e-12)
     with pytest.raises(InvalidMatrixError):
         lift(phi, psi, columns[1:])
 
