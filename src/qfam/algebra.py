@@ -363,18 +363,22 @@ def block_norms(blocks: np.ndarray, floor: np.ndarray) -> np.ndarray:
     return vals
 
 
+def largest_abs(z: np.ndarray) -> float:
+    """The largest |entry| of z, 0.0 when it has none; NaN when an entry
+    has a NaN part, though |inf + NaN i| is inf."""
+    with np.errstate(over="ignore"):  # |z| past the float range is inf
+        return np.nan if np.isnan(z).any() else float(np.abs(z).max(initial=0.0))
+
+
 def max_image_defect(codomain: FdCStarAlgebra, matrix_diff: np.ndarray) -> float:
     """Worst operator norm over the columns of a matrix of element
     differences; NaN when any column's norm is NaN. The largest |entry| is
     a lower bound of the answer, so it prunes the SVDs as floor; over 1 x 1
-    blocks it is the answer."""
+    blocks, and with no columns, it is the answer."""
     matrix_diff = np.asarray(matrix_diff, dtype=complex)
-    if not matrix_diff.size:
-        return 0.0
-    with np.errstate(over="ignore"):
-        floor = np.abs(matrix_diff).max()
-    if codomain.is_commutative:  # |inf + NaN i| is inf, but its norm is NaN
-        return np.nan if np.isnan(matrix_diff).any() else float(floor)
+    floor = largest_abs(matrix_diff)
+    if codomain.is_commutative or not matrix_diff.size:
+        return floor
     return float(column_element_norms(codomain, matrix_diff, floor).max())
 
 
@@ -558,20 +562,16 @@ def orthonormal_basis(omega: LinearFunctional) -> np.ndarray:
     With G = L L^* the Cholesky factorization of the Gram matrix, the result
     is inv(L^*): the one upper-triangular B with positive diagonal and
     B^* G B = I, which is what Gram-Schmidt in canonical order produces.
-    Raises DegenerateStateError when the Gram matrix is not finite or has
-    an eigenvalue below FAITHFULNESS_FLOOR.
+    G has the eigenvalues of the density's Hermitian part, so it raises
+    DegenerateStateError exactly when omega is not faithful.
     """
+    if not omega.is_faithful():
+        finite = np.isfinite(omega.density.to_vec()).all()
+        why = "is not faithful" if finite else "has a non-finite density entry"
+        raise DegenerateStateError(f"an orthonormal basis needs a faithful functional; this one {why}")
     algebra = omega.algebra
     gram = _bilinear_table(algebra, omega)[algebra.adjoint_permutation, :]
-    if not np.isfinite(gram).all():
-        raise DegenerateStateError("Gram matrix has a non-finite entry")
     gram = (gram + gram.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(gram).min())
-    if min_eig < FAITHFULNESS_FLOOR:
-        raise DegenerateStateError(
-            f"Gram matrix minimum eigenvalue {min_eig:.3e} is below "
-            f"{FAITHFULNESS_FLOOR:g}"
-        )
     return np.linalg.inv(np.linalg.cholesky(gram).conj().T)
 
 

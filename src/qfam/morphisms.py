@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .algebra import (
     FdCStarAlgebra,
     LinearFunctional,
     block_norms,
+    largest_abs,
     make_algebra,
     tensor_layout,
     within,
@@ -49,8 +50,15 @@ LIFT_BYTES_CAP = 2**30
 # The most entries one array of a chunked defect holds: a chunk of the
 # multiplicativity check, a slab of a dense lift (one column at least) or of
 # the index path (whole rows of its leading factors), or a block of the magic
-# commutators (one entry's pairs at least).
+# commutators (one entry's pairs at least); every one is cut by slabs.
 _DEFECT_CHUNK = 2**18
+
+
+def slabs(count: int, size: int) -> Iterator[slice]:
+    """range(count) in slices of max(1, _DEFECT_CHUNK // size) items: about
+    _DEFECT_CHUNK entries a slab of items of size entries, one item at least."""
+    step = max(1, _DEFECT_CHUNK // size)
+    return (slice(s, min(s + step, count)) for s in range(0, count, step))
 
 
 def scalar_algebra() -> FdCStarAlgebra:
@@ -165,15 +173,12 @@ def _defect_report(maps: Sequence[StarMorphism]) -> list[dict[str, float]]:
         unit = np.concatenate([u for _, _, u in members])[:, None]
         star = images[:, dom.adjoint_permutation] - images.conj().swapaxes(2, 3)
         tidx = dom.multiplication_table
-        pairs = max(1, _DEFECT_CHUNK // (d * n * n))  # (component, row) pairs a chunk
-        per, step = max(1, pairs // d), min(d, pairs)  # components a chunk, and rows of one
-        for m, i in itertools.product(range(0, count, per), range(0, d, step)):
-            block, rows = slice(m, m + per), slice(i, min(d, i + step))
+        for block, rows in itertools.product(slabs(count, d * d * n * n), slabs(d, d * n * n)):
             a, b = images[block, rows, None], images[block, None]
             mult = a * b if n == 1 else a @ b
             mult -= padded[block][:, tidx[rows]]
             parts = [(2, mult.reshape(len(mult), -1, n, n))]
-            if i == 0:
+            if rows.start == 0:
                 parts += [(0, unit[block]), (1, star[block])]
             for p, part in parts:
                 slots = worst[:, p]
@@ -257,9 +262,7 @@ def lift(phi: LiftFactor, psi: LiftFactor, columns: np.ndarray) -> np.ndarray:
     pin, pout = lin.pair_index, lout.pair_index
     require_bytes_fit(16 * rows * n, f"a tensor lift of {n} columns")
     out = np.empty((rows, n), dtype=complex)
-    width = max(1, _DEFECT_CHUNK // max(lin.product.dim, cod1.dim * dom2.dim, rows))
-    for s in range(0, n, width):
-        cols = slice(s, s + width)
+    for cols in slabs(n, max(lin.product.dim, cod1.dim * dom2.dim, rows)):
         table = columns[pin, cols]  # (dim dom1, dim dom2, columns of the slab)
         if isinstance(phi, StarMorphism):
             table = (phi.matrix @ table.reshape(dom1.dim, -1)).reshape(cod1.dim, dom2.dim, -1)
@@ -333,15 +336,9 @@ def monomial_defect(first: MonomialForm, second: MonomialForm) -> float:
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN defect
         entries = v1 - v2
     np.copyto(entries, v1, where=moved)  # and -v2[moved] in another column
-    worst = _largest_abs(entries)
+    worst = largest_abs(entries)
     del entries
-    return float(np.maximum(worst, _largest_abs(v2[moved])))
-
-
-def _largest_abs(z: np.ndarray) -> float:
-    """The largest |entry| of z; NaN when an entry has a NaN part, though
-    |inf + NaN i| is inf."""
-    return np.nan if np.isnan(z).any() else np.abs(z).max(initial=0.0)
+    return float(np.maximum(worst, largest_abs(v2[moved])))
 
 
 def tensor_morphisms(phi: StarMorphism, psi: StarMorphism) -> StarMorphism:
@@ -443,17 +440,20 @@ def _point_table(table, ndim: int, error: type[QfamError]) -> np.ndarray:
 def _integer_table(table, ndim: int, error: type[QfamError]) -> np.ndarray:
     """table as a nonempty array of ndim axes whose entries index its last
     axis, of n points, else error. Its array must be of an integer kind, so
-    floats are not truncated and a table of bools is refused (numpy reads a
-    bool among ints as an int)."""
+    floats are not truncated, and a list or tuple table must hold no bool,
+    which numpy reads as an int among ints: one scan of its leaves' types."""
     try:
         arr = np.asarray(table)
     except ValueError:  # rows of different lengths
         arr = np.empty(0)
     if arr.ndim != ndim or not arr.size:
         raise error(f"expected a nonempty rectangular table of {ndim} axes")
-    n = arr.shape[-1]
-    if arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= n:
-        raise error(f"table entries must be integers from 0 to {n - 1}, not {arr.dtype}")
+    n, dtype = arr.shape[-1], arr.dtype
+    leaves = table if ndim == 1 else itertools.chain.from_iterable(table)
+    if isinstance(table, (list, tuple)) and {bool, np.bool_} & set(map(type, leaves)):
+        dtype = np.dtype(bool)
+    if dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= n:
+        raise error(f"table entries must be integers from 0 to {n - 1}, not {dtype}")
     return arr
 
 

@@ -40,8 +40,7 @@ from .errors import (
     PreconditionError,
 )
 from .families import QuantumFamily, action_coefficients, invariance_defects
-from . import morphisms
-from .morphisms import StarMorphism, _integer_table, functions_algebra, scalar_algebra
+from .morphisms import StarMorphism, _integer_table, functions_algebra, scalar_algebra, slabs
 from .semigroups import QuantumSemigroup
 
 
@@ -133,9 +132,9 @@ class MagicReport:
 def magic_unitary_check(u: MagicUnitary, tol: float = DEFAULT_TOL) -> MagicReport:
     """Check entries are projections and rows and columns each sum to 1.
 
-    The largest commutator is taken in blocks of at most
-    morphisms._DEFECT_CHUNK coordinates an array (a grid of a few dozen
-    entries is one block): entries k to k + s - 1 against every one after k,
+    The largest commutator is taken over morphisms.slabs of the entries,
+    each meeting all the grid's coordinates (a grid of a few dozen entries
+    is one slab): entries k to k + s - 1 against every one after k,
     each pair counted once, as [earlier, later], since the SVD of -M can
     differ from that of M in the last bit. np.maximum keeps a NaN commutator.
     """
@@ -149,10 +148,9 @@ def magic_unitary_check(u: MagicUnitary, tol: float = DEFAULT_TOL) -> MagicRepor
         "col_sums": _worst(alg, p.sum(axis=0) - ident),
     }
     flat = p.reshape(-1, alg.dim)
-    s = max(1, morphisms._DEFECT_CHUNK // flat.size)  # entries a block
     comm = -np.inf
-    for k in range(0, len(flat), s):
-        x, y = flat[k : k + s, None], flat[None, k + 1 :]  # pairs (k + i, k + 1 + j)
+    for s in slabs(len(flat), flat.size):
+        x, y = flat[s, None], flat[None, s.start + 1 :]  # pairs (k + i, k + 1 + j), k = s.start
         diff = multiply(alg, x, y) - multiply(alg, y, x)
         diff[np.arange(len(x))[:, None] > np.arange(y.shape[1])] = 0  # j < i: met reversed
         comm = np.maximum(comm, _worst(alg, diff))

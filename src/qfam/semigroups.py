@@ -29,7 +29,6 @@ from .errors import (
     MissingComponentError,
 )
 from .families import QuantumFamily, action_coefficients, invariance_defects
-from . import morphisms
 from .morphisms import (
     Character,
     LiftFactor,
@@ -43,6 +42,7 @@ from .morphisms import (
     lift_monomial,
     monomial_defect,
     scalar_algebra,
+    slabs,
 )
 
 
@@ -79,28 +79,27 @@ def _lift_difference_defect(
     the matrix of first[0]: by index arithmetic when every domain and
     codomain among the operands is commutative and every map has a monomial
     form, through dense lifts into the codomain of the first otherwise.
-    Both reduce over slabs of about _DEFECT_CHUNK entries an array: the
-    index path over rows that cover whole rows of both lifts' leading
-    factors (row a * right + b is led by row a), the dense path over columns
-    of M (one at least). np.maximum keeps a NaN slab defect."""
+    Both reduce over morphisms.slabs: the index path over blocks of rows
+    that cover whole rows of both lifts' leading factors (row a * right + b
+    is led by row a), the dense path over columns of M. np.maximum keeps a
+    NaN slab defect."""
     source, operands, worst = first[0], (*first, *second), -np.inf
     if all(a.is_commutative for x in operands for a in _ends(x)) and all(
         x.monomial is not None for x in operands if isinstance(x, StarMorphism)
     ):
         right, right2 = (_ends(x[1])[1].dim for x in (first, second))
         step, form = math.lcm(right, right2), source.monomial
-        slab = max(1, morphisms._DEFECT_CHUNK // step) * step
-        for r in range(0, source.codomain.dim * right, slab):
+        k1, k2 = step // right, step // right2  # leading rows of each lift in step rows
+        for s in slabs(source.codomain.dim // k1, step):  # blocks of step rows
             worst = np.maximum(worst, monomial_defect(
-                lift_monomial(*first, form, slice(r // right, (r + slab) // right)),
-                lift_monomial(*second, form, slice(r // right2, (r + slab) // right2)),
+                lift_monomial(*first, form, slice(s.start * k1, s.stop * k1)),
+                lift_monomial(*second, form, slice(s.start * k2, s.stop * k2)),
             ))
         return float(worst)
     product = tensor_layout(source.codomain, _ends(first[1])[1]).product
-    width = max(1, morphisms._DEFECT_CHUNK // product.dim)
-    for s in range(0, source.domain.dim, width):
-        diff = lift(*first, source.matrix[:, s : s + width])
-        diff -= lift(*second, source.matrix[:, s : s + width])
+    for s in slabs(source.domain.dim, product.dim):
+        diff = lift(*first, source.matrix[:, s])
+        diff -= lift(*second, source.matrix[:, s])
         worst = np.maximum(worst, max_image_defect(product, diff))
     return float(worst)
 
@@ -273,7 +272,7 @@ def table_is_left_cancellative(table: Sequence[Sequence[int]]) -> bool:
 
 def table_is_right_cancellative(table: Sequence[Sequence[int]]) -> bool:
     """Every column of the table is a permutation."""
-    return table_is_left_cancellative(np.transpose(table))
+    return table_is_left_cancellative(_integer_table(table, 2, InvalidSemigroupError).T)
 
 
 def classical_semigroup_algebra(table: Sequence[Sequence[int]]) -> QuantumSemigroup:

@@ -3,8 +3,10 @@
 Each command runs in a child interpreter whose address space is limited to
 384 MB (RLIMIT_AS, set in the child only) with one BLAS thread, so a check
 that holds whole lifts of a triple tensor product runs out of memory there
-instead of in the test session. The module is skipped only where the
-resource module is missing.
+instead of in the test session. Classical semigroup and family tables,
+and a magic grid, run the same way; set maps reach the command line only as
+dense morphism documents, so they have no case here. The module is skipped
+only where the resource module is missing.
 """
 
 import json
@@ -24,6 +26,7 @@ from qfam import (  # noqa: E402
     StarMorphism,
     classical_semigroup_algebra,
     group_table,
+    permutation_magic_unitary,
     save_document,
 )
 
@@ -94,3 +97,40 @@ def test_a_classical_table_just_past_a_lowered_cap_exits_2(tmp_path):
     result = _run("check-coassoc", str(doc), cap=2**20)
     assert result.returncode == 2, (result.returncode, result.stderr)
     assert "cap" in result.stderr
+
+
+def _family(path: Path, maps: int, points: int) -> Path:
+    """A classical_table family document: the first maps rotations of a
+    cycle of points points."""
+    tables = [[(i + t) % points + 1 for i in range(points)] for t in range(maps)]
+    path.write_text(json.dumps({"kind": "family", "classical_table": tables}))
+    return path
+
+
+def test_commutation_of_two_large_classical_families_exits_2_at_the_cap(tmp_path):
+    """Two 200-map families of 100 points compose into a lift of 100 columns
+    over 100 * 200 * 200 rows, 16 * 4 * 10^6 * 100 bytes (6104 MiB): refused
+    before it is allocated, with the cap in the message."""
+    doc = _family(tmp_path / "rotations.json", 200, 100)
+    result = _run("check-commute", str(doc), str(doc))
+    assert result.returncode == 2, (result.returncode, result.stderr)
+    assert "a tensor lift of 100 columns needs 6104 MiB" in result.stderr
+    assert "cap" in result.stderr
+
+
+def test_a_classical_family_past_a_lowered_cap_exits_2(tmp_path):
+    """With the cap lowered to 1 MiB, the dense matrix of a 50-map family of
+    50 points (16 * 2,500 * 50 = 2,000,000 bytes) is refused at its table."""
+    doc = _family(tmp_path / "rotations.json", 50, 50)
+    result = _run("check-commute", str(doc), str(doc), cap=2**20)
+    assert result.returncode == 2, (result.returncode, result.stderr)
+    assert "family.classical_table" in result.stderr and "cap" in result.stderr
+
+
+def test_check_magic_on_an_80_by_80_grid_runs_in_384_mb(tmp_path):
+    """The cyclic permutation grid of 80 points is a magic unitary: its
+    20,476,800 commutators go in blocks of 40 entries."""
+    doc = tmp_path / "cycle-80.json"
+    save_document(permutation_magic_unitary(list(range(1, 80)) + [0]), doc)
+    result = _run("check-magic", str(doc))
+    assert result.returncode == 0, (result.returncode, result.stderr)

@@ -18,6 +18,7 @@ from qfam import (
     make_algebra,
     map_monoid_table,
     nonclassical_magic_4x4,
+    orthonormal_basis,
     parse_spec_document,
     permutation_magic_unitary,
     save_document,
@@ -26,6 +27,7 @@ from qfam import (
     sign_conjugation_family,
     tensor_layout,
     trace_state,
+    trivial_family,
     wang_family,
 )
 import qfam.cli
@@ -262,6 +264,31 @@ def test_check_modular_rejects_a_non_faithful_state(tmp_path, capsys):
         capsys, ["check-modular", fdoc, odoc], "hypotheses",
         "hypothesis violated: omega is not faithful",
     )
+
+
+def test_a_state_on_the_faithfulness_floor_gets_a_basis_and_a_verdict(tmp_path, capsys):
+    """A density on M_3 with eigenvalues 1e-12 (1 + delta), 0.4 and
+    0.6 - 1e-12, rotated by the unitary of a QR of a complex Ginibre matrix:
+    draw 4433 of default_rng(0), delta uniform in +-1e-2. is_faithful
+    accepts it, while the least eigenvalue of its 9 x 9 Gram matrix rounds
+    to 9.999e-13, below the floor. The basis and check-modular follow
+    is_faithful: a basis, and a verdict rather than an error."""
+    rng = np.random.default_rng(0)
+    for _ in range(4434):
+        delta = rng.uniform(-1e-2, 1e-2)
+        ginibre = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    q = np.linalg.qr(ginibre)[0]
+    rho = q @ np.diag([1e-12 * (1 + delta), 0.4, 0.6 - 1e-12]) @ q.conj().T
+    alg = make_algebra([3])
+    omega = LinearFunctional(alg, alg.element([rho]))
+    assert omega.is_faithful()
+    basis = orthonormal_basis(omega)
+    assert basis.shape == (9, 9) and np.array_equal(basis, np.triu(basis))
+    fdoc = _write(tmp_path, "trivial.json", trivial_family(alg, make_algebra([1])))
+    odoc = _write(tmp_path, "omega.json", omega)
+    code, out, _ = _run(capsys, ["check-modular", fdoc, odoc, "--format", "structured"])
+    assert json.loads(out)["status"] in ("pass", "fail"), out
+    assert code in (0, 1)
 
 
 def test_check_podles(tmp_path, capsys):

@@ -479,6 +479,44 @@ _REQUIRED_FIELDS = {
 }
 
 
+_ONE = {"blocks": [1]}
+
+
+@pytest.mark.parametrize(
+    "kind, doc, message",
+    [
+        (
+            "morphism",
+            {"domain": _ONE, "codomain": _ONE, "matrix": [[1], 1]},
+            "morphism.matrix[1]: expected a list of entries",
+        ),
+        (
+            "morphism",
+            {"domain": _ONE, "codomain": _ONE, "matrix": []},
+            "morphism.matrix: expected a nonempty list of rows",
+        ),
+        (
+            "magic_unitary",
+            {"ambient": _ONE, "entries": []},
+            "magic_unitary.entries: expected a nonempty square array",
+        ),
+        ("element", {"blocks": []}, "element.blocks: expected a nonempty list of matrices"),
+        ("element", {"blocks": [[[1, 0]]]}, "element.blocks[0]: block is not square: (1, 2)"),
+        ("algebra", {"blocks": 2}, "algebra.blocks: expected a list of positive integers"),
+        ("family", [[1]], "family: expected an object"),
+        (
+            "family",
+            {"classical_table": []},
+            "family.classical_table: expected a nonempty list of lookup tables",
+        ),
+    ],
+)
+def test_a_malformed_document_is_refused_at_its_path(kind, doc, message):
+    """Each structural refusal of the readers names the path it found."""
+    with pytest.raises(DocumentParseError, match=re.escape(message)):
+        parse_spec_document(doc, kind=kind)
+
+
 @pytest.mark.parametrize(
     "kind, field",
     [(kind, field) for kind, fields in _REQUIRED_FIELDS.items() for field in fields],

@@ -477,6 +477,33 @@ def test_the_table_helpers_read_floats_as_no_table(read, table, outcome):
             read(table)
 
 
+@pytest.mark.parametrize(
+    "read, table, outcome",
+    [
+        (classical_semigroup_algebra, [[0, True], [True, 0]], InvalidSemigroupError),
+        (permutation_magic_unitary, [True, 0], InvalidMatrixError),
+        (permutation_magic_unitary, (np.True_, 0), InvalidMatrixError),
+        (table_identity, [[0, True], [True, 0]], InvalidSemigroupError),
+        (classical_family, [[True, 0]], InvalidMatrixError),
+        (classical_family, [np.array([True, False]), [0, 1]], InvalidMatrixError),
+        (set_map_morphism, [True, 0], InvalidMatrixError),
+        (table_is_associative, [[0, True], [True, 0]], False),
+        (table_is_left_cancellative, [[0, True], [True, 0]], InvalidSemigroupError),
+        (table_is_right_cancellative, [[0, True], [True, 0]], InvalidSemigroupError),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_a_bool_among_integers_is_no_table(read, table, outcome):
+    """numpy reads a bool among ints, or a bool row among int rows, as an
+    int; the builders and helpers still refuse it, and associativity is
+    False."""
+    if outcome is False:
+        assert read(table) is False
+    else:
+        with pytest.raises(outcome, match="not bool"):
+            read(table)
+
+
 @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.intp, None])
 def test_integer_tables_of_any_width_build_the_same_maps(dtype):
     """numpy integers of any width and Python ints (dtype None) build the
