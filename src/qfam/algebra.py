@@ -385,7 +385,7 @@ def max_image_defect(codomain: FdCStarAlgebra, matrix_diff: np.ndarray) -> float
 class LinearFunctional:
     """A functional omega(x) = sum_k trace(rho_k x_k) stored via its density."""
 
-    __slots__ = ("algebra", "density", "covector")
+    __slots__ = ("algebra", "density", "covector", "__dict__")
 
     def __init__(self, algebra: FdCStarAlgebra, density: AlgebraElement) -> None:
         if density.algebra != algebra:
@@ -410,11 +410,13 @@ class LinearFunctional:
         density = values[algebra.adjoint_permutation]
         return cls(algebra, AlgebraElement(algebra, density))
 
+    @cached_property
     def _density_measures(self) -> tuple[float, ...]:
-        """Measures of the density rho, batched over the blocks of each size:
-        the largest entry of rho - rho*, the least eigenvalue of
-        (rho + rho*)/2, |trace - 1|, and, with c = trace/n in each block,
-        the largest of |Im c| and -Re c and the largest entry of rho - c 1.
+        """Measures of the density rho, batched over the blocks of each size
+        and computed once, since rho is read-only: the largest entry of
+        rho - rho*, the least eigenvalue of (rho + rho*)/2, |trace - 1|, and,
+        with c = trace/n in each block, the largest of |Im c| and -Re c and
+        the largest entry of rho - c 1.
         All are NaN when a coordinate is not finite."""
         vec = self.density.to_vec()
         if not np.isfinite(vec).all():
@@ -433,18 +435,18 @@ class LinearFunctional:
 
     def is_state(self, tol: float = DEFAULT_TOL) -> bool:
         """Hermitian positive semidefinite density with total trace 1."""
-        herm, least, trace_gap, _, _ = self._density_measures()
+        herm, least, trace_gap, _, _ = self._density_measures
         return within(herm, tol) and within(-least, tol) and within(trace_gap, tol)
 
     def is_faithful(self) -> bool:
         """Hermitian density whose blocks have minimum eigenvalue at or
         above FAITHFULNESS_FLOOR."""
-        herm, least, _, _, _ = self._density_measures()
+        herm, least, _, _, _ = self._density_measures
         return within(herm, DEFAULT_TOL) and within(FAITHFULNESS_FLOOR - least, 0.0)
 
     def is_trace(self) -> bool:
         """Every density block is a nonnegative scalar multiple of the identity."""
-        _, _, _, outside, spread = self._density_measures()
+        _, _, _, outside, spread = self._density_measures
         return within(outside, DEFAULT_TOL) and within(spread, DEFAULT_TOL)
 
     def __repr__(self) -> str:

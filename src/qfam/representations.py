@@ -22,13 +22,13 @@ from .algebra import (
     AlgebraElement,
     FdCStarAlgebra,
     LinearFunctional,
+    _bilinear_table,
     adjoint_coords,
     make_algebra,
     max_image_defect,
     module_span_rank,
     multiply,
     orthonormal_basis,
-    sigma_map,
     tensor_layout,
     within,
 )
@@ -279,29 +279,30 @@ def action_matrix(
 
 @dataclass(frozen=True)
 class ModularReport:
-    """Compatibility of the family coefficients with the modular structure.
+    """The modular identity (omega (x) id)(Psi(x) Psi(y)*) = omega(x y*) 1
+    of an invariant state, over the canonical basis e_i of the source.
 
-    basis is the omega-orthonormal basis as a (d, d) coordinate matrix whose
-    column i is m_i, and sigma_matrix[i, p] expands the modular image of m_i
-    back over the basis. identity_defect is the worst norm of
-    sum_{p,q} a[p][i] s[p, q] a[q][j]* - s[i, j] 1, and
-    left_invertibility_defect the worst norm of
-    sum_t inv(s)[i, t] D[t, j] - delta_{ij} 1 for the same middle sums D,
-    which exhibits a one-sided inverse for the conjugated coefficient
-    matrix. For a tracial omega, s is the identity and the first defect
-    reduces to the conjugate matrix being an isometry.
+    With Psi(e_i) = sum_p e_p (x) a[p, i] and W[p, q] = omega(e_p e_q*),
+    identity_defect is the worst norm of
+    D[i, j] = sum_{p,q} W[p, q] a[p][i] a[q][j]* - W[i, j] 1. The identity is
+    sesquilinear in (x, y), so it holds over every basis once it holds over
+    one, and no basis change or inverse enters D. left_invertibility_defect
+    is the worst norm of inv(W) D, the defect of inv(W) a^T W as a left
+    inverse of the conjugate coefficient matrix: it adds nothing to D and
+    amplifies its rounding by ||inv(W)||, one over the density's least
+    eigenvalue. For the normalized trace on M_n, W = I / n, and
+    n * identity_defect is the conjugate matrix's isometry defect.
     """
 
     identity_defect: float
     left_invertibility_defect: float
-    sigma_matrix: np.ndarray
-    basis: np.ndarray
 
 
 def modular_report(
     family: QuantumFamily, omega: LinearFunctional, tol: float = DEFAULT_TOL
 ) -> ModularReport:
-    """Check the modular compatibility identity of an invariant state.
+    """Check the modular identity of an invariant state over the canonical
+    basis, with W[p, q] = omega(e_p e_q*) as the only structure of omega.
 
     Raises PreconditionError when omega is not a faithful state or when its
     invariance defect exceeds max(tol, 1e-8).
@@ -313,29 +314,23 @@ def modular_report(
         raise PreconditionError("hypothesis violated: omega is not a state")
     if not omega.is_faithful():
         raise PreconditionError("hypothesis violated: omega is not faithful")
-    basis = orthonormal_basis(omega)
     defect, bound = invariance_defects(family, omega).defect, max(tol, 1e-8)
     if not within(defect, bound):
         raise PreconditionError(
             "hypothesis violated: omega is not invariant under the family "
             f"(defect {defect:.3e} above the bound {bound:.3e})"
         )
-    sigma = sigma_map(omega)
-    smat = np.linalg.solve(basis, sigma @ basis).T  # rows: sigma(m_i) over basis
-    param = family.label
-    a = action_coefficients(family, basis)  # a[p, i]
-    # middle[i, j] = sum_q (sum_p s[p, q] a[p][i]) a[q][j]*
-    c = np.einsum("pq,pia->qia", smat, a)
-    astar = adjoint_coords(param, a)
-    middle = multiply(param, c[:, :, None], astar[:, None]).sum(axis=0)
-    ident = param.unit
-    left = np.einsum("it,tja->ija", np.linalg.inv(smat), middle)
-    left[np.diag_indices(len(left))] -= ident
+    source, param = family.source, family.label
+    w = _bilinear_table(source, omega)[:, source.adjoint_permutation]
+    a = action_coefficients(family, np.eye(source.dim))  # a[p, i]
+    # middle[i, j] = sum_q (sum_p W[p, q] a[p][i]) a[q][j]*
+    c = np.einsum("pq,pia->qia", w, a)
+    middle = multiply(param, c[:, :, None], adjoint_coords(param, a)[:, None]).sum(axis=0)
+    residual = middle - w[:, :, None] * param.unit
+    left = np.linalg.solve(w, residual.reshape(source.dim, -1))
     return ModularReport(
-        identity_defect=_worst(param, middle - smat[:, :, None] * ident),
+        identity_defect=_worst(param, residual),
         left_invertibility_defect=_worst(param, left),
-        sigma_matrix=smat,
-        basis=basis,
     )
 
 

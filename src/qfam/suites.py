@@ -26,6 +26,7 @@ from .algebra import (
     LinearFunctional,
     make_algebra,
     max_image_defect,
+    sigma_map,
     tensor_layout,
     trace_state,
     within,
@@ -750,10 +751,9 @@ def suite_modular_identity(seed: int = 0) -> list[CheckOutcome]:
     tr = trace_state(m2)
     rep_t = modular_report(fam, tr)
     am_t = action_matrix(fam, tr)
-    sigma_gap = float(
-        np.linalg.norm(rep_t.sigma_matrix - np.eye(m2.dim), 2)
-    )
-    reduction_gap = abs(rep_t.identity_defect - am_t.conjugate_isometry_defect)
+    sigma_gap = float(np.linalg.norm(sigma_map(tr) - np.eye(m2.dim), 2))
+    # the trace's W is I / n, so n times the identity defect is the isometry's
+    reduction_gap = abs(m2.block_dims[0] * rep_t.identity_defect - am_t.conjugate_isometry_defect)
 
     rng = np.random.default_rng(seed)
     fam3 = diagonal_phase_family(rng, 3, 3)

@@ -5,9 +5,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfam.morphisms
 from qfam import (
+    DEFAULT_TOL,
     AlgebraElement,
     DegenerateStateError,
     IncompatibleAlgebraError,
@@ -23,6 +26,7 @@ from qfam import (
     all_maps_family,
     characters_of,
     classical_semigroup_algebra,
+    conjugation_family,
     evaluate_at_character,
     functions_algebra,
     group_table,
@@ -41,9 +45,11 @@ from qfam import (
     save_document,
     scalar_algebra,
     set_map_morphism,
+    sigma_map,
     sign_conjugation_family,
     tensor_layout,
     trace_state,
+    trivial_family,
     wang_family,
 )
 from qfam.cli import main
@@ -381,16 +387,94 @@ def test_modular_identity_weighted_conjugation():
     assert report.left_invertibility_defect <= 1e-8
 
 
+def _kernel_perturbed(family, omega, eps, rng):
+    """A family over the scalar label with eps (R x - omega(R x) 1) added to
+    Psi(x), for a complex Ginibre matrix R: omega(Psi(x)) is unchanged, so
+    omega stays invariant, but Psi is no longer a *-homomorphism."""
+    dim = family.morphism.matrix.shape
+    ginibre = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    kernel = ginibre - np.outer(family.source.unit, omega.covector @ ginibre)
+    mat = family.morphism.matrix + eps * kernel
+    return QuantumFamily(
+        family.source,
+        family.target_factor,
+        family.label,
+        StarMorphism(family.source, family.morphism.codomain, mat),
+    )
+
+
+def _rotated_state(rng, least):
+    """(omega, q): the state on M_3 with eigenvalues (least, 0.4, 0.6 - least)
+    rotated by q, the unitary of a QR of a complex Ginibre matrix."""
+    q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    alg = make_algebra([3])
+    rho = q @ np.diag([least, 0.4, 0.6 - least]) @ q.conj().T
+    return LinearFunctional(alg, alg.element([rho])), q
+
+
+def _tracial_reduction(fam):
+    """The conjugate isometry defect of fam over the normalized trace, after
+    checking that it is n times the modular identity defect: for the trace
+    on M_n, W = I / n and the exchange map is the identity."""
+    tau = trace_state(fam.source)
+    report = modular_report(fam, tau)
+    assert np.max(np.abs(sigma_map(tau) - np.eye(fam.source.dim))) <= 1e-12
+    conj = action_matrix(fam, tau).conjugate_isometry_defect
+    assert conj is not None
+    assert abs(fam.source.block_dims[0] * report.identity_defect - conj) <= 1e-12
+    return conj
+
+
 def test_modular_identity_tracial_reduction():
     """For a trace the exchange matrix is the identity and the modular
     identity coincides with the conjugate isometry condition."""
+    assert _tracial_reduction(sign_conjugation_family()) == 0.0
+
+
+def test_modular_identity_tracial_reduction_of_a_perturbed_map():
+    """A map perturbed inside ker(tau (x) id) keeps the trace invariant and
+    breaks both conditions by the same amount, up to the factor n."""
+    fam = trivial_family(make_algebra([3]), make_algebra([1]))
+    fam = _kernel_perturbed(fam, trace_state(fam.source), 1e-4, np.random.default_rng(0))
+    assert _tracial_reduction(fam) > 1e-5
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(np.log(2e-12), np.log(1e-2)))
+def test_modular_identity_is_exact_on_the_trivial_family(seed, log_least):
+    """Psi(x) = x (x) 1 satisfies the modular identity exactly for every
+    faithful state, however small its least eigenvalue: over the canonical
+    basis both defects are 0. Psi perturbed by 1e-6 inside ker(omega (x) id)
+    keeps omega invariant and breaks the identity beyond DEFAULT_TOL."""
+    rng = np.random.default_rng(seed)
+    omega, _ = _rotated_state(rng, np.exp(log_least))
+    fam = trivial_family(omega.algebra, make_algebra([1]))
+    report = modular_report(fam, omega)
+    assert report.identity_defect == report.left_invertibility_defect == 0.0
+    assert modular_report(_kernel_perturbed(fam, omega, 1e-6, rng), omega).identity_defect > DEFAULT_TOL
+
+
+def test_modular_identity_of_a_rotated_phase_conjugation():
+    """Conjugation by phases diagonal in the eigenbasis of a state with least
+    eigenvalue 1e-10 preserves it; the identity reads rounding only."""
+    rng = np.random.default_rng(5)
+    omega, q = _rotated_state(rng, 1e-10)
+    phases = np.exp(2j * np.pi * rng.random((2, 3)))
+    fam = conjugation_family([np.eye(3)] + [q @ np.diag(p) @ q.conj().T for p in phases])
+    assert modular_report(fam, omega).identity_defect <= 1e-15
+
+
+def test_density_measures_run_once_per_functional(monkeypatch):
+    """The measures of a functional's read-only density are computed once,
+    however many hypotheses action_matrix and modular_report test."""
+    prop = LinearFunctional.__dict__["_density_measures"]
+    calls, measure = [], prop.func
+    monkeypatch.setattr(prop, "func", lambda omega: calls.append(omega) or measure(omega))
     fam = sign_conjugation_family()
-    tau = trace_state(fam.source)
-    report = modular_report(fam, tau)
-    assert np.max(np.abs(report.sigma_matrix - np.eye(fam.source.dim))) <= 1e-12
-    conj = action_matrix(fam, tau).conjugate_isometry_defect
-    assert conj is not None
-    assert abs(report.identity_defect - conj) <= 1e-12
+    omega = LinearFunctional(fam.source, fam.source.element([np.diag([1 / 3, 2 / 3])]))
+    action_matrix(fam, omega)
+    modular_report(fam, omega)
+    assert calls == [omega]
 
 
 def test_modular_precondition_messages():

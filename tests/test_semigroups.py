@@ -158,6 +158,16 @@ def test_wrong_counit_detected():
     assert counit_defect(broken) >= 0.5
 
 
+@pytest.mark.parametrize("table", [[[0, 1, 2]] * 3, left_zero_table(3)])
+def test_counit_defect_reads_both_laws(table):
+    """Evaluation at point 0 satisfies the left counit law on the right-zero
+    semigroup (s t = t) and breaks the right one; on the left-zero semigroup
+    it is the other way round. Each law alone reads 0 on one of the two."""
+    sg = classical_semigroup_algebra(table)
+    broken = QuantumSemigroup(sg.algebra, sg.comultiplication, Character(sg.algebra, [[1, 0, 0]]))
+    assert counit_defect(broken) == 1.0
+
+
 def test_missing_counit_raises():
     sg = classical_semigroup_algebra(left_zero_table(2))
     assert sg.counit is None
