@@ -286,11 +286,12 @@ class ModularReport:
     identity_defect is the worst norm of
     D[i, j] = sum_{p,q} W[p, q] a[p][i] a[q][j]* - W[i, j] 1. The identity is
     sesquilinear in (x, y), so it holds over every basis once it holds over
-    one, and no basis change or inverse enters D. left_invertibility_defect
-    is the worst norm of inv(W) D, the defect of inv(W) a^T W as a left
-    inverse of the conjugate coefficient matrix: it adds nothing to D and
-    amplifies its rounding by ||inv(W)||, one over the density's least
-    eigenvalue. For the normalized trace on M_n, W = I / n, and
+    one, and no basis change or inverse enters D. D carries the state's
+    weights: an error eps on a direction of weight lambda reads eps * lambda.
+    left_invertibility_defect, the worst norm of inv(W) D (inv(W) a^T W as a
+    left inverse of the conjugate coefficients), reads it as eps, so the
+    verdict needs both; it amplifies the rounding of D by ||inv(W)||, one
+    over the least weight. For the normalized trace on M_n, W = I / n, and
     n * identity_defect is the conjugate matrix's isometry defect.
     """
 

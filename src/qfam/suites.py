@@ -752,8 +752,8 @@ def suite_modular_identity(seed: int = 0) -> list[CheckOutcome]:
     rep_t = modular_report(fam, tr)
     am_t = action_matrix(fam, tr)
     sigma_gap = float(np.linalg.norm(sigma_map(tr) - np.eye(m2.dim), 2))
-    # the trace's W is I / n, so n times the identity defect is the isometry's
-    reduction_gap = abs(m2.block_dims[0] * rep_t.identity_defect - am_t.conjugate_isometry_defect)
+    # the trace's W is I / n, n = sum(block_dims): n * identity is the isometry
+    reduction_gap = abs(sum(m2.block_dims) * rep_t.identity_defect - am_t.conjugate_isometry_defect)
 
     rng = np.random.default_rng(seed)
     fam3 = diagonal_phase_family(rng, 3, 3)

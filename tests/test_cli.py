@@ -292,6 +292,33 @@ def test_a_state_on_the_faithfulness_floor_gets_a_basis_and_a_verdict(tmp_path, 
     assert code == 0
 
 
+@pytest.mark.parametrize("least, eps", [(1e-10, 1.0), (1e-4, 1e-5)])
+def test_check_modular_fails_an_error_in_a_lightly_weighted_direction(
+    tmp_path, capsys, least, eps
+):
+    """Psi(E_11) = E_11 + eps E_12 and Psi = id elsewhere, on M_3 with
+    omega = diag(least, 0.4, 0.6 - least). omega(E_12) = 0, so omega stays
+    invariant, but the identity breaks by eps. Over the canonical basis the
+    error sits in a direction of weight least, so the identity defect reads
+    about eps * least, within tol; the left-inverse defect reads eps, and
+    check-modular fails."""
+    alg = make_algebra([3])
+    fam = trivial_family(alg, make_algebra([1]))
+    mat = fam.morphism.matrix.astype(complex)
+    e11, e12 = alg.basis_index(0, 0, 0), alg.basis_index(0, 0, 1)
+    mat[e12, e11] += eps
+    bad = QuantumFamily(alg, alg, fam.label, StarMorphism(alg, fam.morphism.codomain, mat))
+    omega = LinearFunctional(alg, alg.element([np.diag([least, 0.4, 0.6 - least])]))
+    fdoc = _write(tmp_path, "bad.json", bad)
+    odoc = _write(tmp_path, "omega.json", omega)
+    code, out, _ = _run(capsys, ["check-modular", fdoc, odoc, "--format", "structured"])
+    report = json.loads(out)
+    defects = {c["name"]: c["defect"] for c in report["checks"]}
+    assert defects["identity"] <= 1e-9 < eps
+    assert defects["left-inverse"] == pytest.approx(eps, rel=1e-6)
+    assert report["status"] == "fail" and code == 1
+
+
 def test_check_podles(tmp_path, capsys):
     doc = _write(tmp_path, "conj.json", sign_conjugation_family())
     code, _, _ = _run(capsys, ["check-podles", doc])

@@ -403,6 +403,21 @@ def _kernel_perturbed(family, omega, eps, rng):
     )
 
 
+def _light_perturbed(family, q, eps):
+    """Psi(x) + eps (q* x q)_11 q E_12 q*: an error of size eps on the
+    eigenvector of weight least of the state rotated by q (_rotated_state).
+    omega(q E_12 q*) = 0, so omega stays invariant."""
+    e12 = np.zeros((3, 3))
+    e12[0, 1] = 1.0
+    light = np.outer((q @ e12 @ q.conj().T).ravel(), np.outer(q[:, 0].conj(), q[:, 0]).ravel())
+    return QuantumFamily(
+        family.source,
+        family.target_factor,
+        family.label,
+        StarMorphism(family.source, family.morphism.codomain, family.morphism.matrix + eps * light),
+    )
+
+
 def _rotated_state(rng, least):
     """(omega, q): the state on M_3 with eigenvalues (least, 0.4, 0.6 - least)
     rotated by q, the unitary of a QR of a complex Ginibre matrix."""
@@ -415,13 +430,14 @@ def _rotated_state(rng, least):
 def _tracial_reduction(fam):
     """The conjugate isometry defect of fam over the normalized trace, after
     checking that it is n times the modular identity defect: for the trace
-    on M_n, W = I / n and the exchange map is the identity."""
+    on M_n, W = I / n and the exchange map is the identity. trace_state
+    divides by the sum of the block sizes, so n is that sum."""
     tau = trace_state(fam.source)
     report = modular_report(fam, tau)
     assert np.max(np.abs(sigma_map(tau) - np.eye(fam.source.dim))) <= 1e-12
     conj = action_matrix(fam, tau).conjugate_isometry_defect
     assert conj is not None
-    assert abs(fam.source.block_dims[0] * report.identity_defect - conj) <= 1e-12
+    assert abs(sum(fam.source.block_dims) * report.identity_defect - conj) <= 1e-12
     return conj
 
 
@@ -445,13 +461,17 @@ def test_modular_identity_is_exact_on_the_trivial_family(seed, log_least):
     """Psi(x) = x (x) 1 satisfies the modular identity exactly for every
     faithful state, however small its least eigenvalue: over the canonical
     basis both defects are 0. Psi perturbed by 1e-6 inside ker(omega (x) id)
-    keeps omega invariant and breaks the identity beyond DEFAULT_TOL."""
+    keeps omega invariant and breaks the identity beyond DEFAULT_TOL. A
+    perturbation on the least weighted eigenvector reads only about
+    1e-6 * least in the identity defect, and the left-inverse defect, which
+    removes the weight, catches it."""
     rng = np.random.default_rng(seed)
-    omega, _ = _rotated_state(rng, np.exp(log_least))
+    omega, q = _rotated_state(rng, np.exp(log_least))
     fam = trivial_family(omega.algebra, make_algebra([1]))
     report = modular_report(fam, omega)
     assert report.identity_defect == report.left_invertibility_defect == 0.0
     assert modular_report(_kernel_perturbed(fam, omega, 1e-6, rng), omega).identity_defect > DEFAULT_TOL
+    assert modular_report(_light_perturbed(fam, q, 1e-6), omega).left_invertibility_defect > DEFAULT_TOL
 
 
 def test_modular_identity_of_a_rotated_phase_conjugation():
