@@ -16,8 +16,8 @@ Conventions fixed here and relied on by every other module:
   ``adjoint_permutation`` index the basis by it, and the algebra keeps the
   tensor layouts it owns (:func:`tensor_layout`);
 * every other basis is a (dim, k) coordinate matrix with one column per
-  basis element (the canonical basis is ``np.eye(dim)``), as returned by
-  :func:`orthonormal_basis`;
+  basis element, as returned by :func:`orthonormal_basis`; only
+  representations.action_matrix reads one;
 * tensor products order the product blocks with the left factor major, and
   inside a block pair use the Kronecker (row-major) convention; so over
   commutative factors e_i (x) f_j is coordinate i * dim(right) + j, which
@@ -406,8 +406,12 @@ class LinearFunctional:
         cls, algebra: FdCStarAlgebra, values: np.ndarray
     ) -> "LinearFunctional":
         """Functional with the given values on the canonical basis."""
-        values = np.asarray(values, dtype=complex).reshape(algebra.dim)
-        density = values[algebra.adjoint_permutation]
+        values = np.asarray(values, dtype=complex)
+        if values.size != algebra.dim:
+            raise IncompatibleAlgebraError(
+                f"{values.size} values do not match dimension {algebra.dim}"
+            )
+        density = values.reshape(-1)[algebra.adjoint_permutation]
         return cls(algebra, AlgebraElement(algebra, density))
 
     @cached_property
@@ -551,10 +555,10 @@ def tensor_layout(left: FdCStarAlgebra, right: FdCStarAlgebra) -> TensorLayout:
     return owner._layouts.get(key) or owner._layouts.setdefault(key, TensorLayout(left, right))
 
 
-def _bilinear_table(algebra: FdCStarAlgebra, omega: LinearFunctional) -> np.ndarray:
+def _bilinear_table(omega: LinearFunctional) -> np.ndarray:
     """T[i, j] = omega(e_i e_j) over the canonical basis; a zero product's
     -1 in the multiplication table picks the 0 appended to the covector."""
-    return np.append(omega.covector, 0.0)[algebra.multiplication_table]
+    return np.append(omega.covector, 0.0)[omega.algebra.multiplication_table]
 
 
 def orthonormal_basis(omega: LinearFunctional) -> np.ndarray:
@@ -571,8 +575,7 @@ def orthonormal_basis(omega: LinearFunctional) -> np.ndarray:
         finite = np.isfinite(omega.density.to_vec()).all()
         why = "is not faithful" if finite else "has a non-finite density entry"
         raise DegenerateStateError(f"an orthonormal basis needs a faithful functional; this one {why}")
-    algebra = omega.algebra
-    gram = _bilinear_table(algebra, omega)[algebra.adjoint_permutation, :]
+    gram = _bilinear_table(omega)[omega.algebra.adjoint_permutation, :]
     gram = (gram + gram.conj().T) / 2
     return np.linalg.inv(np.linalg.cholesky(gram).conj().T)
 
@@ -588,7 +591,7 @@ def sigma_map(omega: LinearFunctional) -> np.ndarray:
     """
     if not omega.is_faithful():
         raise DegenerateStateError("the exchange map needs a faithful functional")
-    table = _bilinear_table(omega.algebra, omega)
+    table = _bilinear_table(omega)
     try:
         return np.linalg.solve(table, table.T)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above

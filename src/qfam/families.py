@@ -31,7 +31,7 @@ from .errors import (
     InvalidCharacterError,
     InvalidMatrixError,
 )
-from .linalg import nullspace, numeric_rank
+from .linalg import nullspace
 from .morphisms import (
     Character,
     StarMorphism,
@@ -181,24 +181,14 @@ def invariance_defects(
     return InvarianceReport(max_image_defect(family.label, diff), diff)
 
 
-def action_coefficients(family: QuantumFamily, basis: np.ndarray) -> np.ndarray:
-    """Coefficients a[k, l] with Psi(m_l) = sum_k m_k (x) a[k, l].
-
-    basis is a (d, d) coordinate matrix whose columns m_l form a linear
-    basis of the source of a self-map family (np.eye(d) for the canonical
-    one); the result has shape (d, d, dim label) with axes (k, l, label
-    coordinate).
+def action_coefficients(family: QuantumFamily) -> np.ndarray:
+    """Coefficients a[k, l] with Psi(e_l) = sum_k e_k (x) a[k, l] over the
+    canonical basis of the source of a self-map family, as one gather of
+    Psi's matrix through the layout's pair_index; the result has shape
+    (d, d, dim label) with axes (k, l, label coordinate).
     """
     family.require_self_map("coefficient expansion")
-    layout = family.layout
-    basis = np.asarray(basis)
-    if basis.shape != (family.source.dim, family.source.dim) or numeric_rank(
-        basis
-    ) < family.source.dim:
-        raise InvalidMatrixError("basis columns do not span the source")
-    duals = np.linalg.inv(basis)
-    images = (family.morphism.matrix @ basis)[layout.pair_index]  # (i, a, l)
-    return np.einsum("ial,ki->kla", images, duals)
+    return family.morphism.matrix[family.layout.pair_index].transpose(0, 2, 1)
 
 
 def commutation_defect(first: QuantumFamily, second: QuantumFamily) -> float:

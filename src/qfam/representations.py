@@ -258,7 +258,9 @@ def action_matrix(
     if not (omega.is_state() and omega.is_faithful()):
         raise DegenerateStateError("needs a faithful state on the source algebra")
     basis = orthonormal_basis(omega)
-    coeffs = action_coefficients(family, basis)
+    # inv(B) a B per label coordinate: the coefficients over the columns m_l
+    a = action_coefficients(family).transpose(2, 0, 1)
+    coeffs = (np.linalg.inv(basis) @ a @ basis).transpose(1, 2, 0)
     param = family.label
     rep = Representation(param, coeffs)
     conj_iso = None
@@ -322,8 +324,8 @@ def modular_report(
             f"(defect {defect:.3e} above the bound {bound:.3e})"
         )
     source, param = family.source, family.label
-    w = _bilinear_table(source, omega)[:, source.adjoint_permutation]
-    a = action_coefficients(family, np.eye(source.dim))  # a[p, i]
+    w = _bilinear_table(omega)[:, source.adjoint_permutation]
+    a = action_coefficients(family)  # a[p, i]
     # middle[i, j] = sum_q (sum_p W[p, q] a[p][i]) a[q][j]*
     c = np.einsum("pq,pia->qia", w, a)
     middle = multiply(param, c[:, :, None], adjoint_coords(param, a)[:, None]).sum(axis=0)

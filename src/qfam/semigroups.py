@@ -219,7 +219,7 @@ def coideal_defect(
             "family label algebra differs from the semigroup algebra"
         )
     xmat = invariance_defects(family, omega).generators  # (dA, l)
-    coeffs = action_coefficients(family, np.eye(family.source.dim))  # (k, l, coord)
+    coeffs = action_coefficients(family)  # (k, l, coord)
     layout = tensor_layout(sg.algebra, sg.algebra)
     lhs = sg.comultiplication.matrix @ xmat  # (dA^2, l)
     # rhs table over pairs (A coordinate, A coordinate) per generator.

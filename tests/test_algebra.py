@@ -285,6 +285,8 @@ def test_from_values_matches_on_basis():
     omega = LinearFunctional.from_values(alg, values)
     for i in range(alg.dim):
         assert omega(alg.basis_element(i)) == pytest.approx(values[i], abs=1e-14)
+    with pytest.raises(IncompatibleAlgebraError, match="3 values do not match dimension 4"):
+        LinearFunctional.from_values(make_algebra([2]), [1.0, 0.0, 0.0])
 
 
 def test_nontrace_state_detected():

@@ -22,6 +22,7 @@ from qfam import (
     QuantumFamily,
     Representation,
     StarMorphism,
+    action_coefficients,
     action_matrix,
     all_maps_family,
     characters_of,
@@ -53,7 +54,7 @@ from qfam import (
     wang_family,
 )
 from qfam.cli import main
-from qfam.suites import random_magic_unitary, random_partition
+from qfam.suites import haar_unitary, random_faithful_state, random_magic_unitary, random_partition
 
 
 def test_permutation_magic_passes():
@@ -354,6 +355,27 @@ def test_action_matrix_of_a_conjugation_family():
     report = action_matrix(fam, trace_state(fam.source))
     assert report.isometry_defect <= 1e-12
     assert report.representation_defect is None
+
+
+def test_action_matrix_coefficients_expand_over_a_non_diagonal_basis():
+    """Psi(m_l) = sum_k m_k (x) a[k, l] over the omega-orthonormal basis of
+    a state whose density is not diagonal, so the basis is not diagonal
+    either (omega need not be invariant for the expansion); the canonical
+    coefficients rebuild Psi's matrix exactly."""
+    rng = np.random.default_rng(7)
+    fam = conjugation_family([haar_unitary(rng, 3) for _ in range(3)])
+    report = action_matrix(fam, random_faithful_state(rng, fam.source))
+    layout, basis, a = fam.layout, report.basis, report.coefficients
+    assert np.abs(np.triu(basis, 1)).max() > 1e-2
+    d = fam.source.dim
+    m = [AlgebraElement(fam.source, basis[:, k]) for k in range(d)]
+    for l in range(d):
+        expansion = sum(
+            layout.elem(m[k], AlgebraElement(fam.label, a[k, l])).to_vec() for k in range(d)
+        )
+        assert np.abs(fam(m[l]).to_vec() - expansion).max() <= 1e-12, l
+    canonical = action_coefficients(fam)
+    assert np.array_equal(layout.combine(canonical.transpose(1, 0, 2)).T, fam.morphism.matrix)
 
 
 def test_action_matrix_needs_a_faithful_state():
