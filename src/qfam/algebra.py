@@ -32,7 +32,8 @@ Conventions fixed here and relied on by every other module:
   elements one (rows, cols, dim) coordinate array;
 * batches of elements take the canonical basis on one of two axes:
   :func:`multiply` and :func:`adjoint_coords` read it on the last axis,
-  with the leading axes broadcast, while :func:`column_element_norms`,
+  with the leading axes broadcast, and so does :func:`contract`, which
+  sums products over the leading axis, while :func:`column_element_norms`,
   morphism matrices and tensor lifts read it on the first axis, one column
   per element.
 """
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from numbers import Number
 from operator import mul
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -53,7 +54,10 @@ from .errors import (
     IncompatibleAlgebraError,
     InvalidDimensionError,
 )
-from .linalg import BlockRank, block_rank
+from .linalg import BlockRank, block_rank, spectrum_rank
+
+if TYPE_CHECKING:
+    from .morphisms import StarMorphism
 
 DEFAULT_TOL = 1e-9
 FAITHFULNESS_FLOOR = 1e-12
@@ -304,6 +308,25 @@ def multiply(algebra: FdCStarAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarra
     return out
 
 
+def contract(algebra: FdCStarAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coordinates of sum_q x[q, i] * y[q, j], an (I, J, dim) array, for
+    (Q, I, dim) and (Q, J, dim) coordinate arrays x and y.
+
+    The blocks of each size n are one batched matmul: rows (i, r), columns
+    (j, t) and the sum over (q, s), for entry (r, t) of a block. No
+    (Q, I, J, dim) array of products is formed.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    rows, cols = x.shape[1], y.shape[1]
+    out = np.empty((rows, cols, algebra.dim), dtype=np.result_type(x, y, complex))
+    for n, idx in algebra.size_groups:
+        count = len(idx)
+        a = x[..., idx].transpose(2, 1, 3, 0, 4).reshape(count, rows * n, -1)  # [b, (i, r), (q, s)]
+        b = y[..., idx].transpose(2, 0, 3, 1, 4).reshape(count, -1, cols * n)  # [b, (q, s), (j, t)]
+        out[..., idx] = (a @ b).reshape(count, rows, n, cols, n).transpose(1, 3, 0, 2, 4)
+    return out
+
+
 def adjoint_coords(algebra: FdCStarAlgebra, x: np.ndarray) -> np.ndarray:
     """Coordinates of the adjoints x* of a coordinate array (last axis the
     canonical basis)."""
@@ -521,10 +544,11 @@ class TensorLayout:
         return self.combine(np.eye(self.left.dim)[:, :, None] * self.right.unit)
 
 
-def module_span_rank(layout: TensorLayout, rows: np.ndarray, side: str) -> BlockRank:
+def module_span_rank(layout: TensorLayout, phi: "StarMorphism", side: str) -> BlockRank:
     """Numeric rank of the span of the products (e_i (x) 1) y (side "left")
     or y (1 (x) f_i) (side "right"), over the basis e_i of the left factor
-    or f_i of the right one and the coordinate rows y of rows.
+    or f_i of the right one and the images y = phi(e_j) of the basis of
+    phi's domain, for a map phi into layout.product.
 
     The span is a module over the factor's blocks. Read each y as a table
     T[a, c] over the left and right factor bases. On the left, block b
@@ -533,11 +557,29 @@ def module_span_rank(layout: TensorLayout, rows: np.ndarray, side: str) -> Block
     that slice to row q. On the right the roles of the factors swap and
     each block's row and column indices swap with them. So the span's
     singular values are the union of those of the M_b, each n times.
+
+    When the product is commutative and phi has a monomial form, each
+    column of each M_b has at most one nonzero entry, in the row of its
+    column of phi, so the rows of M_b are orthogonal: its singular values
+    are the root sums of |coef|^2 over (factor point, column of phi) keys,
+    one np.bincount with no SVD. Every other input takes one batched SVD
+    per block size.
     """
+    form = phi.monomial if layout.product.is_commutative else None
+    if form is not None:
+        cols, coefs = form
+        points = np.arange(len(cols))  # point a * dim right + c of the product
+        points = points // layout.right.dim if side == "left" else points % layout.right.dim
+        hit = cols >= 0
+        mags = np.abs(coefs[hit])
+        mags /= mags.max(initial=0.0) or 1.0  # no square underflows, none overflows
+        sums = np.bincount(points[hit] * phi.domain.dim + cols[hit], weights=mags * mags)
+        return spectrum_rank(np.sqrt(sums[sums > 0]), 1)
     if side == "right":
         factor, pairs, axes = layout.right, layout.pair_index.T, (0, 2, 1)
     else:
         factor, pairs, axes = layout.left, layout.pair_index, (0, 1, 2)
+    rows = phi.matrix.T
     y = np.arange(len(rows))[None, :, None, None, None]
     groups = []
     for n, idx in factor.size_groups:

@@ -63,11 +63,16 @@ def block_rank(groups: Iterable[tuple[int, np.ndarray]]) -> BlockRank:
         return BlockRank(0, 0.0, 0.0)
     values = [np.linalg.svd(stack, compute_uv=False).ravel() for _, stack in groups]
     copies = np.concatenate([np.full(v.size, n) for (n, _), v in zip(groups, values)])
-    s = np.concatenate(values)
+    return spectrum_rank(np.concatenate(values), copies)
+
+
+def spectrum_rank(s: np.ndarray, copies: int | np.ndarray) -> BlockRank:
+    """The BlockRank of a matrix whose singular values are s[k], each
+    copies[k] times (copies may be one count for all), besides zeros."""
     kept = _kept(s)
     ratios = s / s.max() if kept.any() else s  # all zero when none is kept
     return BlockRank(
-        rank=int(copies[kept].sum()),
+        rank=int((kept * copies).sum()),
         smallest_kept=float(ratios[kept].min()) if kept.any() else 0.0,
         largest_dropped=float(ratios[~kept].max(initial=0.0)),
     )

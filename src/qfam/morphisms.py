@@ -459,12 +459,18 @@ def _integer_table(table, ndim: int, error: type[QfamError]) -> np.ndarray:
 
 def _pullback(dom: FdCStarAlgebra, cod: FdCStarAlgebra, points: np.ndarray) -> StarMorphism:
     """f -> f o t on functions, t sending point r of cod to point points[r]
-    of dom; held without a copy, its bytes counted by _point_table."""
+    of dom; held without a copy, its bytes counted by _point_table. Its
+    monomial form, column points[r] (as intp) and coefficient 1 in row r,
+    is recorded with it, so no check derives it from the matrix."""
+    cols = np.array(points, dtype=np.intp)
     mat = np.zeros((cod.dim, dom.dim), dtype=complex)
-    mat[np.arange(cod.dim), points] = 1.0
-    mat.setflags(write=False)
+    mat[np.arange(cod.dim), cols] = 1.0
+    coefs = np.ones(cod.dim, dtype=complex)
+    for arr in (mat, cols, coefs):
+        arr.setflags(write=False)
     phi = StarMorphism.__new__(StarMorphism)
     phi.domain, phi.codomain, phi.matrix = dom, cod, mat
+    phi.__dict__["monomial"] = cols, coefs
     return phi
 
 

@@ -24,6 +24,7 @@ from .algebra import (
     LinearFunctional,
     _bilinear_table,
     adjoint_coords,
+    contract,
     make_algebra,
     max_image_defect,
     module_span_rank,
@@ -105,8 +106,7 @@ def matrix_isometry_defect(rep: Representation) -> float:
     Zero means the grid, read as a block matrix, is an isometry.
     """
     alg, v = rep.algebra, rep.entries
-    vstar = adjoint_coords(alg, v)
-    gram = multiply(alg, vstar[:, :, None], v[:, None]).sum(axis=0)
+    gram = contract(alg, adjoint_coords(alg, v), v)
     gram[np.diag_indices(rep.size)] -= alg.unit
     return _worst(alg, gram)
 
@@ -326,9 +326,9 @@ def modular_report(
     source, param = family.source, family.label
     w = _bilinear_table(omega)[:, source.adjoint_permutation]
     a = action_coefficients(family)  # a[p, i]
-    # middle[i, j] = sum_q (sum_p W[p, q] a[p][i]) a[q][j]*
-    c = np.einsum("pq,pia->qia", w, a)
-    middle = multiply(param, c[:, :, None], adjoint_coords(param, a)[:, None]).sum(axis=0)
+    # middle[i, j] = sum_q c[q][i] a[q][j]*, c[q][i] = sum_p W[p, q] a[p][i]
+    c = (w.T @ a.reshape(source.dim, -1)).reshape(a.shape)
+    middle = contract(param, c, adjoint_coords(param, a))
     residual = middle - w[:, :, None] * param.unit
     left = np.linalg.solve(w, residual.reshape(source.dim, -1))
     return ModularReport(
@@ -361,7 +361,7 @@ def podles_rank(family: QuantumFamily) -> DensityReport:
     (algebra.module_span_rank).
     """
     layout = family.layout
-    found = module_span_rank(layout, family.morphism.matrix.T, "right")
+    found = module_span_rank(layout, family.morphism, "right")
     total = layout.product.dim
     return DensityReport(
         rank=found.rank,

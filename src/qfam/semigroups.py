@@ -111,15 +111,21 @@ def coassociativity_defect(sg: QuantumSemigroup) -> float:
 
 
 def counit_defect(sg: QuantumSemigroup) -> float:
-    """Worst deviation of (eps (x) id) Delta and (id (x) eps) Delta from id."""
+    """Worst deviation of (eps (x) id) Delta and (id (x) eps) Delta from id:
+    by index arithmetic (lift_monomial against the identity's form) when
+    the algebra is commutative and Delta and eps have monomial forms, as a
+    table's do, through dense lifts otherwise."""
     if sg.counit is None:
         raise MissingComponentError("semigroup has no counit attached")
-    delta = sg.comultiplication
-    eye = np.eye(sg.algebra.dim)
-    # scalars (x) A and A (x) scalars share A's coordinates
-    left = lift(sg.counit, sg.algebra, delta.matrix)
-    right = lift(sg.algebra, sg.counit, delta.matrix)
-    return max_image_defect(sg.algebra, np.hstack([left - eye, right - eye]))
+    delta, alg, eps = sg.comultiplication, sg.algebra, sg.counit
+    laws = ((eps, alg), (alg, eps))  # scalars (x) A and A (x) scalars share A's coordinates
+    if alg.is_commutative and delta.monomial is not None and eps.monomial is not None:
+        ident = (np.arange(alg.dim), np.ones(alg.dim, dtype=complex))
+        left, right = (monomial_defect(lift_monomial(*law, delta.monomial), ident) for law in laws)
+        return float(np.maximum(left, right))
+    eye = np.eye(alg.dim)
+    left, right = (lift(*law, delta.matrix) - eye for law in laws)
+    return max_image_defect(alg, np.hstack([left, right]))
 
 
 def action_defect(family: QuantumFamily, sg: QuantumSemigroup) -> float:
@@ -183,16 +189,16 @@ def cancellation_rank(sg: QuantumSemigroup, side: str = "left") -> CancellationR
     The left span is a left module over A (x) 1 and the right span a right
     module over 1 (x) A, so the rank is summed block by block under one
     global cut (algebra.module_span_rank), not read off one dim^2 x dim^2
-    SVD. A full span (rank equal to dim squared) is the quantum form of the
-    corresponding cancellation law; on the algebra of functions on a finite
-    semigroup it holds exactly when all translations on that side are
-    injective.
+    SVD, and counted when the algebra is commutative and Delta monomial, as
+    a table's is. A full span (rank equal to dim squared) is the quantum
+    form of the corresponding cancellation law; on the algebra of
+    functions on a finite semigroup it holds exactly when all translations
+    on that side are injective.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     alg = sg.algebra
-    deltas = sg.comultiplication.matrix.T  # rows Delta(e_j)
-    found = module_span_rank(tensor_layout(alg, alg), deltas, side)
+    found = module_span_rank(tensor_layout(alg, alg), sg.comultiplication, side)
     return CancellationReport(
         side=side,
         rank=found.rank,

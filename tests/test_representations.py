@@ -264,6 +264,25 @@ def test_check_magic_on_an_80_by_80_grid_peaks_under_50_mb(tmp_path, capsys, tra
     assert peak < 50 * 2**20, peak
 
 
+@pytest.mark.parametrize("check", [modular_report, action_matrix])
+def test_the_grid_sums_of_an_m10_family_hold_no_cube(traced_peak, check):
+    """A 3-phase conjugation family over M_10 has a 100 x 100 grid of
+    coefficients over C^3. The modular report and the action matrix sum
+    products of its entries through contract, one matmul per block size,
+    so a first call peaks under 10 MB; the broadcast (100, 100, 100, 3)
+    products alone were 48 MB."""
+    rng = np.random.default_rng(3)
+    family = conjugation_family([np.diag(np.exp(2j * np.pi * rng.random(10))) for _ in range(3)])
+    weights = rng.random(10) + 0.2
+    alg = make_algebra([10])
+    omega = LinearFunctional(alg, alg.element([np.diag(weights / weights.sum())]))
+    report, peak = traced_peak(lambda: check(family, omega))
+    defects = [getattr(report, name, None) for name in
+               ("identity_defect", "left_invertibility_defect", "isometry_defect")]
+    assert max(v for v in defects if v is not None) <= 1e-12
+    assert peak < 10 * 2**20, peak
+
+
 def test_translation_grid_is_a_representation(translation_magic):
     for n in (2, 3, 4, 5):
         u = translation_magic(n)

@@ -190,6 +190,18 @@ def test_groups_cancel_on_both_sides(n):
     assert right.full and right.rank == n * n
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_cancellation_of_order_120_is_counted_in_little_memory(traced_peak, side):
+    """Both cancellation ranks of the cyclic group of order 120 are counted
+    from the recorded monomial form of its comultiplication, so a first call
+    peaks under 4 MB; the block SVDs' (120, 120, 120) stack alone was 28 MB."""
+    sg = classical_semigroup_algebra(group_table(120))
+    report, peak = traced_peak(lambda: cancellation_rank(sg, side))
+    assert (report.rank, report.full) == (14400, True)
+    assert report.smallest_kept == 1.0 and report.largest_dropped == 0.0
+    assert peak < 4 * 2**20, peak
+
+
 def test_left_zero_ranks():
     """s t = s: right translations are injective, left ones collapse."""
     sg = classical_semigroup_algebra(left_zero_table(2))
