@@ -558,16 +558,15 @@ def module_span_rank(layout: TensorLayout, phi: "StarMorphism", side: str) -> Bl
     each block's row and column indices swap with them. So the span's
     singular values are the union of those of the M_b, each n times.
 
-    When the product is commutative and phi has a monomial form, each
+    When phi has a monomial form (so the product is commutative), each
     column of each M_b has at most one nonzero entry, in the row of its
     column of phi, so the rows of M_b are orthogonal: its singular values
     are the root sums of |coef|^2 over (factor point, column of phi) keys,
     one np.bincount with no SVD. Every other input takes one batched SVD
     per block size.
     """
-    form = phi.monomial if layout.product.is_commutative else None
-    if form is not None:
-        cols, coefs = form
+    if phi.monomial is not None:
+        cols, coefs = phi.monomial
         points = np.arange(len(cols))  # point a * dim right + c of the product
         points = points // layout.right.dim if side == "left" else points % layout.right.dim
         hit = cols >= 0

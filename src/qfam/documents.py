@@ -334,7 +334,7 @@ def _table_columns(phi: StarMorphism) -> np.ndarray | None:
     otherwise. So each entry of its monomial form equals 1, and the matrix
     has as many nonzero 64-bit words as rows: every other word, the
     imaginary parts of the 1s included, is +0.0, as a -0.0 would add one."""
-    form = phi.monomial if phi.codomain.is_commutative else None
+    form = phi.monomial
     if form is None or not (form[1] == 1).all():
         return None
     return form[0] if np.count_nonzero(phi.matrix.view(np.uint64)) == len(form[0]) else None

@@ -35,6 +35,7 @@ from .linalg import nullspace
 from .morphisms import (
     Character,
     StarMorphism,
+    _lift_difference_defect,
     _point_table,
     _pullback,
     functions_algebra,
@@ -191,6 +192,7 @@ def action_coefficients(family: QuantumFamily) -> np.ndarray:
     return family.morphism.matrix[family.layout.pair_index].transpose(0, 2, 1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf - inf is a NaN defect
 def commutation_defect(first: QuantumFamily, second: QuantumFamily) -> float:
     """Distance between the two orders of composing self-map families.
 
@@ -261,6 +263,5 @@ def factorization_defect(
         raise IncompatibleAlgebraError(
             "connecting morphism must map one label algebra to the other"
         )
-    diff = lift(phi.target_factor, lam, phi.morphism.matrix)
-    diff -= psi.morphism.matrix
-    return max_image_defect(psi.morphism.codomain, diff)
+    factor = phi.target_factor
+    return _lift_difference_defect((factor, lam, phi.morphism), (factor, psi.label, psi.morphism))

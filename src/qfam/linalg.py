@@ -14,18 +14,6 @@ from .errors import InvalidMatrixError
 RANK_CUT = 1e-9
 
 
-def _kept(s: np.ndarray) -> np.ndarray:
-    """Mask of the singular values s at or above RANK_CUT times their
-    largest; none are kept when the largest is 0."""
-    top = s.max(initial=0.0)
-    return s >= RANK_CUT * top if top > 0.0 else np.zeros(s.shape, dtype=bool)
-
-
-def _rank_of(s: np.ndarray) -> int:
-    """Number of singular values s at or above RANK_CUT * max(s)."""
-    return int(np.count_nonzero(_kept(s)))
-
-
 def _require_finite(mat: np.ndarray) -> None:
     """The SVD does not converge on a NaN; refuse any non-finite entry."""
     if not np.isfinite(mat).all():
@@ -68,9 +56,11 @@ def block_rank(groups: Iterable[tuple[int, np.ndarray]]) -> BlockRank:
 
 def spectrum_rank(s: np.ndarray, copies: int | np.ndarray) -> BlockRank:
     """The BlockRank of a matrix whose singular values are s[k], each
-    copies[k] times (copies may be one count for all), besides zeros."""
-    kept = _kept(s)
-    ratios = s / s.max() if kept.any() else s  # all zero when none is kept
+    copies[k] times (copies may be one count for all), besides zeros; the
+    one cut of every rank: RANK_CUT times the largest, which keeps none of 0."""
+    top = s.max(initial=0.0)
+    kept = s >= RANK_CUT * top if top > 0.0 else np.zeros(s.shape, dtype=bool)
+    ratios = s / top if top > 0.0 else s  # all zero when none is kept
     return BlockRank(
         rank=int((kept * copies).sum()),
         smallest_kept=float(ratios[kept].min()) if kept.any() else 0.0,
@@ -84,7 +74,7 @@ def numeric_rank(mat: np.ndarray) -> int:
     if mat.size == 0:
         return 0
     _require_finite(mat)
-    return _rank_of(np.linalg.svd(mat, compute_uv=False))
+    return spectrum_rank(np.linalg.svd(mat, compute_uv=False), 1).rank
 
 
 def nullspace(mat: np.ndarray) -> np.ndarray:
@@ -93,4 +83,4 @@ def nullspace(mat: np.ndarray) -> np.ndarray:
     _require_finite(mat)
     # vh is square either way; only a wide matrix needs its full rows
     _, s, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    return vh[_rank_of(s) :].conj().T
+    return vh[spectrum_rank(s, 1).rank :].conj().T

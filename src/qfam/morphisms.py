@@ -12,6 +12,7 @@ unless asked.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -25,6 +26,7 @@ from .algebra import (
     block_norms,
     largest_abs,
     make_algebra,
+    max_image_defect,
     tensor_layout,
     within,
 )
@@ -108,10 +110,12 @@ class StarMorphism:
 
     @cached_property
     def monomial(self) -> "MonomialForm | None":
-        """The matrix as (cols, coefs) when each row has at most one nonzero
-        entry and every entry is finite: row r holds coefs[r] in column
-        cols[r], and a zero row has cols[r] = -1 and coefs[r] = 0. None when
-        a row has two nonzero entries or an entry is NaN or infinite."""
+        """The matrix as (cols, coefs) when the codomain is commutative, each
+        row has at most one nonzero entry and every entry is finite: row r
+        holds coefs[r] in column cols[r], and a zero row has cols[r] = -1 and
+        coefs[r] = 0; None otherwise. The one test of every index path."""
+        if not self.codomain.is_commutative:
+            return None
         nonzero = self.matrix != 0  # NaN and inf count as nonzero
         if nonzero.sum(axis=1).max(initial=0) > 1:
             return None
@@ -237,6 +241,7 @@ def require_bytes_fit(nbytes: int, what: str) -> None:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf * 0 is a NaN coordinate, as in lift_monomial
 def lift(phi: LiftFactor, psi: LiftFactor, columns: np.ndarray) -> np.ndarray:
     """Coordinates of (phi (x) psi)(c) for each column c of columns.
 
@@ -273,8 +278,7 @@ def lift(phi: LiftFactor, psi: LiftFactor, columns: np.ndarray) -> np.ndarray:
     return out
 
 
-# (cols, coefs) of a matrix with at most one nonzero entry per row; see
-# StarMorphism.monomial.
+# (cols, coefs) of a matrix with at most one nonzero entry per row; see StarMorphism.monomial.
 MonomialForm = tuple[np.ndarray, np.ndarray]
 
 
@@ -283,7 +287,8 @@ def _monomial_factor(factor: LiftFactor) -> MonomialForm:
         return np.arange(factor.dim), np.ones(factor.dim)
     if factor.monomial is None:
         raise InvalidMatrixError(
-            f"{factor!r} has a row with two nonzero entries or a non-finite entry"
+            f"{factor!r} has no monomial form: its codomain is not commutative, "
+            "or a row has two nonzero entries or a non-finite entry"
         )
     return factor.monomial
 
@@ -339,6 +344,37 @@ def monomial_defect(first: MonomialForm, second: MonomialForm) -> float:
     worst = largest_abs(entries)
     del entries
     return float(np.maximum(worst, largest_abs(v2[moved])))
+
+
+LiftSide = tuple[LiftFactor, LiftFactor, StarMorphism]  # (phi, psi, M) of lift(phi, psi, M)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # inf - inf is a NaN defect
+def _lift_difference_defect(first: LiftSide, second: LiftSide) -> float:
+    """Worst norm over the columns of lift(phi, psi, M) - lift(phi', psi', M') for
+    first = (phi, psi, M) and second = (phi', psi', M'), M and M' maps of one
+    domain: the one kernel of the laws (phi (x) psi) M = (phi' (x) psi') M'. By
+    index arithmetic when every map among them has a monomial form, else by dense
+    lifts into the first's codomain; the index path reduces over blocks of rows
+    that cover whole rows of both lifts' leading factors (row a * right + b is led
+    by row a), the dense path over columns of M. np.maximum keeps a NaN slab defect."""
+    worst = -np.inf
+    if all(x.monomial is not None for x in (*first, *second) if isinstance(x, StarMorphism)):
+        lead, right, _, right2 = (_ends(x)[1].dim for x in (*first[:2], *second[:2]))
+        step = math.lcm(right, right2)
+        k1, k2 = step // right, step // right2  # leading rows of each lift in step rows
+        for s in slabs(lead // k1, step):  # blocks of step rows
+            worst = np.maximum(worst, monomial_defect(
+                lift_monomial(*first[:2], first[2].monomial, slice(s.start * k1, s.stop * k1)),
+                lift_monomial(*second[:2], second[2].monomial, slice(s.start * k2, s.stop * k2)),
+            ))
+        return float(worst)
+    product = tensor_layout(*(_ends(x)[1] for x in first[:2])).product
+    for s in slabs(first[2].domain.dim, product.dim):
+        diff = lift(*first[:2], first[2].matrix[:, s])
+        diff -= lift(*second[:2], second[2].matrix[:, s])
+        worst = np.maximum(worst, max_image_defect(product, diff))
+    return float(worst)
 
 
 def tensor_morphisms(phi: StarMorphism, psi: StarMorphism) -> StarMorphism:

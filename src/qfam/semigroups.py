@@ -9,7 +9,6 @@ structure map yields a quantifiably nonzero defect instead of an exception.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,10 +30,9 @@ from .errors import (
 from .families import QuantumFamily, action_coefficients, invariance_defects
 from .morphisms import (
     Character,
-    LiftFactor,
     StarMorphism,
-    _ends,
     _integer_table,
+    _lift_difference_defect,
     _point_table,
     _pullback,
     functions_algebra,
@@ -42,7 +40,6 @@ from .morphisms import (
     lift_monomial,
     monomial_defect,
     scalar_algebra,
-    slabs,
 )
 
 
@@ -72,54 +69,22 @@ class QuantumSemigroup:
         return f"QuantumSemigroup({self.algebra!r})"
 
 
-def _lift_difference_defect(
-    first: tuple[StarMorphism, LiftFactor], second: tuple[LiftFactor, LiftFactor]
-) -> float:
-    """Worst norm over the columns of lift(*first, M) - lift(*second, M), M
-    the matrix of first[0]: by index arithmetic when every domain and
-    codomain among the operands is commutative and every map has a monomial
-    form, through dense lifts into the codomain of the first otherwise.
-    Both reduce over morphisms.slabs: the index path over blocks of rows
-    that cover whole rows of both lifts' leading factors (row a * right + b
-    is led by row a), the dense path over columns of M. np.maximum keeps a
-    NaN slab defect."""
-    source, operands, worst = first[0], (*first, *second), -np.inf
-    if all(a.is_commutative for x in operands for a in _ends(x)) and all(
-        x.monomial is not None for x in operands if isinstance(x, StarMorphism)
-    ):
-        right, right2 = (_ends(x[1])[1].dim for x in (first, second))
-        step, form = math.lcm(right, right2), source.monomial
-        k1, k2 = step // right, step // right2  # leading rows of each lift in step rows
-        for s in slabs(source.codomain.dim // k1, step):  # blocks of step rows
-            worst = np.maximum(worst, monomial_defect(
-                lift_monomial(*first, form, slice(s.start * k1, s.stop * k1)),
-                lift_monomial(*second, form, slice(s.start * k2, s.stop * k2)),
-            ))
-        return float(worst)
-    product = tensor_layout(source.codomain, _ends(first[1])[1]).product
-    for s in slabs(source.domain.dim, product.dim):
-        diff = lift(*first, source.matrix[:, s])
-        diff -= lift(*second, source.matrix[:, s])
-        worst = np.maximum(worst, max_image_defect(product, diff))
-    return float(worst)
-
-
 def coassociativity_defect(sg: QuantumSemigroup) -> float:
     """Worst norm of ((Delta (x) id) - (id (x) Delta)) Delta on the basis."""
     delta, alg = sg.comultiplication, sg.algebra
-    return _lift_difference_defect((delta, alg), (alg, delta))
+    return _lift_difference_defect((delta, alg, delta), (alg, delta, delta))
 
 
 def counit_defect(sg: QuantumSemigroup) -> float:
     """Worst deviation of (eps (x) id) Delta and (id (x) eps) Delta from id:
     by index arithmetic (lift_monomial against the identity's form) when
-    the algebra is commutative and Delta and eps have monomial forms, as a
-    table's do, through dense lifts otherwise."""
+    Delta and eps have monomial forms, as a table's do, through dense lifts
+    otherwise."""
     if sg.counit is None:
         raise MissingComponentError("semigroup has no counit attached")
     delta, alg, eps = sg.comultiplication, sg.algebra, sg.counit
     laws = ((eps, alg), (alg, eps))  # scalars (x) A and A (x) scalars share A's coordinates
-    if alg.is_commutative and delta.monomial is not None and eps.monomial is not None:
+    if delta.monomial is not None and eps.monomial is not None:
         ident = (np.arange(alg.dim), np.ones(alg.dim, dtype=complex))
         left, right = (monomial_defect(lift_monomial(*law, delta.monomial), ident) for law in laws)
         return float(np.maximum(left, right))
@@ -135,22 +100,21 @@ def action_defect(family: QuantumFamily, sg: QuantumSemigroup) -> float:
             "family label algebra differs from the semigroup algebra"
         )
     family.require_self_map("action equation")
-    return _lift_difference_defect(
-        (family.morphism, sg.algebra), (family.source, sg.comultiplication)
-    )
+    psi, delta = family.morphism, sg.comultiplication
+    return _lift_difference_defect((psi, sg.algebra, psi), (family.source, delta, psi))
 
 
 def qs_morphism_defect(
     lam: StarMorphism, source: QuantumSemigroup, target: QuantumSemigroup
 ) -> float:
-    """Worst norm of ((lam (x) lam) Delta_source - Delta_target lam)."""
+    """Worst norm of ((lam (x) lam) Delta_source - Delta_target lam), the
+    second term read as (Delta_target (x) id) lam into A_target (x) C."""
     if lam.domain != source.algebra or lam.codomain != target.algebra:
         raise IncompatibleAlgebraError(
             "map must go from the source semigroup algebra to the target one"
         )
-    left = lift(lam, lam, source.comultiplication.matrix)
-    right = target.comultiplication.matrix @ lam.matrix
-    return max_image_defect(target.comultiplication.codomain, left - right)
+    delta_s, delta_t = source.comultiplication, target.comultiplication
+    return _lift_difference_defect((lam, lam, delta_s), (delta_t, scalar_algebra(), lam))
 
 
 def convolve(

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qfam.morphisms
-import qfam.semigroups
 from qfam import (
     IncompatibleAlgebraError,
     InvalidMatrixError,
@@ -17,11 +16,13 @@ from qfam import (
     classical_semigroup_algebra,
     coassociativity_defect,
     conjugation_family,
+    factorization_defect,
     functions_algebra,
     group_table,
     lift,
     make_algebra,
     max_image_defect,
+    qs_morphism_defect,
     tensor_layout,
 )
 from qfam.algebra import within
@@ -72,12 +73,16 @@ def test_monomial_form_marks_zero_rows():
 
 
 @pytest.mark.parametrize(
-    "row", [[1, 1, 0], [1e-300, 0, 1], [np.nan, 0, 0], [np.inf, 0, 0], [np.nan, 1, 0]]
+    "row", [[1, 1, 0], [1e-300, 0, 1], [np.nan, 0, 0], [np.inf, 0, 0], [np.nan, 1, 0], None]
 )
 def test_no_monomial_form_for_two_nonzero_or_non_finite_entries(row):
-    alg = functions_algebra(3)
-    mat = np.eye(3, dtype=complex)
-    mat[1] = row
+    """None for a row with two nonzero entries, however small, or a
+    non-finite entry; and, row None, for the identity of M_1 + M_2, which
+    has one nonzero entry a row but a codomain that is not commutative."""
+    alg = functions_algebra(3) if row else make_algebra([1, 2])
+    mat = np.eye(alg.dim, dtype=complex)
+    if row:
+        mat[1] = row
     assert StarMorphism(alg, alg, mat).monomial is None
 
 
@@ -164,7 +169,7 @@ def _by_path(index, check, *args):
     """check(*args) with the path it must not take patched to fail."""
     stub = ("lift", _no_dense_lift) if index else ("lift_monomial", _no_index_lift)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qfam.semigroups, *stub)
+        mp.setattr(qfam.morphisms, *stub)
         return check(*args)
 
 
@@ -199,6 +204,65 @@ def test_index_path_agrees_with_dense_lifts(dims, src_dims, zero_share, phases, 
     )
     slow = _dense_coassociativity(sg), _dense_action(family, sg)
     assert np.allclose(fast, slow, rtol=0, atol=1e-13), (fast, slow)
+
+
+def _dense_copy(phi):
+    """phi with no monomial form, so every check takes its dense path."""
+    copy = StarMorphism(phi.domain, phi.codomain, phi.matrix)
+    copy.__dict__["monomial"] = None
+    return copy
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(points, min_size=4, max_size=4),
+    any_dims,
+    st.sampled_from([0.0, 0.2, 0.6]),
+    st.booleans(),
+    st.integers(0),
+)
+def test_qs_morphism_and_factorization_agree_with_dense_copies(
+    dims, src_dims, zero_share, phases, seed
+):
+    """On random monomial maps over functions on finite sets, with
+    unimodular phases and zero rows, the q-s morphism and factorization
+    defects take the index path and agree with dense copies of the same
+    maps, which take the dense lifts, to 1e-13, and by repr on 0/1 maps. A
+    family's source need not be commutative."""
+    rng = np.random.default_rng(seed)
+    a, b, label, label2 = (make_algebra(d) for d in dims)
+    src = make_algebra(src_dims)
+
+    def draw(dom, cod):
+        return StarMorphism(dom, cod, _random_monomial(rng, cod.dim, dom.dim, zero_share, phases))
+
+    def family(label):
+        return QuantumFamily(src, a, label, draw(src, tensor_layout(a, label).product))
+
+    source = QuantumSemigroup(a, draw(a, tensor_layout(a, a).product))
+    target = QuantumSemigroup(b, draw(b, tensor_layout(b, b).product))
+    lam, phi, psi, connect = draw(a, b), family(label), family(label2), draw(label, label2)
+    fast = (
+        _by_path(True, qs_morphism_defect, lam, source, target),
+        _by_path(True, factorization_defect, phi, connect, psi),
+    )
+
+    def dense(fam):
+        return QuantumFamily(src, a, fam.label, _dense_copy(fam.morphism))
+
+    slow = (
+        _by_path(
+            False,
+            qs_morphism_defect,
+            _dense_copy(lam),
+            QuantumSemigroup(a, _dense_copy(source.comultiplication)),
+            QuantumSemigroup(b, _dense_copy(target.comultiplication)),
+        ),
+        _by_path(False, factorization_defect, dense(phi), _dense_copy(connect), dense(psi)),
+    )
+    assert np.allclose(fast, slow, rtol=0, atol=1e-13), (fast, slow)
+    if not phases:
+        assert repr(fast) == repr(slow)
 
 
 # zero rows (0 and -0.0), phases, and entries whose products of two
@@ -269,12 +333,12 @@ def _phase_representation(dim, order, broken):
 
 @pytest.mark.parametrize("broken", [False, True], ids=["intact", "broken"])
 def test_diagonal_phase_representation_takes_dense_lifts(broken):
-    """A diagonal-phase conjugation family of M_3 is monomial, but its
-    action codomain has 3 x 3 blocks, so it takes the dense lifts; the
-    verdict holds intact and fails broken."""
+    """A diagonal-phase conjugation family of M_3 has one nonzero entry a
+    row, but its codomain has 3 x 3 blocks, so it has no monomial form and
+    takes the dense lifts; the verdict holds intact and fails broken."""
     sg = classical_semigroup_algebra(group_table(5))
     family = _phase_representation(3, 5, broken)
-    assert family.morphism.monomial is not None
+    assert family.morphism.monomial is None
     cube = tensor_layout(family.morphism.codomain, sg.algebra).product
     assert max(cube.block_dims) == 3
     defect = _by_path(False, action_defect, family, sg)

@@ -12,13 +12,24 @@ from qfam import (
     InvalidCharacterError,
     InvalidMatrixError,
     NotAHomomorphismError,
+    QuantumFamily,
+    QuantumSemigroup,
     ResourceLimitError,
     characters_of,
+    classical_family,
+    classical_semigroup_algebra,
+    coassociativity_defect,
+    commutation_defect,
+    compose_families,
     compose_morphisms,
+    counit_defect,
     enumerate_set_map_tables,
     enumerate_set_maps,
+    factorization_defect,
     flip,
     functions_algebra,
+    group_table,
+    invariance_defects,
     lift,
     make_algebra,
     require_star_hom,
@@ -480,3 +491,42 @@ def test_random_unital_hom_matches_the_kronecker_placement(dom_dims, cod_dims, s
     got = random_unital_hom(fast, dom, cod).matrix
     assert np.abs(got - _kron_placement_hom(slow, dom, cod)).max() <= 1e-15
     assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def _inf_entry(phi):
+    """phi with its entry (0, 0) infinite."""
+    mat = np.array(phi.matrix)
+    mat[0, 0] = np.inf
+    return StarMorphism(phi.domain, phi.codomain, mat)
+
+
+def _inf_checks():
+    sg = classical_semigroup_algebra(group_table(3))
+    bad_sg = QuantumSemigroup(sg.algebra, _inf_entry(sg.comultiplication), sg.counit)
+    fam = classical_family([[1, 2, 0], [0, 0, 1]])
+    bad = QuantumFamily(fam.source, fam.source, fam.label, _inf_entry(fam.morphism))
+    same_label = StarMorphism(fam.label, fam.label, np.eye(fam.label.dim))
+    # on one point each side of the law is inf, so their difference is inf - inf
+    point = classical_family([[0]])
+    point = QuantumFamily(point.source, point.source, point.label, _inf_entry(point.morphism))
+    one = classical_semigroup_algebra([[0]])
+    one = QuantumSemigroup(one.algebra, _inf_entry(one.comultiplication))
+    return {
+        "coassociativity": lambda: coassociativity_defect(bad_sg),
+        "counit": lambda: counit_defect(bad_sg),
+        "invariance": lambda: invariance_defects(bad, trace_state(fam.source)).generators,
+        "commutation": lambda: commutation_defect(bad, fam),
+        "commutation-inf-inf": lambda: commutation_defect(point, point),
+        "coassociativity-inf-inf": lambda: coassociativity_defect(one),
+        "composition": lambda: compose_families(fam, bad).morphism.matrix,
+        "factorization": lambda: factorization_defect(bad, same_label, fam),
+    }
+
+
+@pytest.mark.parametrize("check", list(_inf_checks()))
+def test_an_infinite_entry_reads_nan_not_a_warning(check):
+    """A dense lift of a map with one infinite entry multiplies inf by 0,
+    and a difference of two such lifts may subtract inf from inf: each
+    check reads NaN, and raises no RuntimeWarning, which the test
+    configuration turns into an error."""
+    assert np.isnan(_inf_checks()[check]()).any()

@@ -20,6 +20,7 @@ from qfam import (
     InvalidSemigroupError,
     LinearFunctional,
     MissingComponentError,
+    QuantumFamily,
     QuantumSemigroup,
     ResourceLimitError,
     action_defect,
@@ -33,6 +34,7 @@ from qfam import (
     conjugation_family,
     convolve,
     counit_defect,
+    factorization_defect,
     functions_algebra,
     group_table,
     haar_unitary,
@@ -554,31 +556,50 @@ def test_a_classical_build_holds_its_matrix_once(traced_peak):
     assert peak <= 1.1 * 16_000_000, peak
 
 
-@pytest.mark.parametrize("check", ["coassociativity", "action"])
+@pytest.mark.parametrize("check", ["coassociativity", "action", "qs", "factorization"])
 def test_the_dense_path_peaks_within_one_slab(monkeypatch, traced_peak, check):
     """With slabs of 2^14 entries an array, at least one column, the traced
     peak of a first call through dense lifts stays under 100 bytes a slab
     entry and 64 KiB (98.2 measured, coassociativity at order 32): for
     coassociativity of a comultiplication with no monomial form, whose
     defect has d^3 rows a column (slabs of 16,384 to 110,592 entries at
-    orders 24 to 48), and for the action of a Haar-rotated representation
-    on M_3, 9 k^2 rows a column. One whole lift of coassociativity at order
-    48 is 16 * 48^4 bytes, 85 MB."""
+    orders 24 to 48), for the action of a Haar-rotated representation on
+    M_3, 9 k^2 rows a column, and, d^2 rows a column, for the identity as
+    a q-s morphism from the cyclic group into that smeared comultiplication
+    and for a smeared classical family factored through the identity of
+    its label (55-88 measured). One whole lift
+    of coassociativity at order 48 is 16 * 48^4 bytes, 85 MB, and one of
+    the q-s morphism 16 * 48^3 bytes, 1.8 MB."""
     monkeypatch.setattr(qfam.morphisms, "_DEFECT_CHUNK", 2**14)
     for order in (24, 32, 48):
+        sg = classical_semigroup_algebra(group_table(order))
+        rows = order**2
         if check == "coassociativity":
-            sg = _smeared(group_table(order))
-            assert sg.comultiplication.monomial is None
-            value, peak = traced_peak(lambda: coassociativity_defect(sg))
+            smeared = _smeared(group_table(order))
+            assert smeared.comultiplication.monomial is None
+            value, peak = traced_peak(lambda: coassociativity_defect(smeared))
             assert abs(value - 1e-3) <= 1e-15
             rows = order**3
-        else:
-            sg = classical_semigroup_algebra(group_table(order))
+        elif check == "action":
             family = _rotated_representation(order)
             assert family.morphism.monomial is None
             value, peak = traced_peak(lambda: action_defect(family, sg))
             assert value <= 1e-12
             rows = 9 * order**2
+        elif check == "qs":
+            ident = StarMorphism(sg.algebra, sg.algebra, np.eye(order))
+            target = _smeared(group_table(order))
+            value, peak = traced_peak(lambda: qs_morphism_defect(ident, sg, target))
+            assert abs(value - 1e-3) <= 1e-15
+        else:
+            family = classical_family(group_table(order))
+            mat = np.array(family.morphism.matrix)
+            mat[0, 1] += 1e-3
+            phi = StarMorphism(family.source, family.morphism.codomain, mat)
+            phi = QuantumFamily(family.source, family.source, family.label, phi)
+            ident = StarMorphism(family.label, family.label, np.eye(order))
+            value, peak = traced_peak(lambda: factorization_defect(phi, ident, family))
+            assert abs(value - 1e-3) <= 1e-15
         slab = max(2**14, rows)
         assert peak <= 100 * slab + 2**16, (order, peak, peak / slab)
 
