@@ -134,4 +134,51 @@ MUTANTS = [
         weakens="every slab loop drops its last item",
         killed_by="tests/test_acceptance.py::test_01_composition_associativity",
     ),
+    dict(
+        module="src/qfam/morphisms.py",
+        old="coefs = coefs if coefs.imag.any() else coefs.real.copy()",
+        new="coefs = coefs.real.copy()",
+        weakens="StarMorphism.monomial drops the imaginary parts of a form with phases",
+        killed_by="tests/test_monomial.py::test_a_form_with_phases_stays_complex",
+    ),
+    dict(
+        module="src/qfam/morphisms.py",
+        old="mat[hit, cols[hit]] = coefs[hit]",
+        new="mat[hit, cols[hit]] = 1.0",
+        weakens="a matrix built from a monomial form writes 1.0 in place of its coefficients",
+        killed_by="tests/test_monomial.py::test_real_forms_answer_as_their_complex_casts",
+    ),
+    dict(
+        module="src/qfam/algebra.py",
+        old="return float(np.abs(z).max(initial=0.0))",
+        new="return float(np.nanmax(np.abs(z), initial=0.0))",
+        weakens="largest_abs drops a NaN of a real array",
+        killed_by="tests/test_monomial.py::test_inf_minus_inf_reads_nan_in_either_dtype[float64]",
+    ),
+    dict(
+        module="src/qfam/morphisms.py",
+        old=(
+            "        require_bytes_fit(16 * shape[0] * shape[1], "
+            'f"the matrix of a {shape[0]} x {shape[1]} map")\n'
+        ),
+        new="",
+        weakens="a matrix built from a monomial form is not counted against the cap",
+        killed_by=(
+            "tests/test_address_space.py"
+            "::test_check_counit_admits_order_420_whose_matrix_is_refused"
+        ),
+    ),
+    dict(
+        module="src/qfam/families.py",
+        old=(
+            '@np.errstate(over="ignore", invalid="ignore")'
+            "  # inf * 0 is a NaN coordinate, as in lift\n"
+        ),
+        new="",
+        weakens="the invariance generators of an infinite functional raise instead of reading NaN",
+        killed_by=(
+            "tests/test_morphisms.py"
+            "::test_an_infinite_entry_reads_nan_not_a_warning[invariance-functional]"
+        ),
+    ),
 ]

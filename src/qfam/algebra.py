@@ -388,9 +388,12 @@ def block_norms(blocks: np.ndarray, floor: np.ndarray) -> np.ndarray:
 
 def largest_abs(z: np.ndarray) -> float:
     """The largest |entry| of z, 0.0 when it has none; NaN when an entry
-    has a NaN part, though |inf + NaN i| is inf."""
+    has a NaN part, though |inf + NaN i| is inf. Only complex z is scanned
+    for NaN: over real z the max propagates it."""
     with np.errstate(over="ignore"):  # |z| past the float range is inf
-        return np.nan if np.isnan(z).any() else float(np.abs(z).max(initial=0.0))
+        if z.dtype.kind == "c" and np.isnan(z).any():
+            return np.nan
+        return float(np.abs(z).max(initial=0.0))
 
 
 def max_image_defect(codomain: FdCStarAlgebra, matrix_diff: np.ndarray) -> float:

@@ -333,11 +333,14 @@ def _table_columns(phi: StarMorphism) -> np.ndarray | None:
     algebra and its matrix is, bit for bit, a table's 0/1 matrix; None
     otherwise. So each entry of its monomial form equals 1, and the matrix
     has as many nonzero 64-bit words as rows: every other word, the
-    imaginary parts of the 1s included, is +0.0, as a -0.0 would add one."""
+    imaginary parts of the 1s included, is +0.0, as a -0.0 would add one.
+    A map that holds only its form has the nonzero words of its
+    coefficients, so its matrix is not built."""
     form = phi.monomial
     if form is None or not (form[1] == 1).all():
         return None
-    return form[0] if np.count_nonzero(phi.matrix.view(np.uint64)) == len(form[0]) else None
+    words = phi.__dict__.get("matrix", form[1])
+    return form[0] if np.count_nonzero(words.view(np.uint64)) == len(form[0]) else None
 
 
 def _semigroup_table(sg: QuantumSemigroup) -> np.ndarray | None:

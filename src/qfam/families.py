@@ -164,6 +164,7 @@ class InvarianceReport:
     generators: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf * 0 is a NaN coordinate, as in lift
 def invariance_defects(
     family: QuantumFamily, omega: LinearFunctional
 ) -> InvarianceReport:

@@ -1,8 +1,9 @@
 """Unital *-homomorphisms between finite-dimensional C*-algebras.
 
 A morphism is stored as its matrix over the canonical bases: column j holds
-the coordinates of the image of the j-th domain matrix unit. Verification is
-numerical; :meth:`StarMorphism.defects` reports how far the map is from
+the coordinates of the image of the j-th domain matrix unit. A map built from
+a table holds its monomial form instead, and builds the matrix on first read.
+Verification is numerical; :meth:`StarMorphism.defects` reports how far the map is from
 being multiplicative, adjoint-preserving and unital, each measured as a
 worst-case operator norm. Defect computation is deferred and cached, so
 intermediate maps built by composition or tensoring are never verified
@@ -43,10 +44,11 @@ from .errors import (
 SET_MAP_CAP = 6
 
 # Cap on the bytes of an array a call builds and keeps: the result of a
-# tensor lift, counted by lift (and tensor_morphisms' identity input), and
-# the dense matrix of a classical semigroup, family or set map, counted by
-# _point_table (2^30 admits cyclic groups of order up to 406). The arrays a
-# defect only passes through are bounded by _DEFECT_CHUNK instead.
+# tensor lift, counted by lift (and tensor_morphisms' identity input), the
+# monomial form of a classical semigroup, family or set map, counted by
+# _point_table, and its dense matrix, counted on first read (2^30 admits
+# that of cyclic groups of order up to 406). The arrays a defect only passes
+# through are bounded by _DEFECT_CHUNK instead.
 LIFT_BYTES_CAP = 2**30
 
 # The most entries one array of a chunked defect holds: a chunk of the
@@ -71,7 +73,7 @@ def scalar_algebra() -> FdCStarAlgebra:
 class StarMorphism:
     """A linear map between algebras, given by its canonical-basis matrix."""
 
-    __slots__ = ("domain", "codomain", "matrix", "__dict__")
+    __slots__ = ("domain", "codomain", "__dict__")
 
     def __init__(
         self,
@@ -92,7 +94,24 @@ class StarMorphism:
         self.matrix = matrix
 
     def __reduce__(self):  # copies rebuild through the constructor: read-only, no caches
+        if "matrix" not in self.__dict__:  # a map that holds only its form copies only that
+            return _from_monomial, (self.domain, self.codomain, self.monomial)
         return StarMorphism, (self.domain, self.codomain, self.matrix)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The read-only (dim codomain, dim domain) matrix. A map that holds
+        only its monomial form (see _from_monomial) builds it from the form
+        on first read, bit for bit, after counting its 16 bytes an entry
+        against LIFT_BYTES_CAP."""
+        cols, coefs = self.monomial
+        shape = (len(cols), self.domain.dim)
+        require_bytes_fit(16 * shape[0] * shape[1], f"the matrix of a {shape[0]} x {shape[1]} map")
+        mat = np.zeros(shape, dtype=complex)
+        hit = np.flatnonzero(cols >= 0)
+        mat[hit, cols[hit]] = coefs[hit]
+        mat.setflags(write=False)
+        return mat
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         if x.algebra != self.domain:
@@ -113,7 +132,9 @@ class StarMorphism:
         """The matrix as (cols, coefs) when the codomain is commutative, each
         row has at most one nonzero entry and every entry is finite: row r
         holds coefs[r] in column cols[r], and a zero row has cols[r] = -1 and
-        coefs[r] = 0; None otherwise. The one test of every index path."""
+        coefs[r] = 0; None otherwise. The one test of every index path. The
+        coefficients are float64 when every imaginary part is 0, so the
+        index path of a real map computes in real arithmetic."""
         if not self.codomain.is_commutative:
             return None
         nonzero = self.matrix != 0  # NaN and inf count as nonzero
@@ -124,6 +145,7 @@ class StarMorphism:
         coefs = self.matrix[np.arange(len(cols)), cols]
         if not np.isfinite(coefs).all():
             return None
+        coefs = coefs if coefs.imag.any() else coefs.real.copy()
         cols[coefs == 0] = -1
         cols.setflags(write=False)
         coefs.setflags(write=False)
@@ -318,7 +340,8 @@ def lift_monomial(
     i, u = i[rows], u[rows]
     # a zero row's -1 wraps to the last row; its u or v is 0
     src = (i % dom1.dim)[:, None] * dom2.dim + j % dom2.dim
-    out_cols, out_coefs = cols[src], coefs[src]
+    out_cols = cols[src]
+    out_coefs = coefs[src].astype(np.result_type(coefs, u, v), copy=False)
     del src
     with np.errstate(over="ignore", invalid="ignore"):  # as in a dense lift
         out_coefs *= u[:, None]
@@ -467,9 +490,9 @@ def set_map_morphism(table: Sequence[int]) -> StarMorphism:
 
 
 def _point_table(table, ndim: int, error: type[QfamError]) -> np.ndarray:
-    """_integer_table(table, ndim, error), its pullback's 16 * size * n bytes counted."""
+    """_integer_table(table, ndim, error), the 16 * size bytes of its pullback's form counted."""
     arr = _integer_table(table, ndim, error)
-    require_bytes_fit(16 * arr.size * arr.shape[-1], f"a {arr.size} x {arr.shape[-1]} map")
+    require_bytes_fit(16 * arr.size, f"the monomial form of a {arr.size} x {arr.shape[-1]} map")
     return arr
 
 
@@ -495,18 +518,22 @@ def _integer_table(table, ndim: int, error: type[QfamError]) -> np.ndarray:
 
 def _pullback(dom: FdCStarAlgebra, cod: FdCStarAlgebra, points: np.ndarray) -> StarMorphism:
     """f -> f o t on functions, t sending point r of cod to point points[r]
-    of dom; held without a copy, its bytes counted by _point_table. Its
-    monomial form, column points[r] (as intp) and coefficient 1 in row r,
-    is recorded with it, so no check derives it from the matrix."""
-    cols = np.array(points, dtype=np.intp)
-    mat = np.zeros((cod.dim, dom.dim), dtype=complex)
-    mat[np.arange(cod.dim), cols] = 1.0
-    coefs = np.ones(cod.dim, dtype=complex)
-    for arr in (mat, cols, coefs):
+    of dom: the map of monomial form column points[r] (as intp) and
+    coefficient 1.0 in row r, whose bytes _point_table counted."""
+    return _from_monomial(dom, cod, (np.array(points, dtype=np.intp), np.ones(cod.dim)))
+
+
+def _from_monomial(dom: FdCStarAlgebra, cod: FdCStarAlgebra, form: MonomialForm) -> StarMorphism:
+    """The map from dom into the commutative cod that holds only the
+    monomial form `form`, its arrays made read-only, as its monomial; its
+    matrix is built on first read. The form keeps the rules of
+    StarMorphism.monomial: finite coefficients, and cols[r] = -1 exactly
+    where coefs[r] = 0."""
+    for arr in form:
         arr.setflags(write=False)
     phi = StarMorphism.__new__(StarMorphism)
-    phi.domain, phi.codomain, phi.matrix = dom, cod, mat
-    phi.__dict__["monomial"] = cols, coefs
+    phi.domain, phi.codomain = dom, cod
+    phi.__dict__["monomial"] = form
     return phi
 
 

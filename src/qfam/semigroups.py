@@ -40,6 +40,7 @@ from .morphisms import (
     lift_monomial,
     monomial_defect,
     scalar_algebra,
+    slabs,
 )
 
 
@@ -85,7 +86,7 @@ def counit_defect(sg: QuantumSemigroup) -> float:
     delta, alg, eps = sg.comultiplication, sg.algebra, sg.counit
     laws = ((eps, alg), (alg, eps))  # scalars (x) A and A (x) scalars share A's coordinates
     if delta.monomial is not None and eps.monomial is not None:
-        ident = (np.arange(alg.dim), np.ones(alg.dim, dtype=complex))
+        ident = (np.arange(alg.dim), np.ones(alg.dim))
         left, right = (monomial_defect(lift_monomial(*law, delta.monomial), ident) for law in laws)
         return float(np.maximum(left, right))
     eye = np.eye(alg.dim)
@@ -205,16 +206,26 @@ def coideal_defect(
 def tables_are_associative(tables: np.ndarray) -> np.ndarray:
     """Associativity of each table of a (batch, n, n) stack whose entries
     index range(n), of any integer type: (x y) z == x (y z) as n^3
-    comparisons per table, one n^2 slice of each table per z."""
+    comparisons per table, over slabs of tables and, within one table,
+    slabs of z. Both sides are row gathers from the tables held as the
+    narrowest unsigned type: (x y) z takes row x y of the slab's columns,
+    x (y z) row y z of the transposed tables."""
     tables = np.asarray(tables)
+    tables = tables.astype(np.min_scalar_type(tables.shape[-1] - 1))
     n = tables.shape[-1]
-    b = np.arange(len(tables))[:, None, None]
-    x = np.arange(n)[:, None]
-    ok = np.ones(len(tables), dtype=bool)
-    for z in range(n):
-        lhs = tables[b, tables, z]  # (x y) z at [b, x, y]
-        rhs = tables[b, x, tables[:, None, :, z]]  # x (y z)
-        ok &= (lhs == rhs).all(axis=(1, 2))
+    ok = np.empty(len(tables), dtype=bool)
+    for block in slabs(len(tables), n**3):
+        stack = tables[block]
+        count = len(stack)
+        offsets = np.arange(count)[:, None, None] * n  # row 0 of each table in a stack of rows
+        lead = stack + offsets  # the stacked row of x y at [b, x, y]
+        by_column = stack.swapaxes(1, 2).reshape(count * n, n)  # column c of table b, row b n + c
+        ok[block] = True
+        for zs in slabs(n, stack.size):
+            cols = stack[:, :, zs]  # y z at [b, y, z]
+            lhs = cols.reshape(count * n, -1).take(lead, axis=0)  # (x y) z at [b, x, y, z]
+            rhs = by_column.take(cols + offsets, axis=0)  # x (y z) at [b, y, z, x]
+            ok[block] &= (lhs == rhs.transpose(0, 3, 1, 2)).all(axis=(1, 2, 3))
     return ok
 
 

@@ -45,12 +45,24 @@ def _limited() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (LIMIT, LIMIT))
 
 
-def _run(*args: str, cap: int = qfam.morphisms.LIFT_BYTES_CAP) -> subprocess.CompletedProcess:
+# the matrix of the comultiplication of the cyclic group of the order given
+READ_MATRIX = (
+    "import sys, qfam\n"
+    "qfam.classical_semigroup_algebra(qfam.group_table(int(sys.argv[1]))).comultiplication.matrix\n"
+)
+
+
+def _run(
+    *args: str, cap: int = qfam.morphisms.LIFT_BYTES_CAP, code: str = CLI
+) -> subprocess.CompletedProcess:
+    """code run in a limited child; the CLI takes the cap as its first argument."""
     env = dict(
         os.environ, PYTHONPATH=str(Path(qfam.__file__).parents[1]), OPENBLAS_NUM_THREADS="1"
     )
+    if code == CLI:
+        args = (str(cap), *args)
     return subprocess.run(
-        [sys.executable, "-c", CLI, str(cap), *args],
+        [sys.executable, "-c", code, *args],
         env=env,
         preexec_fn=_limited,
         capture_output=True,
@@ -87,16 +99,52 @@ def test_dense_checks_of_order_60_run_in_384_mb(dense_60, command, code):
         assert "FAIL  defect 0.001 (limit" in result.stdout, result.stdout
 
 
+@pytest.fixture(scope="module")
+def cyclic_docs(tmp_path_factory):
+    """classical_table documents of the cyclic groups of orders 300 and 420."""
+    paths = {}
+    for order in (300, 420):
+        paths[order] = tmp_path_factory.mktemp("cyclic") / f"cyclic-{order}.json"
+        table = [[v + 1 for v in row] for row in group_table(order)]
+        paths[order].write_text(json.dumps({"kind": "semigroup", "classical_table": table}))
+    return paths
+
+
+@pytest.mark.parametrize("command", ["check-counit", "check-coassoc", "check-cancellation"])
+def test_classical_checks_of_order_300_run_in_384_mb(cyclic_docs, command):
+    """The comultiplication of the cyclic group of order 300 holds its
+    monomial form, 16 * 300^2 bytes, and these checks read only that form:
+    each passes. Its dense matrix, 16 * 300^3 bytes (432 MB), would not fit
+    under this limit."""
+    result = _run(command, str(cyclic_docs[300]))
+    assert result.returncode == 0, (result.returncode, result.stderr)
+
+
+def test_check_counit_admits_order_420_whose_matrix_is_refused(cyclic_docs):
+    """The cap counts the form a map holds, so check-counit passes the cyclic
+    group of order 420, past 406, the last order whose dense matrix fits
+    the cap; reading that matrix (16 * 420^3 = 1,185,408,000 bytes) in a
+    limited child is refused before it is allocated, with the cap in the
+    message."""
+    result = _run("check-counit", str(cyclic_docs[420]))
+    assert result.returncode == 0, (result.returncode, result.stderr)
+    result = _run("420", code=READ_MATRIX)
+    assert result.returncode == 1, (result.returncode, result.stderr)
+    assert "ResourceLimitError: the matrix of a 176400 x 420 map" in result.stderr
+    assert "cap" in result.stderr
+
+
 def test_a_classical_table_just_past_a_lowered_cap_exits_2(tmp_path):
-    """With the cap lowered to 1 MiB in the child, the dense comultiplication
-    of the cyclic group of order 41 (16 * 41^3 = 1,102,736 bytes) is refused
-    before it is allocated, with the cap in the message."""
-    doc = tmp_path / "cyclic-41.json"
-    table = [[v + 1 for v in row] for row in group_table(41)]
+    """With the cap lowered to 1 MiB in the child, the monomial form of the
+    comultiplication of the cyclic group of order 257 (16 * 257^2 =
+    1,056,784 bytes) is refused before it is allocated, with the cap in
+    the message."""
+    doc = tmp_path / "cyclic-257.json"
+    table = [[v + 1 for v in row] for row in group_table(257)]
     doc.write_text(json.dumps({"kind": "semigroup", "classical_table": table}))
     result = _run("check-coassoc", str(doc), cap=2**20)
     assert result.returncode == 2, (result.returncode, result.stderr)
-    assert "cap" in result.stderr
+    assert "semigroup.classical_table" in result.stderr and "cap" in result.stderr
 
 
 def _family(path: Path, maps: int, points: int) -> Path:
@@ -120,11 +168,12 @@ def test_commutation_of_two_large_classical_families_exits_2_at_the_cap(tmp_path
 
 def test_a_classical_family_past_a_lowered_cap_exits_2(tmp_path):
     """With the cap lowered to 1 MiB, the dense matrix of a 50-map family of
-    50 points (16 * 2,500 * 50 = 2,000,000 bytes) is refused at its table."""
+    50 points (16 * 2,500 * 50 = 2,000,000 bytes) is refused when the
+    composition first reads it."""
     doc = _family(tmp_path / "rotations.json", 50, 50)
     result = _run("check-commute", str(doc), str(doc), cap=2**20)
     assert result.returncode == 2, (result.returncode, result.stderr)
-    assert "family.classical_table" in result.stderr and "cap" in result.stderr
+    assert "the matrix of a 2500 x 50 map needs 2 MiB" in result.stderr and "cap" in result.stderr
 
 
 def test_check_magic_on_an_80_by_80_grid_runs_in_384_mb(tmp_path):

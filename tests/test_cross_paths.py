@@ -7,7 +7,9 @@ dense path, so the two are each other's oracle. `contract` is checked
 against the broadcast product it replaces.
 """
 
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -215,13 +217,29 @@ def _pullbacks():
 @pytest.mark.parametrize("phi", _pullbacks())
 def test_a_table_records_the_monomial_form_the_matrix_gives(phi):
     """The form a table map records is the one StarMorphism.monomial derives
-    from its matrix: intp columns, complex coefficients 1, read-only."""
+    from its matrix: intp columns, float64 coefficients 1, read-only."""
     cols, coefs = phi.__dict__["monomial"]
     derived_cols, derived_coefs = StarMorphism(phi.domain, phi.codomain, phi.matrix).monomial
     assert cols.dtype == derived_cols.dtype == np.intp
-    assert coefs.dtype == derived_coefs.dtype == complex
+    assert coefs.dtype == derived_coefs.dtype == np.float64
     assert np.array_equal(cols, derived_cols) and np.array_equal(coefs, derived_coefs)
     assert not cols.flags.writeable and not coefs.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))], ids=["deepcopy", "pickle"]
+)
+def test_a_copy_of_a_table_map_holds_only_its_form(clone):
+    """A copy of a map that holds only its monomial form is rebuilt from
+    that form, read-only, and builds no dense matrix; the matrix it builds
+    on first read has the bits of the original's."""
+    for phi in _pullbacks():
+        again = clone(phi)
+        assert "matrix" not in vars(again)
+        for ours, theirs in zip(again.monomial, phi.monomial):
+            assert not ours.flags.writeable and ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)
+        assert np.array_equal(again.matrix.view(np.uint64), phi.matrix.view(np.uint64))
 
 
 def test_a_uint8_table_gives_the_answers_of_its_list():

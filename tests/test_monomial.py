@@ -12,21 +12,31 @@ from qfam import (
     QuantumFamily,
     QuantumSemigroup,
     action_defect,
+    cancellation_rank,
     classical_family,
     classical_semigroup_algebra,
     coassociativity_defect,
     conjugation_family,
+    counit_defect,
     factorization_defect,
     functions_algebra,
     group_table,
     lift,
     make_algebra,
     max_image_defect,
+    podles_rank,
     qs_morphism_defect,
+    scalar_algebra,
     tensor_layout,
 )
-from qfam.algebra import within
-from qfam.morphisms import StarMorphism, lift_monomial, monomial_defect, set_map_morphism
+from qfam.algebra import largest_abs, within
+from qfam.morphisms import (
+    StarMorphism,
+    _from_monomial,
+    lift_monomial,
+    monomial_defect,
+    set_map_morphism,
+)
 
 
 def _densify(form, ncols):
@@ -382,3 +392,120 @@ def test_a_nan_coefficient_reads_nan_as_in_max_image_defect(first, second):
     with np.errstate(invalid="ignore"):  # inf - inf in the dense difference
         diff = _densify(first, 2) - _densify(second, 2)
     assert repr(monomial_defect(first, second)) == repr(max_image_defect(cod, diff))
+
+
+REAL_COEFS = np.array([1.0, -1.0, 2.5, -0.5, 1e-3, 3.0])
+
+
+def _real_form(rng, nrows, ncols, zero_share, table):
+    """A random real monomial form: a table's (every coefficient 1.0) when
+    table, else each row zero with probability zero_share and otherwise a
+    coefficient from REAL_COEFS, in a random column."""
+    cols = rng.integers(0, ncols, nrows)
+    if table:
+        return cols, np.ones(nrows)
+    coefs = rng.choice(REAL_COEFS, nrows)
+    zero = rng.random(nrows) < zero_share
+    cols[zero], coefs[zero] = -1, 0.0
+    return cols, coefs
+
+
+def _answers(forms, dtype):
+    """Every index-path answer on the maps of forms, their coefficients cast
+    to dtype: coassociativity, counit, action, q-s morphism and
+    factorization defects, and both cancellation ranks and the Podles rank."""
+    maps = {
+        k: _from_monomial(dom, cod, (cols, coefs.astype(dtype)))
+        for k, (dom, cod, cols, coefs) in forms.items()
+    }
+    a, b = maps["delta_a"].domain, maps["delta_b"].domain
+    source = QuantumSemigroup(a, maps["delta_a"], maps["eps"])
+    target = QuantumSemigroup(b, maps["delta_b"])
+    psi = QuantumFamily(b, b, a, maps["psi"])
+    phi = QuantumFamily(a, a, maps["connect"].domain, maps["phi"])
+    phi2 = QuantumFamily(a, a, maps["connect"].codomain, maps["phi2"])
+    return (
+        coassociativity_defect(source),
+        counit_defect(source),
+        action_defect(psi, source),
+        qs_morphism_defect(maps["lam"], source, target),
+        factorization_defect(phi, maps["connect"], phi2),
+        cancellation_rank(source, "left"),
+        cancellation_rank(source, "right"),
+        podles_rank(psi),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(points, min_size=4, max_size=4),
+    st.sampled_from([0.0, 0.2, 0.6]),
+    st.booleans(),
+    st.integers(0),
+)
+def test_real_forms_answer_as_their_complex_casts(dims, zero_share, table, seed):
+    """On random real monomial maps with zero rows, and on table maps, over
+    functions on finite sets, every index-path defect and counted rank is
+    repr-identical whether the forms hold float64 coefficients or the same
+    values cast to complex128. The matrix each map builds on first read is,
+    bit for bit, the same for both casts and the dense matrix of its form,
+    which for a table map is the 0/1 matrix a table's pullback held."""
+    rng = np.random.default_rng(seed)
+    a, b, label, label2 = (make_algebra(d) for d in dims)
+    square = {x: tensor_layout(x, x).product for x in (a, b)}
+    shapes = {
+        "delta_a": (a, square[a]),
+        "delta_b": (b, square[b]),
+        "eps": (a, scalar_algebra()),
+        "psi": (b, tensor_layout(b, a).product),
+        "lam": (a, b),
+        "phi": (a, tensor_layout(a, label).product),
+        "phi2": (a, tensor_layout(a, label2).product),
+        "connect": (label, label2),
+    }
+    forms = {
+        k: (dom, cod, *_real_form(rng, cod.dim, dom.dim, zero_share, table))
+        for k, (dom, cod) in shapes.items()
+    }
+    assert repr(_answers(forms, np.float64)) == repr(_answers(forms, complex))
+    for dom, cod, cols, coefs in forms.values():
+        real, cast = (
+            _from_monomial(dom, cod, (cols, coefs.astype(t))) for t in (np.float64, complex)
+        )
+        want = _densify((cols, coefs), dom.dim).view(np.uint64)
+        assert np.array_equal(real.matrix.view(np.uint64), want)
+        assert np.array_equal(cast.matrix.view(np.uint64), want)
+        if table:
+            eager = np.zeros((cod.dim, dom.dim), dtype=complex)
+            eager[np.arange(cod.dim), cols] = 1.0
+            assert np.array_equal(real.matrix.view(np.uint64), eager.view(np.uint64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(points, points, st.integers(0))
+def test_a_form_with_phases_stays_complex(dom_dims, cod_dims, seed):
+    """A map with a unimodular phase off the real axis has a complex form
+    holding its matrix's entries, and its lifts stay complex; the same map
+    with its entries' real parts has a float64 form."""
+    rng = np.random.default_rng(seed)
+    dom, cod = make_algebra(dom_dims), make_algebra(cod_dims)
+    mat = _random_monomial(rng, cod.dim, dom.dim, 0.0, True)
+    mat[0, np.flatnonzero(mat[0])] = 1j
+    phi = StarMorphism(dom, cod, mat)
+    cols, coefs = phi.monomial
+    assert coefs.dtype == complex
+    assert np.array_equal(coefs, mat[np.arange(cod.dim), cols])
+    assert lift_monomial(phi, dom, (np.arange(dom.dim**2), np.ones(dom.dim**2)))[1].dtype == complex
+    real = StarMorphism(dom, cod, mat.real).monomial[1]
+    assert real.dtype == np.float64 and np.array_equal(real, coefs.real)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, complex])
+def test_inf_minus_inf_reads_nan_in_either_dtype(dtype):
+    """An infinite coefficient kept in its column on both sides differs by
+    inf - inf: monomial_defect reads NaN for float64 forms, whose largest
+    |entry| is a max that propagates NaN, as for complex ones, which are
+    scanned for NaN."""
+    form = (np.array([0, 1]), np.array([np.inf, 1.0], dtype=dtype))
+    assert np.isnan(monomial_defect(form, form))
+    assert np.isnan(largest_abs(np.array([1.0, np.nan, 2.0], dtype=dtype)))

@@ -11,6 +11,7 @@ from qfam import (
     Character,
     InvalidCharacterError,
     InvalidMatrixError,
+    LinearFunctional,
     NotAHomomorphismError,
     QuantumFamily,
     QuantumSemigroup,
@@ -19,6 +20,7 @@ from qfam import (
     classical_family,
     classical_semigroup_algebra,
     coassociativity_defect,
+    coideal_defect,
     commutation_defect,
     compose_families,
     compose_morphisms,
@@ -32,12 +34,14 @@ from qfam import (
     invariance_defects,
     lift,
     make_algebra,
+    map_monoid_table,
     require_star_hom,
     scalar_algebra,
     set_map_morphism,
     tensor_layout,
     tensor_morphisms,
     trace_state,
+    trivial_family,
 )
 from qfam import morphisms
 from qfam.algebra import max_image_defect, multiply
@@ -511,6 +515,12 @@ def _inf_checks():
     point = QuantumFamily(point.source, point.source, point.label, _inf_entry(point.morphism))
     one = classical_semigroup_algebra([[0]])
     one = QuantumSemigroup(one.algebra, _inf_entry(one.comultiplication))
+    # a functional with one infinite density entry, against exact maps
+    m2 = make_algebra([2])
+    rho = LinearFunctional(m2, m2.element([np.diag([np.inf, 1.0])]))
+    table, maps = map_monoid_table(2)
+    monoid, all_maps = classical_semigroup_algebra(table), classical_family(maps)
+    omega = LinearFunctional(all_maps.source, all_maps.source.element([[[np.inf]], [[1.0]]]))
     return {
         "coassociativity": lambda: coassociativity_defect(bad_sg),
         "counit": lambda: counit_defect(bad_sg),
@@ -520,13 +530,18 @@ def _inf_checks():
         "coassociativity-inf-inf": lambda: coassociativity_defect(one),
         "composition": lambda: compose_families(fam, bad).morphism.matrix,
         "factorization": lambda: factorization_defect(bad, same_label, fam),
+        "invariance-functional": lambda: invariance_defects(
+            trivial_family(m2, scalar_algebra()), rho
+        ).defect,
+        "coideal-functional": lambda: coideal_defect(all_maps, monoid, omega),
     }
 
 
 @pytest.mark.parametrize("check", list(_inf_checks()))
 def test_an_infinite_entry_reads_nan_not_a_warning(check):
     """A dense lift of a map with one infinite entry multiplies inf by 0,
-    and a difference of two such lifts may subtract inf from inf: each
-    check reads NaN, and raises no RuntimeWarning, which the test
-    configuration turns into an error."""
+    and a difference of two such lifts may subtract inf from inf, as does
+    the invariance generator of a functional with an infinite density
+    entry: each check reads NaN, and raises no RuntimeWarning, which the
+    test configuration turns into an error."""
     assert np.isnan(_inf_checks()[check]()).any()

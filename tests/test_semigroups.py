@@ -400,16 +400,21 @@ def test_dense_lift_over_the_cap_is_refused(monkeypatch):
 
 def test_a_dense_build_over_the_cap_is_refused(monkeypatch, tmp_path, capsys):
     """With the cap lowered to 1 MiB, the dense matrix of a classical
-    semigroup or family, 16 bytes an entry, is refused before it is
-    allocated: 16 * 40^3 = 1,024,000 <= 2^20 < 16 * 41^3 = 1,102,736. The
-    index path is not counted, so check-coassoc passes order 40, whose
-    40^3-row defect would have counted 5 MiB, and exits 2 with the cap in
-    its message on order 41, as check-commute does on its families."""
+    semigroup or family, 16 bytes an entry, is refused on its first read,
+    before it is allocated: 16 * 40^3 = 1,024,000 <= 2^20 < 16 * 41^3 =
+    1,102,736. The maps hold their monomial forms, 16 bytes a row, and the
+    index path is not counted, so check-coassoc passes order 41, whose
+    41^3-row defect would have counted 5 MiB, and exits 2 with the cap in
+    its message on order 257, whose form is 16 * 257^2 = 1,056,784 bytes;
+    check-commute reads the matrices of its families and exits 2 at order 41."""
     monkeypatch.setattr(qfam.morphisms, "LIFT_BYTES_CAP", 2**20)
     for build in (classical_semigroup_algebra, classical_family):
-        with pytest.raises(ResourceLimitError, match="cap"):
-            build(group_table(41))
-    for order, code in ((40, 0), (41, 2)):
+        assert build(group_table(40))
+        maps = build(group_table(41))
+        phi = maps.comultiplication if build is classical_semigroup_algebra else maps.morphism
+        with pytest.raises(ResourceLimitError, match="the matrix of a 1681 x 41 map .* cap"):
+            phi.matrix
+    for order, code in ((41, 0), (257, 2)):
         doc = tmp_path / f"cyclic-{order}.json"
         table = [[v + 1 for v in row] for row in group_table(order)]
         doc.write_text(json.dumps({"kind": "semigroup", "classical_table": table}))
@@ -424,10 +429,10 @@ def test_a_dense_build_over_the_cap_is_refused(monkeypatch, tmp_path, capsys):
 
 def test_a_dense_build_is_counted_before_its_table_is_checked(monkeypatch):
     """Over the cap lowered to 1 MiB, classical_semigroup_algebra refuses the
-    cyclic group of order 41 before its associativity check (n passes over
-    n^2 gathers), and classical_family (16 * 41^3 bytes) and
-    set_map_morphism (16 * 257^2 = 1,056,784 bytes) refuse before they build
-    an algebra; under the cap each builder reaches those steps."""
+    cyclic group of order 257 (a form of 16 * 257^2 = 1,056,784 bytes)
+    before its associativity check, and classical_family (the same form)
+    and set_map_morphism (16 * 65,537 bytes) refuse before they build an
+    algebra; under the cap each builder reaches those steps."""
     monkeypatch.setattr(qfam.morphisms, "LIFT_BYTES_CAP", 2**20)
     calls = []
 
@@ -445,9 +450,9 @@ def test_a_dense_build_is_counted_before_its_table_is_checked(monkeypatch):
     ):
         monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     cases = [
-        (classical_semigroup_algebra, group_table(41), group_table(2)),
-        (classical_family, group_table(41), group_table(2)),
-        (set_map_morphism, list(range(257)), [1, 0]),
+        (classical_semigroup_algebra, group_table(257), group_table(2)),
+        (classical_family, group_table(257), group_table(2)),
+        (set_map_morphism, list(range(2**16 + 1)), [1, 0]),
     ]
     for build, over, _ in cases:
         with pytest.raises(ResourceLimitError, match="cap"):
@@ -546,14 +551,20 @@ def test_integer_tables_of_any_width_build_the_same_maps(dtype):
 
 
 def test_a_classical_build_holds_its_matrix_once(traced_peak):
-    """The comultiplication of the cyclic group of order 100 is one
-    16 * 100^3-byte array; building it peaks within 10 % of that, so the
-    map holds the array built and not a copy of it."""
-    sg, peak = traced_peak(lambda: classical_semigroup_algebra(group_table(100)))
-    assert sg.comultiplication.matrix.nbytes == 16_000_000
-    assert peak <= 1.1 * 16_000_000, peak
-    family, peak = traced_peak(lambda: classical_family(group_table(100)))
-    assert peak <= 1.1 * 16_000_000, peak
+    """The comultiplication of the cyclic group of order 100 holds only its
+    monomial form until its matrix is read: building it, or the family of
+    the same table, peaks under a tenth of the dense 16 * 100^3 bytes (1.07
+    and 0.32 MB measured). The first read of the matrix builds one
+    16,000,000-byte array and peaks within 10 % of that, so the map holds
+    the array built and not a copy of it, and later reads return it."""
+    for build in (classical_semigroup_algebra, classical_family):
+        maps, peak = traced_peak(lambda: build(group_table(100)))
+        assert peak <= 0.1 * 16_000_000, peak
+        phi = maps.comultiplication if build is classical_semigroup_algebra else maps.morphism
+        assert "matrix" not in vars(phi)
+        mat, peak = traced_peak(lambda: phi.matrix)
+        assert mat.nbytes == 16_000_000 and phi.matrix is mat
+        assert peak <= 1.1 * 16_000_000, peak
 
 
 @pytest.mark.parametrize("check", ["coassociativity", "action", "qs", "factorization"])
@@ -581,12 +592,14 @@ def test_the_dense_path_peaks_within_one_slab(monkeypatch, traced_peak, check):
             assert abs(value - 1e-3) <= 1e-15
             rows = order**3
         elif check == "action":
+            sg.comultiplication.matrix  # built on first read, before tracing
             family = _rotated_representation(order)
             assert family.morphism.monomial is None
             value, peak = traced_peak(lambda: action_defect(family, sg))
             assert value <= 1e-12
             rows = 9 * order**2
         elif check == "qs":
+            sg.comultiplication.matrix  # built on first read, before tracing
             ident = StarMorphism(sg.algebra, sg.algebra, np.eye(order))
             target = _smeared(group_table(order))
             value, peak = traced_peak(lambda: qs_morphism_defect(ident, sg, target))
