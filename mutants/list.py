@@ -84,10 +84,10 @@ MUTANTS = [
         module="src/qfam/families.py",
         old='@np.errstate(over="ignore", invalid="ignore")  # inf - inf is a NaN defect\n',
         new="",
-        weakens="commutation_defect of two infinite compositions raises instead of reading NaN",
+        weakens="commutation_defect of infinite action coefficients raises instead of reading NaN",
         killed_by=(
             "tests/test_morphisms.py"
-            "::test_an_infinite_entry_reads_nan_not_a_warning[commutation-inf-inf]"
+            "::test_an_infinite_entry_reads_nan_not_a_warning[commutation]"
         ),
     ),
     dict(
@@ -180,5 +180,19 @@ MUTANTS = [
             "tests/test_morphisms.py"
             "::test_an_infinite_entry_reads_nan_not_a_warning[invariance-functional]"
         ),
+    ),
+    dict(
+        module="src/qfam/families.py",
+        old="diff -= right.transpose(0, 2, 1, 3)",
+        new="diff -= right.reshape(diff.shape)",
+        weakens="commutation_defect subtracts the second order without swapping its label axes",
+        killed_by="tests/test_acceptance.py::test_05_commutant_closure",
+    ),
+    dict(
+        module="src/qfam/algebra.py",
+        old="        if not block.size:\n            continue\n",
+        new="        if not block.size or n == 1:\n            continue\n",
+        weakens="max_image_defect's screen skips the 1 x 1 blocks",
+        killed_by="tests/test_algebra.py::test_pruned_reduction_is_the_unpruned_maximum",
     ),
 ]

@@ -40,9 +40,9 @@ from .morphisms import (
     _pullback,
     functions_algebra,
     lift,
+    require_bytes_fit,
     require_star_hom,
     scalar_algebra,
-    swap_index,
 )
 
 
@@ -197,24 +197,35 @@ def action_coefficients(family: QuantumFamily) -> np.ndarray:
 def commutation_defect(first: QuantumFamily, second: QuantumFamily) -> float:
     """Distance between the two orders of composing self-map families.
 
-    Measures (id (x) swap) o (first composed with second) against
-    (second composed with first) in worst operator norm over the canonical
-    basis. The swap of the label factors is one gather of rows through
-    morphisms.swap_index. The defect is symmetric in its arguments up to
-    numerical noise because the swap is isometric.
+    Measures (first composed with second) against (id (x) swap) o (second
+    composed with first) in worst operator norm over the canonical basis,
+    from the action coefficients a of first and b of second: the image of
+    e_l is sum_p e_p (x) left[p, l] with left[p, l] = sum_k a[p, k] (x)
+    b[k, l] in the one order, and with the label factors of sum_k b[p, k]
+    (x) a[k, l] swapped in the other. Each order is one GEMM over k; their
+    difference is scattered once into source (x) (A1 (x) A2) coordinates,
+    after its 16 bytes an entry are counted against the lift cap. The
+    defect is symmetric in its arguments up to numerical noise because the
+    swap is isometric.
     """
     first.require_self_map("commutation")
     second.require_self_map("commutation")
     if first.source != second.source:
         raise IncompatibleAlgebraError("families act on different algebras")
-    left = compose_families(first, second)
-    right = compose_families(second, first)
-    # row (b, q) over source (x) (A2 (x) A1) is row (b, swap[q]) of left's
-    rows = np.empty(right.morphism.codomain.dim, dtype=np.intp)
-    rows[right.layout.pair_index] = left.layout.pair_index[:, swap_index(first.label, second.label)]
-    diff = left.morphism.matrix[rows]
-    diff -= right.morphism.matrix
-    return max_image_defect(right.morphism.codomain, diff)
+    # a[k, alpha, l] and b[k, beta, l]: each matrix gathered through its layout, contiguous
+    a, b = (action_coefficients(f).transpose(0, 2, 1) for f in (first, second))
+    (d, da, _), db = a.shape, b.shape[1]
+    label = tensor_layout(first.label, second.label)
+    layout = tensor_layout(first.source, label.product)
+    require_bytes_fit(16 * layout.product.dim * d, f"a tensor lift of {d} columns")
+    diff = (a.reshape(-1, d) @ b.reshape(d, -1)).reshape(d, da, db, d)  # [p, alpha, beta, l]
+    right = (b.reshape(-1, d) @ a.reshape(d, -1)).reshape(d, db, da, d)  # [p, beta, alpha, l]
+    diff -= right.transpose(0, 2, 1, 3)
+    del right
+    out = np.empty((layout.product.dim, d), dtype=complex)
+    out[layout.pair_index[:, label.pair_index]] = diff
+    del diff
+    return max_image_defect(layout.product, out)
 
 
 @dataclass(frozen=True)

@@ -516,22 +516,27 @@ def _integer_table(table, ndim: int, error: type[QfamError]) -> np.ndarray:
     return arr
 
 
-def _pullback(dom: FdCStarAlgebra, cod: FdCStarAlgebra, points: np.ndarray) -> StarMorphism:
+def _pullback(
+    dom: FdCStarAlgebra, cod: FdCStarAlgebra, points: np.ndarray, cls: type = StarMorphism
+) -> StarMorphism:
     """f -> f o t on functions, t sending point r of cod to point points[r]
     of dom: the map of monomial form column points[r] (as intp) and
-    coefficient 1.0 in row r, whose bytes _point_table counted."""
-    return _from_monomial(dom, cod, (np.array(points, dtype=np.intp), np.ones(cod.dim)))
+    coefficient 1.0 in row r, whose bytes _point_table counted; a cls
+    instance. Evaluation at a point is the pullback into scalar_algebra()."""
+    return _from_monomial(dom, cod, (np.array(points, dtype=np.intp), np.ones(cod.dim)), cls)
 
 
-def _from_monomial(dom: FdCStarAlgebra, cod: FdCStarAlgebra, form: MonomialForm) -> StarMorphism:
-    """The map from dom into the commutative cod that holds only the
-    monomial form `form`, its arrays made read-only, as its monomial; its
-    matrix is built on first read. The form keeps the rules of
+def _from_monomial(
+    dom: FdCStarAlgebra, cod: FdCStarAlgebra, form: MonomialForm, cls: type = StarMorphism
+) -> StarMorphism:
+    """The map from dom into the commutative cod, a cls instance, that holds
+    only the monomial form `form`, its arrays made read-only, as its
+    monomial; its matrix is built on first read. The form keeps the rules of
     StarMorphism.monomial: finite coefficients, and cols[r] = -1 exactly
     where coefs[r] = 0."""
     for arr in form:
         arr.setflags(write=False)
-    phi = StarMorphism.__new__(StarMorphism)
+    phi = cls.__new__(cls)
     phi.domain, phi.codomain = dom, cod
     phi.__dict__["monomial"] = form
     return phi

@@ -209,12 +209,14 @@ def tables_are_associative(tables: np.ndarray) -> np.ndarray:
     comparisons per table, over slabs of tables and, within one table,
     slabs of z. Both sides are row gathers from the tables held as the
     narrowest unsigned type: (x y) z takes row x y of the slab's columns,
-    x (y z) row y z of the transposed tables."""
+    x (y z) row y z of the transposed tables. A slab of tables holds about
+    _DEFECT_CHUNK bytes of working arrays: per table two intp row indices
+    of n^2 entries, and two gathers and their comparison of n^3 items."""
     tables = np.asarray(tables)
     tables = tables.astype(np.min_scalar_type(tables.shape[-1] - 1))
     n = tables.shape[-1]
     ok = np.empty(len(tables), dtype=bool)
-    for block in slabs(len(tables), n**3):
+    for block in slabs(len(tables), 16 * n * n + 3 * n**3 * tables.itemsize):
         stack = tables[block]
         count = len(stack)
         offsets = np.arange(count)[:, None, None] * n  # row 0 of each table in a stack of rows
@@ -273,7 +275,7 @@ def classical_semigroup_algebra(table: Sequence[Sequence[int]]) -> QuantumSemigr
     # row s n + t of the product is the pair (s, t)
     delta = _pullback(alg, tensor_layout(alg, alg).product, arr.ravel())
     e = table_identity(arr)
-    counit = None if e is None else Character(alg, np.eye(1, n, e))
+    counit = None if e is None else _pullback(alg, scalar_algebra(), [e], Character)
     return QuantumSemigroup(alg, delta, counit)
 
 

@@ -666,6 +666,37 @@ def test_a_block_at_its_pruning_bound_is_decomposed():
     assert below == 1.0
 
 
+@pytest.mark.parametrize("entry", [0.0, np.nan, np.inf, complex(np.inf, np.nan)])
+def test_a_difference_its_largest_entry_decides_takes_no_svd(monkeypatch, entry):
+    """An all-zero difference reads 0.0, one with a NaN part NaN and one
+    with an infinite entry and no NaN inf, over blocks of every size and
+    beside a column of ones, from its largest |entry| alone: no SVD."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("max_image_defect took an SVD")
+
+    alg = make_algebra([1, 2, 3])
+    diff = np.zeros((alg.dim, 3), dtype=complex)
+    diff[4, 1] = entry
+    if entry != 0:
+        diff[:, 2] = 1.0
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    got = max_image_defect(alg, diff)
+    assert np.array_equal(got, np.nan if np.isnan(entry) else abs(entry), equal_nan=True)
+    with pytest.raises(AssertionError, match="SVD"):  # a finite nonzero one does take it
+        max_image_defect(alg, diff[:, :1] + 1.0)
+
+
+def test_the_screen_reads_every_block_size():
+    """The largest |entry| in a 1 x 1 block is the answer beside a 2 x 2
+    block of smaller norm; a 2 x 2 block of norm above the largest |entry|
+    gives its SVD value."""
+    alg = make_algebra([1, 2])
+    assert max_image_defect(alg, np.array([5.0, 1.0, 1.0, 1.0, 1.0])) == 5.0
+    top = np.linalg.svd(np.ones((2, 2)), compute_uv=False)[0]
+    assert max_image_defect(alg, np.ones(5)) == top > 1.0
+
+
 def test_no_zero_block_reaches_the_svd(monkeypatch):
     """An all-zero block reads 0.0, the value LAPACK gives it, without an
     SVD, in block_norms, in column_element_norms and in the hom check of a

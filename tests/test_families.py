@@ -310,10 +310,10 @@ def test_commutation_detects_noncommuting_maps():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_the_label_swap_is_the_dense_flip(seed):
-    """commutation_defect swaps the labels by one gather through the
-    layouts' pair_index; on random families its defect is, bit for bit,
-    the one of the dense flip applied through lift. swap_index sends x (x) y
-    to y (x) x, and flip is its 0/1 matrix."""
+    """commutation_defect reads the two orders from the action coefficients;
+    on random families its defect is, within rounding (1e-13), the one of
+    the two composed families with the dense flip applied through lift.
+    swap_index sends x (x) y to y (x) x, and flip is its 0/1 matrix."""
     rng = np.random.default_rng(seed)
     source = random_source_algebra(rng)
     first, second = (random_family(rng, source, source, random_label(rng)) for _ in range(2))
@@ -327,7 +327,27 @@ def test_the_label_swap_is_the_dense_flip(seed):
     right = compose_families(second, first)
     dense = lift(source, swap, left.morphism.matrix) - right.morphism.matrix
     expected = max_image_defect(right.morphism.codomain, dense)
-    assert commutation_defect(first, second) == expected
+    assert abs(commutation_defect(first, second) - expected) <= 1e-13
+
+
+_LABELS = st.sampled_from([(1,), (1, 1), (1, 1, 1), (2,)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_LABELS, _LABELS, st.integers(min_value=0, max_value=2**32 - 1))
+def test_commutation_is_exact_with_the_trivial_family_and_symmetric(dims, other, seed):
+    """Over random families with commutative and M_2 labels, the trivial
+    family commutes with a random one exactly, 0.0 in both orders, as the
+    suite's trivial-commutes bound of 0.0 requires; and the defect of two
+    random families does not depend on their order beyond rounding."""
+    rng = np.random.default_rng(seed)
+    source = random_source_algebra(rng)
+    fam = random_family(rng, source, source, make_algebra(dims))
+    triv = trivial_family(source, make_algebra(other))
+    assert commutation_defect(fam, triv) == 0.0
+    assert commutation_defect(triv, fam) == 0.0
+    second = random_family(rng, source, source, make_algebra(other))
+    assert abs(commutation_defect(fam, second) - commutation_defect(second, fam)) <= 1e-13
 
 
 @pytest.mark.parametrize("points, cap", [(40, 2**20), (200, 16 * 2**20)])

@@ -254,6 +254,17 @@ def test_batched_associativity_matches_triple_loop():
     assert tables_are_associative(order_4).tolist() == [True, True]
 
 
+def test_the_order_3_tables_are_checked_in_slabs_of_bytes(traced_peak):
+    """The 19,683 tables of order 3, one byte an entry, as the
+    cancellation-ranks suite builds them, are checked in slabs of about 2^18
+    bytes: 0.58 MB traced. A slab of 2^18 comparisons would hold two intp
+    index arrays of 0.7 MB each and peak at 3.2 MB."""
+    tables = np.indices((3,) * 9, np.uint8).reshape(9, -1).T.reshape(-1, 3, 3)
+    ok, peak = traced_peak(lambda: tables_are_associative(tables), first=False)
+    assert ok.sum() == 113
+    assert peak < 2**20, peak
+
+
 def test_table_utilities():
     assert table_is_associative(group_table(3))
     assert not table_is_associative([[0, 0], [1, 0]])
