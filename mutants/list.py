@@ -190,9 +190,9 @@ MUTANTS = [
     ),
     dict(
         module="src/qfam/algebra.py",
-        old="        if not block.size:\n            continue\n",
-        new="        if not block.size or n == 1:\n            continue\n",
-        weakens="max_image_defect's screen skips the 1 x 1 blocks",
-        killed_by="tests/test_algebra.py::test_pruned_reduction_is_the_unpruned_maximum",
+        old="    return float(column_element_norms(codomain, matrix_diff, floor).max())\n",
+        new="    return floor\n",
+        weakens="max_image_defect reads the largest |entry| in place of the largest SVD value",
+        killed_by="tests/test_algebra.py::test_the_maximum_reads_every_block_size",
     ),
 ]

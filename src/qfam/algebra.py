@@ -34,10 +34,11 @@ Conventions fixed here and relied on by every other module:
   :func:`multiply` and :func:`adjoint_coords` read it on the last axis,
   with the leading axes broadcast, and so does :func:`contract`, which
   sums products over the leading axis, while :func:`column_element_norms`
-  (each column's operator norm), :func:`max_image_defect` (the worst
-  defect: the largest |entry| when that decides it, else a Frobenius screen
-  and one SVD per block size over the blocks that pass), morphism matrices
-  and tensor lifts read it on the first axis, one column per element.
+  (each column's operator norm, one batched SVD per block size over the
+  blocks that :func:`block_norms` does not prune), :func:`max_image_defect`
+  (the worst column, pruned at the largest |entry|, which is the answer
+  when it is 0, NaN or inf), morphism matrices and tensor lifts read it on
+  the first axis, one column per element.
 """
 
 from __future__ import annotations
@@ -400,35 +401,15 @@ def largest_abs(z: np.ndarray) -> float:
 
 def max_image_defect(codomain: FdCStarAlgebra, matrix_diff: np.ndarray) -> float:
     """Worst operator norm over the columns of a matrix of element
-    differences; NaN when any column's norm is NaN.
-
-    The largest |entry|, floor, is a lower bound of the answer, and it is
-    the answer when it is 0, NaN or inf, or when every block is 1 x 1.
-    Otherwise one screen sums |z / floor|^2 over each (block, column) pair,
-    clear of overflow and underflow, and only the blocks whose Frobenius
-    norm reaches floor (1 - 1e-12) are read: |z| for a 1 x 1 block, else
-    one batched SVD per block size. The block holding floor is among them,
-    and a block below the screen has norm below floor, so the answer is the
-    unpruned maximum bit for bit."""
+    differences; NaN when any column's norm is NaN. The largest |entry| is
+    a lower bound of the answer, so it prunes the SVDs as floor; when it is
+    0, NaN or inf, or every block is 1 x 1, it is the answer and no SVD is
+    taken."""
     matrix_diff = np.asarray(matrix_diff, dtype=complex)
     floor = largest_abs(matrix_diff)
     if codomain.is_commutative or not 0 < floor < np.inf:
         return floor
-    matrix_diff = matrix_diff.reshape(codomain.dim, -1)  # a vector is one column
-    mags = np.abs(matrix_diff)
-    mags /= floor
-    mags *= mags
-    reached = np.add.reduceat(mags, codomain._offsets, axis=0) >= (1 - 1e-12) ** 2
-    del mags
-    worst = 0.0
-    for n, idx in codomain.size_groups:
-        block, col = np.nonzero(reached[codomain._dims == n])
-        if not block.size:
-            continue
-        blocks = matrix_diff[idx[block], col[:, None, None]]  # (block, n, n)
-        norms = np.abs(blocks) if n == 1 else np.linalg.svd(blocks, compute_uv=False)[:, 0]
-        worst = max(worst, float(norms.max()))
-    return worst
+    return float(column_element_norms(codomain, matrix_diff, floor).max())
 
 
 class LinearFunctional:

@@ -60,7 +60,9 @@ _DEFECT_CHUNK = 2**18
 
 def slabs(count: int, size: int) -> Iterator[slice]:
     """range(count) in slices of max(1, _DEFECT_CHUNK // size) items: about
-    _DEFECT_CHUNK entries a slab of items of size entries, one item at least."""
+    _DEFECT_CHUNK units a slab of items of size units, one item at least.
+    The unit is the caller's: entries, or bytes where one item holds arrays
+    of different item sizes (semigroups.tables_are_associative)."""
     step = max(1, _DEFECT_CHUNK // size)
     return (slice(s, min(s + step, count)) for s in range(0, count, step))
 
@@ -516,14 +518,11 @@ def _integer_table(table, ndim: int, error: type[QfamError]) -> np.ndarray:
     return arr
 
 
-def _pullback(
-    dom: FdCStarAlgebra, cod: FdCStarAlgebra, points: np.ndarray, cls: type = StarMorphism
-) -> StarMorphism:
+def _pullback(dom: FdCStarAlgebra, cod: FdCStarAlgebra, points: np.ndarray) -> StarMorphism:
     """f -> f o t on functions, t sending point r of cod to point points[r]
     of dom: the map of monomial form column points[r] (as intp) and
-    coefficient 1.0 in row r, whose bytes _point_table counted; a cls
-    instance. Evaluation at a point is the pullback into scalar_algebra()."""
-    return _from_monomial(dom, cod, (np.array(points, dtype=np.intp), np.ones(cod.dim)), cls)
+    coefficient 1.0 in row r, whose bytes _point_table counted."""
+    return _from_monomial(dom, cod, (np.array(points, dtype=np.intp), np.ones(cod.dim)))
 
 
 def _from_monomial(

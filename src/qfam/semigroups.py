@@ -31,6 +31,7 @@ from .families import QuantumFamily, action_coefficients, invariance_defects
 from .morphisms import (
     Character,
     StarMorphism,
+    _from_monomial,
     _integer_table,
     _lift_difference_defect,
     _point_table,
@@ -209,9 +210,11 @@ def tables_are_associative(tables: np.ndarray) -> np.ndarray:
     comparisons per table, over slabs of tables and, within one table,
     slabs of z. Both sides are row gathers from the tables held as the
     narrowest unsigned type: (x y) z takes row x y of the slab's columns,
-    x (y z) row y z of the transposed tables. A slab of tables holds about
-    _DEFECT_CHUNK bytes of working arrays: per table two intp row indices
-    of n^2 entries, and two gathers and their comparison of n^3 items."""
+    x (y z) row y z of the transposed tables. The slabs of tables are
+    counted in bytes, about _DEFECT_CHUNK of working arrays a slab: per table
+    two intp row indices of n^2 entries, and two gathers and their
+    comparison of n^3 items. The slabs of z within one table are counted in
+    entries, n^2 a table of the slab for each z."""
     tables = np.asarray(tables)
     tables = tables.astype(np.min_scalar_type(tables.shape[-1] - 1))
     n = tables.shape[-1]
@@ -275,7 +278,10 @@ def classical_semigroup_algebra(table: Sequence[Sequence[int]]) -> QuantumSemigr
     # row s n + t of the product is the pair (s, t)
     delta = _pullback(alg, tensor_layout(alg, alg).product, arr.ravel())
     e = table_identity(arr)
-    counit = None if e is None else _pullback(alg, scalar_algebra(), [e], Character)
+    counit = None
+    if e is not None:  # evaluation at e: column e, coefficient 1.0
+        form = (np.array([e], dtype=np.intp), np.ones(1))
+        counit = _from_monomial(alg, scalar_algebra(), form, Character)
     return QuantumSemigroup(alg, delta, counit)
 
 

@@ -687,7 +687,7 @@ def test_a_difference_its_largest_entry_decides_takes_no_svd(monkeypatch, entry)
         max_image_defect(alg, diff[:, :1] + 1.0)
 
 
-def test_the_screen_reads_every_block_size():
+def test_the_maximum_reads_every_block_size():
     """The largest |entry| in a 1 x 1 block is the answer beside a 2 x 2
     block of smaller norm; a 2 x 2 block of norm above the largest |entry|
     gives its SVD value."""
